@@ -437,7 +437,7 @@ func (s *Sharded) ProcessEdgesCancel(edges []stream.Edge, done <-chan struct{}) 
 	}
 	sc := batchPool.Get().(*batchScratch)
 	k := s.shards[0].cfg.K
-	n := sc.prepare(edges, k, len(s.shards), s.shards[0].family, false, s.shards[0].tiers == nil)
+	n := sc.prepare(edges, k, len(s.shards), s.shards[0].family.get(), false, s.shards[0].tiers == nil)
 	if n > 0 {
 		if canceled(done) {
 			batchPool.Put(sc)
@@ -475,7 +475,7 @@ func (s *Sharded) ProcessEdgesAsync(edges []stream.Edge) {
 func (s *Sharded) processEdgesVia(p *pipeline, edges []stream.Edge, wait bool, done <-chan struct{}) error {
 	sc := batchPool.Get().(*batchScratch)
 	k := s.shards[0].cfg.K
-	n := sc.prepare(edges, k, len(s.shards), s.shards[0].family, false, s.shards[0].tiers == nil)
+	n := sc.prepare(edges, k, len(s.shards), s.shards[0].family.get(), false, s.shards[0].tiers == nil)
 	if n == 0 {
 		batchPool.Put(sc)
 		return nil
@@ -587,7 +587,7 @@ func (s *ShardedDirected) ProcessArcsCancel(arcs []stream.Edge, done <-chan stru
 	}
 	sc := batchPool.Get().(*batchScratch)
 	k := s.shards[0].cfg.K
-	n := sc.prepare(arcs, k, len(s.shards), s.shards[0].family, true, s.shards[0].tiers == nil)
+	n := sc.prepare(arcs, k, len(s.shards), s.shards[0].family.get(), true, s.shards[0].tiers == nil)
 	if n > 0 {
 		if canceled(done) {
 			batchPool.Put(sc)
@@ -618,7 +618,7 @@ func (s *ShardedDirected) ProcessArcsAsync(arcs []stream.Edge) {
 func (s *ShardedDirected) processArcsVia(p *pipeline, arcs []stream.Edge, wait bool, done <-chan struct{}) error {
 	sc := batchPool.Get().(*batchScratch)
 	k := s.shards[0].cfg.K
-	n := sc.prepare(arcs, k, len(s.shards), s.shards[0].family, true, s.shards[0].tiers == nil)
+	n := sc.prepare(arcs, k, len(s.shards), s.shards[0].family.get(), true, s.shards[0].tiers == nil)
 	if n == 0 {
 		batchPool.Put(sc)
 		return nil

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"linkpred/internal/hashing"
 	"linkpred/internal/stream"
 )
 
@@ -24,7 +23,7 @@ import (
 // weight 1/ln(total degree).
 type DirectedStore struct {
 	cfg      Config
-	family   *hashing.Family
+	family   *lazyFamily
 	vertices map[uint64]*dirVertexState
 	// out and in are the two register banks (see regBank in sketch.go);
 	// a vertex holds one slot per side. On uniform stores the two slots
@@ -43,11 +42,11 @@ type dirVertexState struct {
 }
 
 // NewDirectedStore returns an empty directed store. It returns an error
-// if cfg.K < 1 or cfg.EnableBiased is set (the biased sketches are an
-// undirected-mode ablation).
+// if cfg.K is outside [1, 2^20] or cfg.EnableBiased is set (the biased
+// sketches are an undirected-mode ablation).
 func NewDirectedStore(cfg Config) (*DirectedStore, error) {
-	if cfg.K < 1 {
-		return nil, fmt.Errorf("core: Config.K must be >= 1, got %d", cfg.K)
+	if err := cfg.validateK(); err != nil {
+		return nil, err
 	}
 	if cfg.EnableBiased {
 		return nil, fmt.Errorf("core: directed mode does not support the vertex-biased sketches")
@@ -60,22 +59,12 @@ func NewDirectedStore(cfg Config) (*DirectedStore, error) {
 	}
 	s := &DirectedStore{
 		cfg:      cfg,
-		family:   hashing.NewFamily(cfg.Hash, cfg.K, cfg.Seed),
+		family:   &lazyFamily{cfg: cfg},
 		vertices: make(map[uint64]*dirVertexState),
 		tiers:    cfg.activeTiers(),
-		hashBuf:  make([]uint64, 0, cfg.K),
 	}
-	if s.tiers != nil {
-		ks := make([]int, len(s.tiers))
-		for i, t := range s.tiers {
-			ks[i] = t.K
-		}
-		s.out.initTiered(ks, true)
-		s.in.initTiered(ks, true)
-	} else {
-		s.out.init(cfg.K, true)
-		s.in.init(cfg.K, true)
-	}
+	s.out.init(cfg, true)
+	s.in.init(cfg, true)
 	return s, nil
 }
 
@@ -93,20 +82,20 @@ func (s *DirectedStore) ProcessArc(e stream.Edge) {
 	if s.tiers != nil {
 		// Canonical tiered half-arc order (count → promote → fold), as in
 		// SketchStore.ProcessEdge; the two sides promote independently.
-		s.hashBuf = s.family.HashAll(e.V, s.hashBuf)
+		s.hashBuf = s.family.get().HashAll(e.V, s.hashBuf)
 		su.outArr++
 		s.promoteOutIfDue(su)
 		s.out.update(su.outSlot, e.V, s.hashBuf)
-		s.hashBuf = s.family.HashAll(e.U, s.hashBuf)
+		s.hashBuf = s.family.get().HashAll(e.U, s.hashBuf)
 		sv.inArr++
 		s.promoteInIfDue(sv)
 		s.in.update(sv.inSlot, e.U, s.hashBuf)
 		s.arcs++
 		return
 	}
-	s.hashBuf = s.family.HashAll(e.V, s.hashBuf)
+	s.hashBuf = s.family.get().HashAll(e.V, s.hashBuf)
 	s.out.update(su.outSlot, e.V, s.hashBuf)
-	s.hashBuf = s.family.HashAll(e.U, s.hashBuf)
+	s.hashBuf = s.family.get().HashAll(e.U, s.hashBuf)
 	s.in.update(sv.inSlot, e.U, s.hashBuf)
 	su.outArr++
 	sv.inArr++
@@ -196,7 +185,7 @@ func (s *DirectedStore) OutDegree(u uint64) float64 {
 	if st == nil {
 		return 0
 	}
-	return s.sideDegree(s.out.regs(st.outSlot), st.outArr)
+	return sideDegree(&s.out, st.outSlot, st.outArr)
 }
 
 // InDegree returns the in-degree estimate of u.
@@ -205,17 +194,16 @@ func (s *DirectedStore) InDegree(u uint64) float64 {
 	if st == nil {
 		return 0
 	}
-	return s.sideDegree(s.in.regs(st.inSlot), st.inArr)
+	return sideDegree(&s.in, st.inSlot, st.inArr)
 }
 
-func (s *DirectedStore) sideDegree(vals []uint64, arrivals int64) float64 {
+// sideDegree is the degree of one side (out or in) of a vertex: 0 for a
+// side that never saw an arc, else the bank's O(1) degree read.
+func sideDegree(b *regBank, slot int32, arrivals int64) float64 {
 	if arrivals == 0 {
 		return 0
 	}
-	if s.cfg.Degrees == DegreeArrivals {
-		return float64(arrivals)
-	}
-	return kmvDistinct(vals, arrivals)
+	return b.degree(slot, arrivals)
 }
 
 // pairQuery is the directed side of the measure kernel (see
@@ -232,8 +220,8 @@ func (s *DirectedStore) pairQuery(u, v uint64, collect bool, idBuf []uint64) (ma
 	inVals := s.in.regs(sv.inSlot)
 	// Degrees use each side's full span; the match comparison runs over
 	// the shared prefix (min-k prefix property, see estimators.go).
-	du = s.sideDegree(outVals, su.outArr)
-	dv = s.sideDegree(inVals, sv.inArr)
+	du = sideDegree(&s.out, su.outSlot, su.outArr)
+	dv = sideDegree(&s.in, sv.inSlot, sv.inArr)
 	if len(inVals) < len(outVals) {
 		outVals = outVals[:len(inVals)]
 	}

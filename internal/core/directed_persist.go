@@ -213,21 +213,11 @@ func loadDirected(rd *binReader) (*DirectedStore, error) {
 			s.promoteInIfDue(st)
 		}
 		// Format predates the banks; fill the vertex's spans in place.
-		for _, side := range [2]struct {
-			b    *regBank
-			slot int32
-		}{{&s.out, st.outSlot}, {&s.in, st.inSlot}} {
-			vals, argmins := side.b.regs(side.slot), side.b.argmins(side.slot)
-			for j := range vals {
-				if vals[j], err = rd.u64(); err != nil {
-					return nil, rd.fail(fmt.Sprintf("vertex %d registers", id), err)
-				}
-			}
-			for j := range argmins {
-				if argmins[j], err = rd.u64(); err != nil {
-					return nil, rd.fail(fmt.Sprintf("vertex %d argmins", id), err)
-				}
-			}
+		if err := rd.span(&s.out, st.outSlot, id); err != nil {
+			return nil, err
+		}
+		if err := rd.span(&s.in, st.inSlot, id); err != nil {
+			return nil, err
 		}
 	}
 	return s, nil

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 
-	"linkpred/internal/hashing"
 	"linkpred/internal/stream"
 )
 
@@ -120,7 +119,7 @@ type dynVertexState struct {
 type DynamicStore struct {
 	cfg          Config
 	depth        int
-	family       *hashing.Family
+	family       *lazyFamily
 	vertices     map[uint64]*dynVertexState
 	tiers        []Tier
 	edges        int64
@@ -138,8 +137,8 @@ type DynamicStore struct {
 // DefaultRecoveryDepth). The biased-sketch and triangle-tracking
 // options are insert-only structures and are rejected here.
 func NewDynamicStore(cfg Config, depth int) (*DynamicStore, error) {
-	if cfg.K < 1 {
-		return nil, fmt.Errorf("core: Config.K must be >= 1, got %d", cfg.K)
+	if err := cfg.validateK(); err != nil {
+		return nil, err
 	}
 	if depth == 0 {
 		depth = DefaultRecoveryDepth
@@ -159,7 +158,7 @@ func NewDynamicStore(cfg Config, depth int) (*DynamicStore, error) {
 	return &DynamicStore{
 		cfg:      cfg,
 		depth:    depth,
-		family:   hashing.NewFamily(cfg.Hash, cfg.K, cfg.Seed),
+		family:   &lazyFamily{cfg: cfg},
 		vertices: make(map[uint64]*dynVertexState),
 		tiers:    cfg.activeTiers(),
 	}, nil
@@ -294,9 +293,9 @@ func (s *DynamicStore) ProcessEdge(e stream.Edge) {
 		s.promoteDynIfDue(su)
 		s.promoteDynIfDue(sv)
 	}
-	s.hashV = s.family.HashAll(e.V, s.hashV)
+	s.hashV = s.family.get().HashAll(e.V, s.hashV)
 	s.insertNeighbor(su, s.hashV, e.V)
-	s.hashU = s.family.HashAll(e.U, s.hashU)
+	s.hashU = s.family.get().HashAll(e.U, s.hashU)
 	s.insertNeighbor(sv, s.hashU, e.U)
 	su.arrivals++
 	sv.arrivals++
@@ -448,8 +447,8 @@ func (s *DynamicStore) DeleteEdge(e stream.Edge) bool {
 	if su == nil || sv == nil {
 		return false
 	}
-	s.hashV = s.family.HashAll(e.V, s.hashV)
-	s.hashU = s.family.HashAll(e.U, s.hashU)
+	s.hashV = s.family.get().HashAll(e.V, s.hashV)
+	s.hashU = s.family.get().HashAll(e.U, s.hashU)
 	if !s.neighborLive(su, s.hashV, e.V) || !s.neighborLive(sv, s.hashU, e.U) {
 		return false
 	}

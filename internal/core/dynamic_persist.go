@@ -221,6 +221,12 @@ func loadDynamicStore(rd *binReader) (*DynamicStore, error) {
 	if vertexCount > uint64(math.MaxInt64)/uint64(16+6*minK) {
 		return nil, rd.corrupt("impossible vertex count %d for K=%d", vertexCount, k)
 	}
+	// A vertex's buffers hold K·depth entries however few the record
+	// carries, so each record is decoded into these scratch buffers first
+	// and the vertex allocated only once its bytes have been read: a
+	// forged record cannot make the loader allocate ahead of its input.
+	var metas []dynRegMeta
+	var ents []dynEntry
 	for i := uint64(0); i < vertexCount; i++ {
 		id, err := rd.u64()
 		if err != nil {
@@ -230,20 +236,21 @@ func loadDynamicStore(rd *binReader) (*DynamicStore, error) {
 		if err != nil {
 			return nil, rd.fail(fmt.Sprintf("vertex %d arrivals", id), err)
 		}
-		st := s.state(id)
-		st.arrivals = int64(arrivals)
+		var inserts uint64
+		k := s.cfg.K
 		if version == dynamicVersionTiered {
-			inserts, err := rd.u64()
-			if err != nil {
+			if inserts, err = rd.u64(); err != nil {
 				return nil, rd.fail(fmt.Sprintf("vertex %d inserts", id), err)
 			}
-			st.inserts = int64(inserts)
-			// Re-derive the record's register count from the monotone
-			// insert counter; the image's meta fields overwrite whatever
-			// the promotion synthesised for the new registers.
-			s.promoteDynIfDue(st)
+			// The record's register count follows from the monotone
+			// insert counter (and never shrinks a vertex already loaded).
+			k = s.tiers[tierFor(s.tiers, int64(inserts))].K
+			if st := s.vertices[id]; st != nil && st.k() > k {
+				k = st.k()
+			}
 		}
-		for r := 0; r < st.k(); r++ {
+		metas, ents = metas[:0], ents[:0]
+		for r := 0; r < k; r++ {
 			lost, err := rd.u32()
 			if err != nil {
 				return nil, rd.fail(fmt.Sprintf("vertex %d register %d lost", id, r), err)
@@ -260,14 +267,7 @@ func loadDynamicStore(rd *binReader) (*DynamicStore, error) {
 			if count > depth {
 				return nil, rd.corrupt("vertex %d register %d holds %d entries, max depth %d", id, r, count, depth)
 			}
-			m := &st.meta[r]
-			m.lost = lost
-			m.bad = bad
-			m.n = uint16(count)
-			if bad {
-				s.degradedRegs++
-			}
-			base := r * depth
+			metas = append(metas, dynRegMeta{lost: lost, bad: bad, n: uint16(count)})
 			var prev dynEntry
 			for j := 0; j < count; j++ {
 				h, err := rd.u64()
@@ -288,9 +288,25 @@ func loadDynamicStore(rd *binReader) (*DynamicStore, error) {
 				if j > 0 && (h < prev.hash || (h == prev.hash && eid <= prev.id)) {
 					return nil, rd.corrupt("vertex %d register %d entries out of order", id, r)
 				}
-				st.ents[base+j] = dynEntry{hash: h, id: eid, refs: refs}
-				prev = st.ents[base+j]
+				prev = dynEntry{hash: h, id: eid, refs: refs}
+				ents = append(ents, prev)
 			}
+		}
+		st := s.state(id)
+		st.arrivals = int64(arrivals)
+		if s.tiers != nil {
+			// The image's meta fields overwrite whatever the promotion
+			// synthesises for the new registers.
+			st.inserts = int64(inserts)
+			s.promoteDynIfDue(st)
+		}
+		next := 0
+		for r, m := range metas {
+			st.meta[r] = m
+			if m.bad {
+				s.degradedRegs++
+			}
+			next += copy(st.ents[r*depth:], ents[next:next+int(m.n)])
 		}
 	}
 	return s, nil

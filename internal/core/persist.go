@@ -270,16 +270,8 @@ func loadSketchStore(rd *binReader) (*SketchStore, error) {
 		}
 		// The on-disk format predates the register banks; conversion on
 		// load is just filling the vertex's bank spans in place.
-		vals, argmins := s.registers(st)
-		for j := range vals {
-			if vals[j], err = rd.u64(); err != nil {
-				return nil, rd.fail(fmt.Sprintf("vertex %d registers", id), err)
-			}
-		}
-		for j := range argmins {
-			if argmins[j], err = rd.u64(); err != nil {
-				return nil, rd.fail(fmt.Sprintf("vertex %d argmins", id), err)
-			}
+		if err := rd.span(&s.bank, st.slot, id); err != nil {
+			return nil, err
 		}
 		if cfg.EnableBiased {
 			n, err := rd.u32()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -23,7 +24,9 @@ import (
 // largest useful K is a few thousand (error shrinks as 1/√K); 2^20
 // registers per vertex (16 MiB) is far beyond any real configuration,
 // so anything bigger is treated as corruption rather than letting a
-// forged count drive per-vertex allocations to gigabytes.
+// forged count drive per-vertex allocations to gigabytes. The store
+// constructors enforce the same bound (Config.validateK), so no store
+// can write an image its own loader would refuse.
 const maxPersistK = 1 << 20
 
 // binReader decodes little-endian binary images while tracking the
@@ -34,6 +37,7 @@ const maxPersistK = 1 << 20
 type binReader struct {
 	br  *bufio.Reader
 	off int64
+	buf []byte // u64s staging buffer, reused across calls
 }
 
 // newBinReader wraps r. An existing *bufio.Reader is used as-is:
@@ -84,6 +88,47 @@ func (b *binReader) u64() (uint64, error) {
 	}
 	return uint64(buf[0]) | uint64(buf[1])<<8 | uint64(buf[2])<<16 | uint64(buf[3])<<24 |
 		uint64(buf[4])<<32 | uint64(buf[5])<<40 | uint64(buf[6])<<48 | uint64(buf[7])<<56, nil
+}
+
+// u64sChunk is how many words u64s moves per ReadFull.
+const u64sChunk = 512
+
+// u64s fills dst with little-endian words: one ReadFull per chunk of
+// u64sChunk words and a decode loop, instead of one call per word. On a
+// short read the offset advances by exactly the bytes that were there
+// and a missing word is io.ErrUnexpectedEOF or io.EOF — just as a
+// word-at-a-time loop would leave it — so error offsets do not depend
+// on which decoder met the tear.
+func (b *binReader) u64s(dst []uint64) error {
+	for len(dst) > 0 {
+		n := min(len(dst), u64sChunk)
+		if b.buf == nil {
+			b.buf = make([]byte, 8*u64sChunk)
+		}
+		p := b.buf[:8*n]
+		if err := b.read(p); err != nil {
+			return err
+		}
+		for i := range dst[:n] {
+			dst[i] = binary.LittleEndian.Uint64(p[8*i:])
+		}
+		dst = dst[n:]
+	}
+	return nil
+}
+
+// span decodes one vertex record's register span of bank slot — the
+// values, then the argmin ids — and rebuilds the slot's cached KMV sum
+// from the values. id names the vertex in errors.
+func (b *binReader) span(bank *regBank, slot int32, id uint64) error {
+	if err := b.u64s(bank.regs(slot)); err != nil {
+		return b.fail(fmt.Sprintf("vertex %d registers", id), err)
+	}
+	if err := b.u64s(bank.argmins(slot)); err != nil {
+		return b.fail(fmt.Sprintf("vertex %d argmins", id), err)
+	}
+	bank.resum(slot)
+	return nil
 }
 
 // magic consumes and checks a 4-byte magic string.

@@ -141,3 +141,34 @@ func TestSaveEmptyStore(t *testing.T) {
 		t.Error("loaded store cannot ingest")
 	}
 }
+
+// TestU64sMatchesWordReads pins that bulk span decoding fails exactly
+// where a word-at-a-time decoder would — same image offset, same error —
+// for every truncation of a span longer than one read chunk, and
+// decodes the same words when nothing is missing.
+func TestU64sMatchesWordReads(t *testing.T) {
+	img := make([]byte, 8*(u64sChunk+3))
+	for i := range img {
+		img[i] = byte(i * 7)
+	}
+	words := len(img) / 8
+	for n := 0; n <= len(img); n++ {
+		bulk := newBinReader(bytes.NewReader(img[:n]))
+		got := make([]uint64, words)
+		errBulk := bulk.u64s(got)
+		word := newBinReader(bytes.NewReader(img[:n]))
+		var errWord error
+		for i := 0; i < words && errWord == nil; i++ {
+			var v uint64
+			if v, errWord = word.u64(); errWord == nil && errBulk == nil && v != got[i] {
+				t.Fatalf("n=%d: word %d decoded as %#x, want %#x", n, i, got[i], v)
+			}
+		}
+		if (errBulk == nil) != (errWord == nil) || bulk.off != word.off {
+			t.Fatalf("n=%d: bulk (%v, off %d) vs words (%v, off %d)", n, errBulk, bulk.off, errWord, word.off)
+		}
+		if errBulk != nil && bulk.fail("span", errBulk).Error() != word.fail("span", errWord).Error() {
+			t.Fatalf("n=%d: %v != %v", n, bulk.fail("span", errBulk), word.fail("span", errWord))
+		}
+	}
+}

@@ -78,14 +78,15 @@ type queryScratch struct {
 
 	// Shard grouping (stage 3) and per-distinct resolution + scores
 	// (stage 4). slots[c] is candidate c's bank slot (-1 when the vertex
-	// is unknown), arrs[c] its arrival counter. The resolve pass's
-	// cache-warming loads are kept observable through the package-level
-	// prefetchSink (batch.go) — shard workers share this scratch, so a
-	// plain field here would be a write-write race.
+	// is unknown), degs[c] its degree, read beside the slot from the
+	// bank's cache. The resolve pass's cache-warming loads are kept
+	// observable through the package-level prefetchSink (batch.go) —
+	// shard workers share this scratch, so a plain field here would be a
+	// write-write race.
 	candShard []int32
 	group     grouping
 	slots     []int32
-	arrs      []int64
+	degs      []float64
 	scores    []float64
 }
 
@@ -249,29 +250,17 @@ func (s *Sharded) ScoreBatchCancel(m QueryMeasure, u uint64, candidates []uint64
 	// across candidates (the match kernel's loads are consumed serially,
 	// so letting it demand-miss per candidate wastes the memory
 	// parallelism the independent lookups have); the second scores
-	// against now-warm lines.
-	needRegs := !(m == QueryPreferentialAttachment && cfg.Degrees == DegreeArrivals)
+	// against now-warm lines. Degrees come from the bank's per-slot
+	// cache in the first pass, so the degree term costs one load per
+	// candidate; preferential attachment is the degree product alone and
+	// touches no registers at all.
 	sc.slots = grow(sc.slots, nd)
-	sc.arrs = grow(sc.arrs, nd)
+	sc.degs = grow(sc.degs, nd)
 	sc.scores = grow(sc.scores, nd)
 	complete := forEachShardDone(nShards, sc.group.starts, done, func(shard int) {
 		st := s.shards[shard]
 		s.mus[shard].RLock()
 		lo, hi := sc.group.starts[shard], sc.group.starts[shard+1]
-		if !needRegs {
-			// Preferential attachment over arrival counts touches no
-			// registers: the resolve pass IS the score pass.
-			for gi := lo; gi < hi; gi++ {
-				c := sc.group.order[gi]
-				if sv := st.vertices[sc.distinct[c]]; sv != nil {
-					sc.scores[c] = srcDeg * float64(sv.arrivals)
-				} else {
-					sc.scores[c] = 0
-				}
-			}
-			s.mus[shard].RUnlock()
-			return
-		}
 		var warm uint64
 		for gi := lo; gi < hi; gi++ {
 			c := sc.group.order[gi]
@@ -281,10 +270,14 @@ func (s *Sharded) ScoreBatchCancel(m QueryMeasure, u uint64, candidates []uint64
 				continue
 			}
 			sc.slots[c] = sv.slot
-			sc.arrs[c] = sv.arrivals
-			regs := st.bank.regs(sv.slot)
-			for j := 0; j < len(regs); j += 8 {
-				warm += regs[j]
+			if m != QueryJaccard {
+				sc.degs[c] = st.degree(sv)
+			}
+			if m != QueryPreferentialAttachment {
+				regs := st.bank.regs(sv.slot)
+				for j := 0; j < len(regs); j += 8 {
+					warm += regs[j]
+				}
 			}
 		}
 		prefetchSink.Store(warm)
@@ -297,11 +290,7 @@ func (s *Sharded) ScoreBatchCancel(m QueryMeasure, u uint64, candidates []uint64
 			}
 			var dv float64
 			if m != QueryJaccard {
-				if cfg.Degrees == DegreeArrivals {
-					dv = float64(sc.arrs[c])
-				} else {
-					dv = kmvDistinct(st.bank.regs(slot), sc.arrs[c])
-				}
+				dv = sc.degs[c]
 			}
 			if m == QueryPreferentialAttachment {
 				// No register scan needed: the score is the degree product.
@@ -375,7 +364,7 @@ func (s *ShardedDirected) ScoreBatchCancel(m QueryMeasure, u uint64, candidates 
 		sc.srcIDs = grow(sc.srcIDs, k)
 		copy(sc.srcVals, srcRegs)
 		copy(sc.srcIDs, st.out.argmins(su.outSlot))
-		srcDeg = st.sideDegree(srcRegs, su.outArr)
+		srcDeg = sideDegree(&st.out, su.outSlot, su.outArr)
 	}
 	s.mus[a].RUnlock()
 	if !srcKnown {
@@ -399,7 +388,7 @@ func (s *ShardedDirected) ScoreBatchCancel(m QueryMeasure, u uint64, candidates 
 	nShards := len(s.shards)
 	sc.groupByShard(nShards)
 	sc.slots = grow(sc.slots, nd)
-	sc.arrs = grow(sc.arrs, nd)
+	sc.degs = grow(sc.degs, nd)
 	sc.scores = grow(sc.scores, nd)
 	complete := forEachShardDone(nShards, sc.group.starts, done, func(shard int) {
 		st := s.shards[shard]
@@ -414,10 +403,14 @@ func (s *ShardedDirected) ScoreBatchCancel(m QueryMeasure, u uint64, candidates 
 				continue
 			}
 			sc.slots[c] = sv.inSlot
-			sc.arrs[c] = sv.inArr
-			regs := st.in.regs(sv.inSlot)
-			for j := 0; j < len(regs); j += 8 {
-				warm += regs[j]
+			if m != QueryJaccard {
+				sc.degs[c] = sideDegree(&st.in, sv.inSlot, sv.inArr)
+			}
+			if m != QueryPreferentialAttachment {
+				regs := st.in.regs(sv.inSlot)
+				for j := 0; j < len(regs); j += 8 {
+					warm += regs[j]
+				}
 			}
 		}
 		prefetchSink.Store(warm)
@@ -428,21 +421,16 @@ func (s *ShardedDirected) ScoreBatchCancel(m QueryMeasure, u uint64, candidates 
 				sc.scores[c] = 0
 				continue
 			}
-			regs := st.in.regs(slot)
-			// Candidate in-degree, replicating sideDegree.
 			var dIn float64
-			if m != QueryJaccard && sc.arrs[c] != 0 {
-				if cfg.Degrees == DegreeArrivals {
-					dIn = float64(sc.arrs[c])
-				} else {
-					dIn = kmvDistinct(regs, sc.arrs[c])
-				}
+			if m != QueryJaccard {
+				dIn = sc.degs[c]
 			}
 			if m == QueryPreferentialAttachment {
 				// No register scan needed: the score is the degree product.
 				sc.scores[c] = srcDeg * dIn
 				continue
 			}
+			regs := st.in.regs(slot)
 			// Per-pair effective k = min(src out-span, candidate in-span).
 			n := k
 			if len(regs) < n {

@@ -194,43 +194,56 @@ func TestWindowedScoreBatchMatchesSequential(t *testing.T) {
 
 // TestShardedScoreBatchRace exercises batched queries racing batched and
 // per-edge writers; run with -race. Scores are not asserted (writers are
-// concurrent), only memory safety and result shape.
+// concurrent), only memory safety and result shape. The KMV case races
+// Adamic–Adar — candidate degrees and the midpoint weights both read the
+// banks' degree cache — against writers that update it.
 func TestShardedScoreBatchRace(t *testing.T) {
-	edges, cands := batchEdges(23, 4000)
-	s, err := NewSharded(Config{K: 16, Seed: 2}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.ProcessEdges(edges[:1000])
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(chunk []stream.Edge) {
-			defer wg.Done()
-			for lo := 0; lo < len(chunk); lo += 128 {
-				s.ProcessEdges(chunk[lo:min(lo+128, len(chunk))])
+	for _, tc := range []struct {
+		name     string
+		degrees  DegreeMode
+		measures []QueryMeasure
+	}{
+		{"arrivals/all-measures", DegreeArrivals, allQueryMeasures},
+		{"kmv/adamic-adar", DegreeDistinctKMV, []QueryMeasure{QueryAdamicAdar}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			edges, cands := batchEdges(23, 4000)
+			s, err := NewSharded(Config{K: 16, Seed: 2, Degrees: tc.degrees}, 8)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(edges[1000+w*1500 : 1000+(w+1)*1500])
-	}
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(seed uint64) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				m := allQueryMeasures[i%len(allQueryMeasures)]
-				got, err := s.ScoreBatch(m, cands[i%len(cands)], cands, nil)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if len(got) != len(cands) {
-					t.Errorf("got %d scores, want %d", len(got), len(cands))
-					return
-				}
+			s.ProcessEdges(edges[:1000])
+			var wg sync.WaitGroup
+			for w := 0; w < 2; w++ {
+				wg.Add(1)
+				go func(chunk []stream.Edge) {
+					defer wg.Done()
+					for lo := 0; lo < len(chunk); lo += 128 {
+						s.ProcessEdges(chunk[lo:min(lo+128, len(chunk))])
+					}
+				}(edges[1000+w*1500 : 1000+(w+1)*1500])
 			}
-		}(uint64(r))
+			for r := 0; r < 2; r++ {
+				wg.Add(1)
+				go func(seed uint64) {
+					defer wg.Done()
+					for i := 0; i < 50; i++ {
+						m := tc.measures[i%len(tc.measures)]
+						got, err := s.ScoreBatch(m, cands[i%len(cands)], cands, nil)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if len(got) != len(cands) {
+							t.Errorf("got %d scores, want %d", len(got), len(cands))
+							return
+						}
+					}
+				}(uint64(r))
+			}
+			wg.Wait()
+		})
 	}
-	wg.Wait()
 }
 
 // TestShardedGauges verifies the lock-free NumVertices/MemoryBytes

@@ -157,8 +157,8 @@ func (s *Sharded) ProcessEdge(e stream.Edge) {
 	k := st0.cfg.K
 	bufp := edgeHashPool.Get().(*[]uint64)
 	buf := grow(*bufp, 2*k)
-	st0.family.HashAllTo(e.V, buf[:k]) // folded into U's sketch
-	st0.family.HashAllTo(e.U, buf[k:]) // folded into V's sketch
+	st0.family.get().HashAllTo(e.V, buf[:k]) // folded into U's sketch
+	st0.family.get().HashAllTo(e.U, buf[k:]) // folded into V's sketch
 	a, b := s.shardOf(e.U), s.shardOf(e.V)
 	if a > b {
 		s.mus[b].Lock()

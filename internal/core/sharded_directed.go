@@ -140,8 +140,8 @@ func (s *ShardedDirected) ProcessArc(e stream.Edge) {
 	k := st0.cfg.K
 	bufp := edgeHashPool.Get().(*[]uint64)
 	buf := grow(*bufp, 2*k)
-	st0.family.HashAllTo(e.V, buf[:k]) // folded into U's out-sketch
-	st0.family.HashAllTo(e.U, buf[k:]) // folded into V's in-sketch
+	st0.family.get().HashAllTo(e.V, buf[:k]) // folded into U's out-sketch
+	st0.family.get().HashAllTo(e.U, buf[k:]) // folded into V's in-sketch
 	a, b := s.shardOf(e.U), s.shardOf(e.V)
 	if a > b {
 		s.mus[b].Lock()
@@ -205,8 +205,8 @@ func (s *ShardedDirected) pairQuery(u, v uint64, collect bool, idBuf []uint64) (
 	}
 	outVals := s.shards[a].out.regs(su.outSlot)
 	inVals := s.shards[b].in.regs(sv.inSlot)
-	dOut = s.shards[a].sideDegree(outVals, su.outArr)
-	dIn = s.shards[b].sideDegree(inVals, sv.inArr)
+	dOut = sideDegree(&s.shards[a].out, su.outSlot, su.outArr)
+	dIn = sideDegree(&s.shards[b].in, sv.inSlot, sv.inArr)
 	// Cross-tier pairs compare over the shared register prefix (min-k
 	// prefix property, see estimators.go).
 	if len(inVals) < len(outVals) {

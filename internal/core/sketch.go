@@ -9,7 +9,8 @@
 //     stores both the minimum hash value under hash function h_i and the
 //     neighbor id that achieved it (the "argmin");
 //   - a degree counter (exact arrival count, or a KMV distinct-count
-//     estimate derived for free from the registers);
+//     estimate derived from the registers, whose sum the register bank
+//     keeps up to date so a degree read is O(1));
 //   - optionally, a vertex-biased bottom-k sketch used by the alternative
 //     Adamic–Adar estimator (see biased.go).
 //
@@ -19,7 +20,10 @@
 // estimators.go and theory.go.
 package core
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // emptyRegister marks a register that has never been updated. A real hash
 // value can collide with it only with probability 2^-64 per evaluation;
@@ -44,7 +48,13 @@ type bankTier struct {
 	k    int
 	vals []uint64 // slot s at [s*k, (s+1)*k); emptyRegister when unset
 	ids  []uint64 // parallel argmin bank; empty when !trackIDs
-	free []int32  // slot indices vacated by promotion, ready for reuse
+	// kmv and empty are the per-slot KMV degree cache, kept only when
+	// trackKMV: kmv[s] is the fixed-point sum of kmvTerm over slot s's
+	// non-empty registers, empty[s] the number still at emptyRegister.
+	// Always equal to kmvSum(regs(s)) — see update for why.
+	kmv   []uint64
+	empty []uint32
+	free  []int32 // slot indices vacated by promotion, ready for reuse
 }
 
 // regBank is the struct-of-arrays register storage of one store (one per
@@ -79,24 +89,32 @@ type bankTier struct {
 // store tracks ids today (the weighted measures and the windowed merge
 // need them); the flag exists so transient banks can skip the second
 // array, and so memoryBytes reflects what is actually allocated.
+//
+// trackKMV selects whether the per-slot KMV degree cache is maintained;
+// it is set exactly when the store's Config.Degrees is
+// DegreeDistinctKMV, which makes the bank the store's degree oracle
+// (see degree).
 type regBank struct {
 	trackIDs bool
+	trackKMV bool
 	tiers    []bankTier
 }
 
-// init prepares an empty uniform bank for k-register sketches.
-func (b *regBank) init(k int, trackIDs bool) {
+// init prepares an empty bank for cfg: one arena per tier width (a
+// single K-wide arena on uniform stores), with the KMV degree cache
+// maintained iff cfg counts distinct degrees. New slots allocate in
+// tier 0; promote moves them up.
+func (b *regBank) init(cfg Config, trackIDs bool) {
 	b.trackIDs = trackIDs
-	b.tiers = []bankTier{{k: k}}
-}
-
-// initTiered prepares an empty bank with one arena per tier size in ks
-// (ascending). New slots allocate in tier 0; promote moves them up.
-func (b *regBank) initTiered(ks []int, trackIDs bool) {
-	b.trackIDs = trackIDs
-	b.tiers = make([]bankTier, len(ks))
-	for i, k := range ks {
-		b.tiers[i].k = k
+	b.trackKMV = cfg.Degrees == DegreeDistinctKMV
+	ts := cfg.activeTiers()
+	if ts == nil {
+		b.tiers = []bankTier{{k: cfg.K}}
+		return
+	}
+	b.tiers = make([]bankTier, len(ts))
+	for i, t := range ts {
+		b.tiers[i].k = t.K
 	}
 }
 
@@ -109,30 +127,32 @@ func (b *regBank) alloc() int32 { return b.allocAt(0) }
 // data) and extending the arena otherwise.
 func (b *regBank) allocAt(t int) int32 {
 	tr := &b.tiers[t]
+	var idx int32
 	if n := len(tr.free); n > 0 {
-		idx := tr.free[n-1]
+		idx = tr.free[n-1]
 		tr.free = tr.free[:n-1]
-		o := int(idx) * tr.k
-		span := tr.vals[o : o+tr.k]
-		for i := range span {
-			span[i] = emptyRegister
-		}
+	} else {
+		idx = int32(len(tr.vals) / tr.k)
+		tr.vals = bankGrow(tr.vals, tr.k)
 		if b.trackIDs {
-			ids := tr.ids[o : o+tr.k]
-			for i := range ids {
-				ids[i] = 0
-			}
+			tr.ids = bankGrow(tr.ids, tr.k)
 		}
-		return int32(t)<<tierShift | idx
+		if b.trackKMV {
+			tr.kmv = append(tr.kmv, 0)
+			tr.empty = append(tr.empty, 0)
+		}
 	}
-	idx := int32(len(tr.vals) / tr.k)
-	tr.vals = bankGrow(tr.vals, tr.k)
-	span := tr.vals[len(tr.vals)-tr.k:]
+	o := int(idx) * tr.k
+	span := tr.vals[o : o+tr.k]
 	for i := range span {
 		span[i] = emptyRegister
 	}
 	if b.trackIDs {
-		tr.ids = bankGrow(tr.ids, tr.k)
+		clear(tr.ids[o : o+tr.k])
+	}
+	if b.trackKMV {
+		tr.kmv[idx] = 0
+		tr.empty[idx] = uint32(tr.k)
 	}
 	return int32(t)<<tierShift | idx
 }
@@ -142,19 +162,27 @@ func (b *regBank) allocAt(t int) int32 {
 // by the min-k prefix property the prefix was already a valid sketch of
 // everything folded so far — and the new registers above them start
 // empty (they will only ever see neighbors arriving after promotion;
-// see DESIGN.md §2.13 for the resulting estimator contract). The
-// vacated slot is pushed on its tier's free list.
+// see DESIGN.md §2.13 for the resulting estimator contract). The cached
+// KMV sum carries over unchanged and the empty count grows by the new
+// registers, which is exactly kmvSum of the widened span. The vacated
+// slot is pushed on its tier's free list.
 func (b *regBank) promote(slot int32, to int) int32 {
 	src := &b.tiers[slot>>tierShift]
-	o := int(slot&tierIdxMask) * src.k
+	oi := slot & tierIdxMask
+	o := int(oi) * src.k
 	newSlot := b.allocAt(to)
 	dst := &b.tiers[to]
-	no := int(newSlot&tierIdxMask) * dst.k
+	ni := newSlot & tierIdxMask
+	no := int(ni) * dst.k
 	copy(dst.vals[no:no+src.k], src.vals[o:o+src.k])
 	if b.trackIDs {
 		copy(dst.ids[no:no+src.k], src.ids[o:o+src.k])
 	}
-	src.free = append(src.free, slot&tierIdxMask)
+	if b.trackKMV {
+		dst.kmv[ni] = src.kmv[oi]
+		dst.empty[ni] = src.empty[oi] + uint32(dst.k-src.k)
+	}
+	src.free = append(src.free, oi)
 	return newSlot
 }
 
@@ -163,16 +191,13 @@ func (b *regBank) promote(slot int32, to int) int32 {
 // doubling cascade.
 func (b *regBank) reserve(n int) {
 	tr := &b.tiers[0]
-	need := len(tr.vals) + n*tr.k
-	if cap(tr.vals) < need {
-		nv := make([]uint64, len(tr.vals), need)
-		copy(nv, tr.vals)
-		tr.vals = nv
+	tr.vals = slices.Grow(tr.vals, n*tr.k)
+	if b.trackIDs {
+		tr.ids = slices.Grow(tr.ids, n*tr.k)
 	}
-	if b.trackIDs && cap(tr.ids) < need {
-		ni := make([]uint64, len(tr.ids), need)
-		copy(ni, tr.ids)
-		tr.ids = ni
+	if b.trackKMV {
+		tr.kmv = slices.Grow(tr.kmv, n)
+		tr.empty = slices.Grow(tr.empty, n)
 	}
 }
 
@@ -216,17 +241,72 @@ func (b *regBank) kOf(slot int32) int { return b.tiers[slot>>tierShift].k }
 // many as the slot's register count — ingest always hashes the largest
 // tier's k), into slot's registers. Min is idempotent, so duplicate
 // edges are harmless.
+//
+// On KMV banks the slot's cached sum is adjusted only for registers
+// whose minimum actually drops: the old value's term leaves, the new
+// one's enters. The sum is an integer, so this running total is exactly
+// kmvSum of the registers after any sequence of updates, in any order —
+// which keeps degrees bit-identical across every ingest path.
 func (b *regBank) update(slot int32, w uint64, hashes []uint64) {
 	// Reslicing to the iteration length lets the compiler drop the
 	// per-register bounds checks in this innermost of all ingest loops.
 	vals := b.regs(slot)
 	ids := b.argmins(slot)[:len(vals)]
+	if !b.trackKMV {
+		for i, h := range hashes[:len(vals)] {
+			if h < vals[i] {
+				vals[i] = h
+				ids[i] = w
+			}
+		}
+		return
+	}
+	var add, sub uint64
+	var filled uint32
 	for i, h := range hashes[:len(vals)] {
 		if h < vals[i] {
+			if old := vals[i]; old == emptyRegister {
+				filled++
+			} else {
+				sub += kmvTerm(old)
+			}
+			add += kmvTerm(h)
 			vals[i] = h
 			ids[i] = w
 		}
 	}
+	if add != sub || filled != 0 {
+		tr := &b.tiers[slot>>tierShift]
+		i := slot & tierIdxMask
+		tr.kmv[i] += add - sub // wraps transiently at most; the total is exact
+		tr.empty[i] -= filled
+	}
+}
+
+// resum rebuilds slot's cached KMV sum from its registers, for loaders
+// that fill a span directly instead of folding neighbors into it.
+func (b *regBank) resum(slot int32) {
+	if !b.trackKMV {
+		return
+	}
+	tr := &b.tiers[slot>>tierShift]
+	i := slot & tierIdxMask
+	sum, empty := kmvSum(b.regs(slot))
+	tr.kmv[i], tr.empty[i] = sum, uint32(empty)
+}
+
+// degree returns slot's degree estimate under the bank's degree mode:
+// the arrival count, or on KMV banks the distinct-neighbor estimate from
+// the cached sum — O(1), and bit-identical to kmvDistinct(regs(slot),
+// arrivals) because both go through kmvEstimate with the same integer
+// sum.
+func (b *regBank) degree(slot int32, arrivals int64) float64 {
+	if !b.trackKMV {
+		return float64(arrivals)
+	}
+	tr := &b.tiers[slot>>tierShift]
+	i := slot & tierIdxMask
+	return kmvEstimate(tr.kmv[i], int(tr.empty[i]), tr.k, arrivals)
 }
 
 // slots returns the number of live (allocated and not promoted-away)
@@ -252,15 +332,16 @@ func (b *regBank) tierCounts() []int {
 	return out
 }
 
-// memoryBytes returns the exact payload size of the bank: what the value
-// and argmin arrays actually hold. Ids are counted only when argmin
-// tracking is enabled — len(ids) is zero otherwise — so the store
-// memory gauges derive from real storage instead of assuming 16 bytes
-// per register.
+// memoryBytes returns the exact payload size of the bank: what the
+// value, argmin and KMV-cache arrays actually hold. Ids and the cache
+// are counted only when tracked — their lengths are zero otherwise — so
+// the store memory gauges derive from real storage instead of assuming
+// 16 bytes per register.
 func (b *regBank) memoryBytes() int {
 	n := 0
 	for i := range b.tiers {
-		n += 8*len(b.tiers[i].vals) + 8*len(b.tiers[i].ids) + 4*len(b.tiers[i].free)
+		tr := &b.tiers[i]
+		n += 8*len(tr.vals) + 8*len(tr.ids) + 8*len(tr.kmv) + 4*len(tr.empty) + 4*len(tr.free)
 	}
 	return n
 }

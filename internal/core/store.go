@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"linkpred/internal/hashing"
 	"linkpred/internal/stream"
@@ -19,8 +20,9 @@ const (
 	DegreeArrivals DegreeMode = iota
 	// DegreeDistinctKMV estimates the number of *distinct* neighbors from
 	// the MinHash registers themselves (a k-minimum-values distinct
-	// counter, costing no extra space). It is robust to duplicate edges
-	// at the price of ~1/√k relative noise in the degree terms.
+	// counter; the register bank caches its sum in 12 bytes per vertex so
+	// a degree read is O(1)). It is robust to duplicate edges at the
+	// price of ~1/√k relative noise in the degree terms.
 	DegreeDistinctKMV
 )
 
@@ -61,7 +63,8 @@ type Config struct {
 	// K is the number of MinHash registers per vertex. Larger K means
 	// lower estimator variance (error ∝ 1/√K) and proportionally more
 	// space and per-edge time. See theory.SketchSizeFor to derive K from
-	// a target (ε, δ). Required: K >= 1.
+	// a target (ε, δ). Required: 1 <= K <= 2^20, the widest sketch a
+	// saved image can carry.
 	K int
 	// Seed determines the hash family. Two stores with equal Seed, K and
 	// Hash build identical sketches for identical streams.
@@ -158,6 +161,26 @@ func tierFor(tiers []Tier, count int64) int {
 	return t
 }
 
+// lazyFamily is a store's hash family, built on first use. Only ingest
+// hashes — queries, Save and the loaders compare and copy registers — so
+// a store restored from an image pays for its K hash functions (16 KiB
+// each under tabulation) only once it ingests, and a forged image header
+// declaring a wide K cannot make a load allocate tables it never uses.
+// It also means only shard 0 of a sharded store, which hashes for all
+// shards, ever builds one.
+type lazyFamily struct {
+	once sync.Once
+	cfg  Config
+	f    *hashing.Family
+}
+
+// get returns the family, building it on the first call. Safe for
+// concurrent use.
+func (l *lazyFamily) get() *hashing.Family {
+	l.once.Do(func() { l.f = hashing.NewFamily(l.cfg.Hash, l.cfg.K, l.cfg.Seed) })
+	return l.f
+}
+
 // vertexState is the constant-size per-vertex state. The MinHash
 // registers themselves live in the store's register bank (see regBank in
 // sketch.go); slot indexes the vertex's k-span there.
@@ -178,7 +201,7 @@ type vertexState struct {
 // and may run concurrently with each other, but not with ProcessEdge).
 type SketchStore struct {
 	cfg      Config
-	family   *hashing.Family
+	family   *lazyFamily
 	biasHash hashing.Mixed // global rank hash for biased sketches
 	vertices map[uint64]*vertexState
 	bank     regBank // struct-of-arrays register storage for all vertices
@@ -193,11 +216,24 @@ type SketchStore struct {
 	hashBuf []uint64
 }
 
+// validateK bounds the register count to [1, maxPersistK]: the widest
+// sketch any loader accepts, so every store can reload its own image,
+// and the range the KMV fixed-point sum is sized for (see kmvTerm).
+// Tier widths are strictly below K (validateTiers), so they are bounded
+// too.
+func (c Config) validateK() error {
+	if c.K < 1 || c.K > maxPersistK {
+		return fmt.Errorf("core: Config.K must be in [1, %d], got %d", maxPersistK, c.K)
+	}
+	return nil
+}
+
 // NewSketchStore returns an empty store with the given configuration.
-// It returns an error if cfg.K < 1.
+// It returns an error if cfg.K is outside [1, 2^20] or cfg is otherwise
+// invalid.
 func NewSketchStore(cfg Config) (*SketchStore, error) {
-	if cfg.K < 1 {
-		return nil, fmt.Errorf("core: Config.K must be >= 1, got %d", cfg.K)
+	if err := cfg.validateK(); err != nil {
+		return nil, err
 	}
 	if err := cfg.validateTiers(); err != nil {
 		return nil, err
@@ -210,21 +246,12 @@ func NewSketchStore(cfg Config) (*SketchStore, error) {
 	}
 	s := &SketchStore{
 		cfg:      cfg,
-		family:   hashing.NewFamily(cfg.Hash, cfg.K, cfg.Seed),
+		family:   &lazyFamily{cfg: cfg},
 		biasHash: hashing.NewMixed(cfg.Seed ^ 0xb1a5ed5eedf00d42),
 		vertices: make(map[uint64]*vertexState),
 		tiers:    cfg.activeTiers(),
-		hashBuf:  make([]uint64, 0, cfg.K),
 	}
-	if s.tiers != nil {
-		ks := make([]int, len(s.tiers))
-		for i, t := range s.tiers {
-			ks[i] = t.K
-		}
-		s.bank.initTiered(ks, true)
-	} else {
-		s.bank.init(cfg.K, true)
-	}
+	s.bank.init(cfg, true)
 	return s, nil
 }
 
@@ -276,11 +303,11 @@ func (s *SketchStore) ProcessEdge(e stream.Edge) {
 		// registers. Every apply path (sequential, batched, pipelined, WAL
 		// replay) uses this same per-half-edge order, which is what keeps
 		// tiered stores byte-identical across them.
-		s.hashBuf = s.family.HashAll(e.V, s.hashBuf)
+		s.hashBuf = s.family.get().HashAll(e.V, s.hashBuf)
 		su.arrivals++
 		s.promoteIfDue(su)
 		s.bank.update(su.slot, e.V, s.hashBuf)
-		s.hashBuf = s.family.HashAll(e.U, s.hashBuf)
+		s.hashBuf = s.family.get().HashAll(e.U, s.hashBuf)
 		sv.arrivals++
 		s.promoteIfDue(sv)
 		s.bank.update(sv.slot, e.U, s.hashBuf)
@@ -288,9 +315,9 @@ func (s *SketchStore) ProcessEdge(e stream.Edge) {
 		return
 	}
 
-	s.hashBuf = s.family.HashAll(e.V, s.hashBuf)
+	s.hashBuf = s.family.get().HashAll(e.V, s.hashBuf)
 	s.bank.update(su.slot, e.V, s.hashBuf)
-	s.hashBuf = s.family.HashAll(e.U, s.hashBuf)
+	s.hashBuf = s.family.get().HashAll(e.U, s.hashBuf)
 	s.bank.update(sv.slot, e.U, s.hashBuf)
 
 	su.arrivals++
@@ -384,44 +411,85 @@ func (s *SketchStore) Degree(u uint64) float64 {
 	return s.degree(st)
 }
 
+// degree reads st's degree from the bank: the arrival count, or the KMV
+// estimate from the slot's cached sum (O(1) either way).
 func (s *SketchStore) degree(st *vertexState) float64 {
-	if s.cfg.Degrees == DegreeArrivals {
-		return float64(st.arrivals)
+	return s.bank.degree(st.slot, st.arrivals)
+}
+
+// The KMV distinct-degree estimator. Each register holds the minimum of
+// n i.i.d. uniforms (one per distinct neighbor, via hashing.Float01);
+// −ln(1−min) is then Exp(n) distributed, so the sum over k registers is
+// Gamma(k, n) and (k−1)/sum is the standard unbiased estimate of n.
+//
+// The sum is kept in fixed point (kmvFracBits fractional bits) rather
+// than as a float: integer addition is associative, so a sum maintained
+// incrementally by the register bank as registers drop (regBank.update)
+// equals one rebuilt from the registers (kmvSum) bit for bit, whatever
+// order the neighbors arrived in. Every degree read — cached or from
+// scratch — ends in kmvEstimate, so every path yields the same float.
+
+// kmvFracBits is the fixed-point scale of KMV terms. A term is at most
+// −ln(2^−53) ≈ 36.7 < 2^6, and K ≤ maxPersistK = 2^20 (validateK), so a
+// slot's sum stays below 2^(6+20+kmvFracBits) = 2^63: no overflow for
+// any store the constructors accept. The rounding error, ≤ 2^−38 per
+// term, is far below the estimator's 1/√k noise.
+const kmvFracBits = 37
+
+// kmvTerm is register value v's contribution to the KMV sum:
+// −ln(1−Float01(v)) rounded to fixed point.
+func kmvTerm(v uint64) uint64 {
+	r := hashing.Float01(v)
+	if r >= 1 { // guard the top of the range so Log1p stays finite
+		r = 1 - 1.0/(1<<53)
 	}
-	return kmvDistinct(s.bank.regs(st.slot), st.arrivals)
+	return uint64(-math.Log1p(-r)*(1<<kmvFracBits) + 0.5)
+}
+
+// kmvSum returns the fixed-point sum of kmvTerm over the non-empty
+// registers of vals, and the number of empty ones.
+func kmvSum(vals []uint64) (sum uint64, empty int) {
+	for _, v := range vals {
+		if v == emptyRegister {
+			empty++
+			continue
+		}
+		sum += kmvTerm(v)
+	}
+	return sum, empty
+}
+
+// kmvEstimate turns a k-register sketch's KMV sum into a distinct-count
+// estimate. Any empty register means the sketch has not seen enough
+// neighbors to estimate: degree 0. For k == 1 the MLE 1/sum is used.
+// The estimate is clamped to [1, arrivals]: a vertex in the store has
+// at least one neighbor, and cannot have more distinct neighbors than
+// arrivals.
+func kmvEstimate(sum uint64, empty, k int, arrivals int64) float64 {
+	if empty != 0 {
+		return 0
+	}
+	if sum == 0 {
+		return float64(arrivals)
+	}
+	s := float64(sum) / (1 << kmvFracBits)
+	var est float64
+	if k == 1 {
+		est = 1 / s
+	} else {
+		est = float64(k-1) / s
+	}
+	return math.Max(1, math.Min(est, float64(arrivals)))
 }
 
 // kmvDistinct estimates the number of distinct items folded into the
-// sketch. Each register holds the minimum of n i.i.d. uniforms (one per
-// distinct neighbor, via hashing.Float01); −ln(1−min) is then Exp(n)
-// distributed, so the sum over k registers is Gamma(k, n) and
-// (k−1)/sum is the standard unbiased estimate of n. For k == 1 the MLE
-// 1/sum is used. The estimate is clamped to [1, arrivals]: a vertex in
-// the store has at least one neighbor, and cannot have more distinct
-// neighbors than arrivals.
+// registers vals, summing from scratch. The windowed and dynamic stores,
+// which have no single bank span per vertex, read degrees through it;
+// bank-backed stores read the cached sum (regBank.degree) and agree with
+// it bit for bit.
 func kmvDistinct(vals []uint64, arrivals int64) float64 {
-	k := len(vals)
-	sum := 0.0
-	for _, v := range vals {
-		if v == emptyRegister {
-			return 0
-		}
-		r := hashing.Float01(v)
-		if r >= 1 { // guard the top of the range so Log1p stays finite
-			r = 1 - 1.0/(1<<53)
-		}
-		sum += -math.Log1p(-r)
-	}
-	if sum <= 0 {
-		return float64(arrivals)
-	}
-	var est float64
-	if k == 1 {
-		est = 1 / sum
-	} else {
-		est = float64(k-1) / sum
-	}
-	return math.Max(1, math.Min(est, float64(arrivals)))
+	sum, empty := kmvSum(vals)
+	return kmvEstimate(sum, empty, len(vals), arrivals)
 }
 
 // vertexOverhead is the rough per-vertex bookkeeping charge (map entry +
