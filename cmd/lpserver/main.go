@@ -116,7 +116,7 @@ func build(args []string, stdout io.Writer) (*app, error) {
 		tiers      = fs.String("tiers", "", "tiered register budgets as comma-separated K:PromoteAt rungs (e.g. 16:0,64:8,128:64; last K must equal -k; empty = uniform)")
 		expectedV  = fs.Int("expected-vertices", 0, "pre-size vertex maps and register arenas for this many vertices (0 = grow on demand)")
 		seed       = fs.Uint64("seed", 42, "hash seed")
-		shards     = fs.Int("shards", 8, "lock shards for concurrent ingest")
+		shards     = fs.Int("shards", 8, "lock shards for concurrent ingest (1..65536)")
 		window     = fs.Int64("window", 3600, "with -mode windowed: window span in Edge.T units")
 		gens       = fs.Int("gens", 4, "with -mode windowed: tumbling generations covering the window")
 		recDepth   = fs.Int("recover-depth", 0, "with -mode dynamic: smallest hashes kept per register for deletion recovery (0 = default)")

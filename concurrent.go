@@ -21,20 +21,36 @@ import (
 // shard's lock is taken once per batch instead of once per edge. A few
 // thousand edges per batch is a good choice; see the "Parallel ingest"
 // example in the README. ScoreBatch/TopK pin the source's sketch under
-// one read lock and copy each shard's candidate register views under one
-// read lock per shard per batch, so per-query lock cost is O(shards),
-// not O(candidates), and all candidates in a shard are scored against
-// one coherent snapshot of that shard.
+// one read lock and score each shard's candidates in place, straight
+// from the shard's register bank, under one read lock per shard per
+// batch, so per-query lock cost is O(shards), not O(candidates), and
+// all candidates in a shard are scored against one coherent snapshot
+// of that shard.
 //
 // Config.EnableBiased is not supported in concurrent mode.
 type Concurrent struct {
-	facade[*core.Sharded]
+	sharded[*core.Sharded]
+}
+
+// shardedStore is the store surface the concurrent predictors share.
+type shardedStore interface {
+	core.Store
+	core.AsyncBatchIngester
+	core.Pipeliner
+	NumShards() int
+}
+
+// sharded is the facade core of the two concurrent predictors,
+// Concurrent and ConcurrentDirected: the facade plus per-edge Observe,
+// the shard count, and the ingest pipeline.
+type sharded[S shardedStore] struct {
+	facade[S]
 }
 
 // NewConcurrent returns an empty Concurrent predictor with the given
 // number of shards (a few times the expected writer parallelism is a
-// good choice). It returns an error if cfg.K < 1, shards < 1, or
-// cfg.EnableBiased is set.
+// good choice). It returns an error if cfg.K < 1, shards is outside
+// [1, 65536], or cfg.EnableBiased is set.
 func NewConcurrent(cfg Config, shards int) (*Concurrent, error) {
 	cc := coreConfig(cfg)
 	cc.TrackTriangles = false // triangle tracking is single-writer only
@@ -42,16 +58,16 @@ func NewConcurrent(cfg Config, shards int) (*Concurrent, error) {
 	if err != nil {
 		return nil, fmt.Errorf("linkpred: %w", err)
 	}
-	return &Concurrent{facade[*core.Sharded]{store: store, cfg: cfg}}, nil
+	return &Concurrent{sharded[*core.Sharded]{facade[*core.Sharded]{store: store, cfg: cfg}}}, nil
 }
 
 // NumShards returns the shard count.
-func (c *Concurrent) NumShards() int { return c.store.NumShards() }
+func (c *sharded[S]) NumShards() int { return c.store.NumShards() }
 
-// Observe folds the undirected edge {u, v} into the sketches. Safe for
-// concurrent use.
-func (c *Concurrent) Observe(u, v uint64) {
-	c.store.ProcessEdge(stream.Edge{U: u, V: v})
+// Observe folds the edge {u, v} — the arc u → v on ConcurrentDirected —
+// into the sketches. Safe for concurrent use.
+func (c *sharded[S]) Observe(u, v uint64) {
+	c.store.Ingest(stream.Edge{U: u, V: v})
 }
 
 // StartIngestPipeline starts the shard-owner ingest pipeline: batched
@@ -64,31 +80,31 @@ func (c *Concurrent) Observe(u, v uint64) {
 // keep working while the pipeline runs; ObserveEdges still returns only
 // after its batch is fully applied, so caller-visible semantics are
 // unchanged. Returns whether a pipeline is now running.
-func (c *Concurrent) StartIngestPipeline(workers, ringSize int) bool {
+func (c *sharded[S]) StartIngestPipeline(workers, ringSize int) bool {
 	return c.store.StartPipeline(workers, ringSize)
 }
 
 // StopIngestPipeline drains and stops the ingest pipeline; batched
 // ingest reverts to the lock-handoff fan-out. No-op if none is running.
-func (c *Concurrent) StopIngestPipeline() { c.store.StopPipeline() }
+func (c *sharded[S]) StopIngestPipeline() { c.store.StopPipeline() }
 
 // IngestPipelineStats snapshots the running pipeline's backpressure
 // gauges; ok is false when no pipeline is running.
-func (c *Concurrent) IngestPipelineStats() (PipelineStats, bool) { return c.store.PipelineStats() }
+func (c *sharded[S]) IngestPipelineStats() (PipelineStats, bool) { return c.store.PipelineStats() }
 
 // ObserveEdgesAsync publishes a batch to the running ingest pipeline
 // without waiting for the applies; FlushIngest is the completion
 // barrier. Without a pipeline it behaves exactly like ObserveEdges.
 // Used by batched WAL replay.
-func (c *Concurrent) ObserveEdgesAsync(edges []Edge) {
+func (c *sharded[S]) ObserveEdgesAsync(edges []Edge) {
 	buf := toStreamEdges(edges)
-	c.store.ProcessEdgesAsync(*buf)
+	c.store.IngestBatchAsync(*buf)
 	putStreamEdges(buf)
 }
 
 // FlushIngest blocks until every ObserveEdgesAsync batch has been fully
 // applied. No-op without a running pipeline.
-func (c *Concurrent) FlushIngest() { c.store.FlushIngest() }
+func (c *sharded[S]) FlushIngest() { c.store.FlushIngest() }
 
 // LoadConcurrent restores a predictor saved with (*Concurrent).Save.
 func LoadConcurrent(r io.Reader) (*Concurrent, error) {
@@ -96,5 +112,5 @@ func LoadConcurrent(r io.Reader) (*Concurrent, error) {
 	if err != nil {
 		return nil, fmt.Errorf("linkpred: %w", err)
 	}
-	return &Concurrent{facade[*core.Sharded]{store: store, cfg: configFromCore(store.Config())}}, nil
+	return &Concurrent{sharded[*core.Sharded]{facade[*core.Sharded]{store: store, cfg: configFromCore(store.Config())}}}, nil
 }

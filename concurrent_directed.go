@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"linkpred/internal/core"
-	"linkpred/internal/stream"
 )
 
 // ConcurrentDirected is the thread-safe directed predictor: the Directed
@@ -15,12 +14,12 @@ import (
 // hashes each distinct endpoint once outside any lock, folds duplicate
 // arcs into arrival multiplicities, and takes each shard lock once per
 // batch; ScoreBatch/TopK pin the source's out-sketch under one read lock
-// and copy each shard's candidate in-sketch views under one read lock
-// per shard per batch.
+// and score each shard's candidate in-sketches in place, straight from
+// the shard's register bank, under one read lock per shard per batch.
 //
 // Config.EnableBiased and Config.TrackTriangles are not supported.
 type ConcurrentDirected struct {
-	facade[*core.ShardedDirected]
+	sharded[*core.ShardedDirected]
 }
 
 // NewConcurrentDirected returns an empty concurrent directed predictor
@@ -30,16 +29,7 @@ func NewConcurrentDirected(cfg Config, shards int) (*ConcurrentDirected, error) 
 	if err != nil {
 		return nil, fmt.Errorf("linkpred: %w", err)
 	}
-	return &ConcurrentDirected{facade[*core.ShardedDirected]{store: store, cfg: cfg}}, nil
-}
-
-// NumShards returns the shard count.
-func (c *ConcurrentDirected) NumShards() int { return c.store.NumShards() }
-
-// Observe folds the arc u → v into the sketches. Safe for concurrent
-// use.
-func (c *ConcurrentDirected) Observe(u, v uint64) {
-	c.store.ProcessArc(stream.Edge{U: u, V: v})
+	return &ConcurrentDirected{sharded[*core.ShardedDirected]{facade[*core.ShardedDirected]{store: store, cfg: cfg}}}, nil
 }
 
 // OutDegree returns the out-degree estimate of u.
@@ -52,34 +42,6 @@ func (c *ConcurrentDirected) InDegree(u uint64) float64 { return c.store.InDegre
 // NumEdges).
 func (c *ConcurrentDirected) NumArcs() int64 { return c.store.NumArcs() }
 
-// StartIngestPipeline starts the shard-owner ingest pipeline; semantics
-// match (*Concurrent).StartIngestPipeline.
-func (c *ConcurrentDirected) StartIngestPipeline(workers, ringSize int) bool {
-	return c.store.StartPipeline(workers, ringSize)
-}
-
-// StopIngestPipeline drains and stops the ingest pipeline.
-func (c *ConcurrentDirected) StopIngestPipeline() { c.store.StopPipeline() }
-
-// IngestPipelineStats snapshots the running pipeline's backpressure
-// gauges; ok is false when no pipeline is running.
-func (c *ConcurrentDirected) IngestPipelineStats() (PipelineStats, bool) {
-	return c.store.PipelineStats()
-}
-
-// ObserveEdgesAsync publishes a batch of arcs to the running ingest
-// pipeline without waiting; FlushIngest is the barrier. Without a
-// pipeline it behaves exactly like ObserveEdges.
-func (c *ConcurrentDirected) ObserveEdgesAsync(edges []Edge) {
-	buf := toStreamEdges(edges)
-	c.store.ProcessArcsAsync(*buf)
-	putStreamEdges(buf)
-}
-
-// FlushIngest blocks until every ObserveEdgesAsync batch has been fully
-// applied. No-op without a running pipeline.
-func (c *ConcurrentDirected) FlushIngest() { c.store.FlushIngest() }
-
 // LoadConcurrentDirected restores a predictor saved with
 // (*ConcurrentDirected).Save.
 func LoadConcurrentDirected(r io.Reader) (*ConcurrentDirected, error) {
@@ -87,5 +49,5 @@ func LoadConcurrentDirected(r io.Reader) (*ConcurrentDirected, error) {
 	if err != nil {
 		return nil, fmt.Errorf("linkpred: %w", err)
 	}
-	return &ConcurrentDirected{facade[*core.ShardedDirected]{store: store, cfg: configFromCore(store.Config())}}, nil
+	return &ConcurrentDirected{sharded[*core.ShardedDirected]{facade[*core.ShardedDirected]{store: store, cfg: configFromCore(store.Config())}}}, nil
 }

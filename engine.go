@@ -181,7 +181,8 @@ type EngineSpec struct {
 	Mode string
 	// Config parameterises the underlying store.
 	Config Config
-	// Shards is the shard count for the concurrent modes (default 8).
+	// Shards is the shard count for the concurrent modes (default 8, at
+	// most 65536).
 	Shards int
 	// Window and Gens set the windowed mode's geometry. Required when
 	// Mode is ModeWindowed.
@@ -197,7 +198,8 @@ type EngineSpec struct {
 	// disables the pipeline. Ignored by the single-writer modes.
 	IngestWorkers int
 	// IngestRing is the pipeline's per-owner queue capacity in batches
-	// (0 selects the default, 256). Ignored without a pipeline.
+	// (0 selects the default, 256; other sizes round up to a power of
+	// two, at least 2). Ignored without a pipeline.
 	IngestRing int
 	// ExpectedVertices, when > 0, pre-sizes the store's vertex maps and
 	// register arenas for that many vertices before any ingest — the
@@ -329,11 +331,11 @@ func LoadAnyEngine(r io.Reader) (Engine, error) {
 	case *core.SketchStore:
 		return Synchronize(&Predictor{facade[*core.SketchStore]{store: s, cfg: cfg}}), nil
 	case *core.Sharded:
-		return &Concurrent{facade[*core.Sharded]{store: s, cfg: cfg}}, nil
+		return &Concurrent{sharded[*core.Sharded]{facade[*core.Sharded]{store: s, cfg: cfg}}}, nil
 	case *core.DirectedStore:
 		return Synchronize(&Directed{facade[*core.DirectedStore]{store: s, cfg: cfg}}), nil
 	case *core.ShardedDirected:
-		return &ConcurrentDirected{facade[*core.ShardedDirected]{store: s, cfg: cfg}}, nil
+		return &ConcurrentDirected{sharded[*core.ShardedDirected]{facade[*core.ShardedDirected]{store: s, cfg: cfg}}}, nil
 	case *core.Windowed:
 		cfg.DistinctDegrees = true // windowed mode always uses distinct degrees
 		return Synchronize(&Windowed{facade[*core.Windowed]{store: s, cfg: cfg}}), nil

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -11,7 +10,7 @@ import (
 	"linkpred/internal/stream"
 )
 
-// Batched ingest pipeline shared by Sharded and ShardedDirected.
+// Batched ingest pipeline of the shard set (shardset.go).
 //
 // The per-edge concurrent path pays, for every edge, two write-lock
 // acquisitions, two vertex-map lookups, and 2K hash evaluations. The
@@ -285,33 +284,11 @@ func (sc *batchScratch) prepare(edges []stream.Edge, k, nShards int, family *has
 	// Stage 2: hash the distinct vertices into the arena, in parallel
 	// when the batch is big enough to amortize the goroutine hand-off.
 	sc.hashes = grow(sc.hashes, nd*k)
-	hashRange := func(lo, hi int) {
+	parallelRange(nd, minHashChunk, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			family.HashAllTo(sc.distinct[i], sc.hashes[i*k:(i+1)*k])
 		}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if limit := (nd + minHashChunk - 1) / minHashChunk; workers > limit {
-		workers = limit
-	}
-	if workers <= 1 {
-		hashRange(0, nd)
-	} else {
-		var wg sync.WaitGroup
-		chunk := (nd + workers - 1) / workers
-		for lo := 0; lo < nd; lo += chunk {
-			hi := lo + chunk
-			if hi > nd {
-				hi = nd
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				hashRange(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
+	})
 
 	// Stage 3a: counting-sort distinct vertices by destination shard.
 	// The shard assignment is precomputed so each vertex is hashed once
@@ -328,26 +305,120 @@ func (sc *batchScratch) prepare(edges []stream.Edge, k, nShards int, family *has
 	return n
 }
 
-// applyShards runs stage 4: workers claim shard indices off an atomic
-// cursor and call apply(shard) for every shard that owns at least one
-// batch vertex; the callback takes the shard's write lock, walks the
-// shard's slice of vertGroup.order, and releases the lock. Worker count
-// comes from GOMAXPROCS, capped by the shard count (see forEachShard).
-func (sc *batchScratch) applyShards(nShards int, apply func(shard int)) {
-	forEachShard(nShards, sc.vertGroup.starts, apply)
-}
-
 // applyShardBatch applies shard's slice of the prepared batch sc under
 // the shard's write lock: stage 4 of the batch pipeline for one shard.
-// Called by the lock-handoff fan-out (applyShards) and by the pipeline
+// Called by the lock-handoff fan-out (forEachShard) and by the pipeline
 // owner loop — the two paths share every instruction, which is what
 // makes the pipeline's byte-identical-to-sequential guarantee a
 // property of this one function.
-func (s *Sharded) applyShardBatch(sc *batchScratch, shard int) {
-	st := s.shards[shard]
-	k := st.cfg.K
+func (s *shardSet[T]) applyShardBatch(sc *batchScratch, shard int) {
 	s.mus[shard].Lock()
-	lo, hi := sc.vertGroup.starts[shard], sc.vertGroup.starts[shard+1]
+	s.shards[shard].applyBatch(sc, sc.vertGroup.starts[shard], sc.vertGroup.starts[shard+1])
+	s.refreshGauges(shard)
+	s.mus[shard].Unlock()
+}
+
+// prepare runs stages 1–3 on sc for a batch bound for this set and
+// returns the batch's non-self-loop edge count. Tiered stores skip
+// duplicate folding (see batchScratch.prepare).
+func (s *shardSet[T]) prepare(sc *batchScratch, edges []stream.Edge) int {
+	return sc.prepare(edges, s.cfg.K, len(s.shards), s.family.get(), s.kind.directed, !s.cfg.tiered())
+}
+
+// IngestBatch folds a batch of edges (arcs on directed stores) into the
+// sketches of all endpoints through the staged pipeline above: all
+// hashing happens outside any lock, repeated vertices are hashed and
+// looked up once per batch, and each shard's write lock is acquired
+// once per batch instead of twice per edge. Self-loops are skipped. The
+// resulting register state is identical to calling Ingest on each edge
+// in any order. Safe for concurrent use, including concurrently with
+// Ingest and all estimators.
+//
+// When the store's ingest pipeline is running (StartPipeline) the
+// prepared batch is published to the shard owners and the call blocks
+// until they finish, so the post-return contract — batch fully applied,
+// gauges refreshed — is identical on both paths.
+//
+// For meaningful amortization pass batches of a few hundred edges or
+// more; Ingest remains the better call for single edges.
+func (s *shardSet[T]) IngestBatch(edges []stream.Edge) {
+	s.IngestBatchCancel(edges, nil) // nil done: never cancels
+}
+
+// IngestBatchCancel is IngestBatch with pre-commit cancellation: done
+// is polled before the batch is handed to the store (and while the
+// producer spins on a full pipeline ring — see publishBatch). A fired
+// done returns ErrCanceled with nothing applied; once any shard owner
+// holds the batch it always completes, because a half-applied batch
+// would desynchronize the store from the WAL's acked prefix.
+func (s *shardSet[T]) IngestBatchCancel(edges []stream.Edge, done <-chan struct{}) error {
+	if len(edges) == 0 {
+		return nil
+	}
+	if canceled(done) {
+		return ErrCanceled
+	}
+	if p := s.pipe.Load(); p != nil && p.enter() {
+		err := s.ingestVia(p, edges, true, done)
+		p.exit()
+		return err
+	}
+	sc := batchPool.Get().(*batchScratch)
+	if n := s.prepare(sc, edges); n > 0 {
+		if canceled(done) {
+			batchPool.Put(sc)
+			return ErrCanceled
+		}
+		forEachShard(len(s.shards), sc.vertGroup.starts, func(shard int) { s.applyShardBatch(sc, shard) })
+		s.edges.Add(int64(n))
+	}
+	batchPool.Put(sc)
+	return nil
+}
+
+// IngestBatchAsync publishes a batch to the running ingest pipeline
+// without waiting for the applies to complete; FlushIngest is the
+// barrier. With no pipeline running it degrades to the synchronous
+// IngestBatch. Used by batched WAL replay, where the reader goroutine
+// should decode the next record while the owners apply this one.
+func (s *shardSet[T]) IngestBatchAsync(edges []stream.Edge) {
+	if len(edges) == 0 {
+		return
+	}
+	if p := s.pipe.Load(); p != nil && p.enter() {
+		s.ingestVia(p, edges, false, nil)
+		p.exit()
+		return
+	}
+	s.IngestBatch(edges)
+}
+
+// ingestVia runs stages 1–3 on the caller's goroutine and publishes the
+// prepared batch to the pipeline owners. With wait the scratch comes
+// back to the pool here; async batches are recycled by the last owner
+// out. A done that fires before the batch reaches any owner withdraws
+// the publish: ErrCanceled, nothing applied.
+func (s *shardSet[T]) ingestVia(p *pipeline, edges []stream.Edge, wait bool, done <-chan struct{}) error {
+	sc := batchPool.Get().(*batchScratch)
+	n := s.prepare(sc, edges)
+	if n == 0 {
+		batchPool.Put(sc)
+		return nil
+	}
+	if !p.publishBatch(sc, wait, done) {
+		batchPool.Put(sc)
+		return ErrCanceled
+	}
+	if wait {
+		batchPool.Put(sc)
+	}
+	s.edges.Add(int64(n))
+	return nil
+}
+
+// applyBatch is the undirected stage-4 apply (shard-set hook).
+func (st *SketchStore) applyBatch(sc *batchScratch, lo, hi int32) {
+	k := st.cfg.K
 	// Software-pipelined vertex lookup: resolve vertex vi+1's state
 	// (map-bucket chain plus first touches of its register lines)
 	// while vi's register merges execute, overlapping the L3 latency
@@ -393,114 +464,14 @@ func (s *Sharded) applyShardBatch(sc *batchScratch, shard int) {
 		vs.arrivals += arr
 	}
 	prefetchSink.Store(sink) // keep the lookahead loads observable
-	s.refreshGauges(shard)
-	s.mus[shard].Unlock()
 }
 
-// ProcessEdges folds a batch of edges into the sketches of all endpoints
-// through the staged pipeline above: all hashing happens outside any
-// lock, repeated vertices are hashed and looked up once per batch, and
-// each shard's write lock is acquired once per batch instead of twice
-// per edge. Self-loops are skipped. The resulting register state is
-// identical to calling ProcessEdge on each edge in any order. Safe for
-// concurrent use, including concurrently with ProcessEdge and all
-// estimators.
-//
-// When the store's ingest pipeline is running (StartPipeline) the
-// prepared batch is published to the shard owners and the call blocks
-// until they finish, so the post-return contract — batch fully applied,
-// gauges refreshed — is identical on both paths.
-//
-// For meaningful amortization pass batches of a few hundred edges or
-// more; ProcessEdge remains the better call for single edges.
-func (s *Sharded) ProcessEdges(edges []stream.Edge) {
-	s.ProcessEdgesCancel(edges, nil) // nil done: never cancels
-}
-
-// ProcessEdgesCancel is ProcessEdges with pre-commit cancellation: done
-// is polled before the batch is handed to the store (and while the
-// producer spins on a full pipeline ring — see publishBatch). A fired
-// done returns ErrCanceled with nothing applied; once any shard owner
-// holds the batch it always completes, because a half-applied batch
-// would desynchronize the store from the WAL's acked prefix.
-func (s *Sharded) ProcessEdgesCancel(edges []stream.Edge, done <-chan struct{}) error {
-	if len(edges) == 0 {
-		return nil
-	}
-	if canceled(done) {
-		return ErrCanceled
-	}
-	if p := s.pipe.Load(); p != nil && p.enter() {
-		err := s.processEdgesVia(p, edges, true, done)
-		p.exit()
-		return err
-	}
-	sc := batchPool.Get().(*batchScratch)
-	k := s.shards[0].cfg.K
-	n := sc.prepare(edges, k, len(s.shards), s.shards[0].family.get(), false, s.shards[0].tiers == nil)
-	if n > 0 {
-		if canceled(done) {
-			batchPool.Put(sc)
-			return ErrCanceled
-		}
-		sc.applyShards(len(s.shards), func(shard int) { s.applyShardBatch(sc, shard) })
-		s.edges.Add(int64(n))
-	}
-	batchPool.Put(sc)
-	return nil
-}
-
-// ProcessEdgesAsync publishes a batch to the running ingest pipeline
-// without waiting for the applies to complete; FlushIngest is the
-// barrier. With no pipeline running it degrades to the synchronous
-// ProcessEdges. Used by batched WAL replay, where the reader goroutine
-// should decode the next record while the owners apply this one.
-func (s *Sharded) ProcessEdgesAsync(edges []stream.Edge) {
-	if len(edges) == 0 {
-		return
-	}
-	if p := s.pipe.Load(); p != nil && p.enter() {
-		s.processEdgesVia(p, edges, false, nil)
-		p.exit()
-		return
-	}
-	s.ProcessEdges(edges)
-}
-
-// processEdgesVia runs stages 1–3 on the caller's goroutine and
-// publishes the prepared batch to the pipeline owners. With wait the
-// scratch comes back to the pool here; async batches are recycled by
-// the last owner out. A done that fires before the batch reaches any
-// owner withdraws the publish: ErrCanceled, nothing applied.
-func (s *Sharded) processEdgesVia(p *pipeline, edges []stream.Edge, wait bool, done <-chan struct{}) error {
-	sc := batchPool.Get().(*batchScratch)
-	k := s.shards[0].cfg.K
-	n := sc.prepare(edges, k, len(s.shards), s.shards[0].family.get(), false, s.shards[0].tiers == nil)
-	if n == 0 {
-		batchPool.Put(sc)
-		return nil
-	}
-	if !p.publishBatch(sc, wait, done) {
-		batchPool.Put(sc)
-		return ErrCanceled
-	}
-	if wait {
-		batchPool.Put(sc)
-	}
-	s.edges.Add(int64(n))
-	return nil
-}
-
-// applyShardBatch is the directed stage-4 apply for one shard of a
-// prepared batch: the directed analogue of Sharded.applyShardBatch,
-// shared by the lock-handoff fan-out and the pipeline owner loop.
-func (s *ShardedDirected) applyShardBatch(sc *batchScratch, shard int) {
-	st := s.shards[shard]
+// applyBatch is the directed stage-4 apply (shard-set hook): each
+// half-arc folds into its owner's out- or in-sketch.
+func (st *DirectedStore) applyBatch(sc *batchScratch, lo, hi int32) {
 	k := st.cfg.K
-	s.mus[shard].Lock()
-	lo, hi := sc.vertGroup.starts[shard], sc.vertGroup.starts[shard+1]
 	// Same software-pipelined vertex lookahead as the undirected
-	// apply loop (see Sharded.applyShardBatch).
+	// apply loop (see SketchStore.applyBatch).
 	var next *dirVertexState
 	var sink uint64
 	if hi > lo {
@@ -556,80 +527,4 @@ func (s *ShardedDirected) applyShardBatch(sc *batchScratch, shard int) {
 		}
 	}
 	prefetchSink.Store(sink) // keep the lookahead loads observable
-	s.refreshGauges(shard)
-	s.mus[shard].Unlock()
-}
-
-// ProcessArcs is the directed analogue of Sharded.ProcessEdges: it folds
-// a batch of arcs u → v into the out-sketches of the sources and the
-// in-sketches of the targets with hashing outside any lock and one lock
-// acquisition per shard per batch. Register state is identical to
-// calling ProcessArc per arc. Safe for concurrent use. Like
-// ProcessEdges, a running ingest pipeline routes the prepared batch to
-// the shard owners with identical post-return semantics.
-func (s *ShardedDirected) ProcessArcs(arcs []stream.Edge) {
-	s.ProcessArcsCancel(arcs, nil) // nil done: never cancels
-}
-
-// ProcessArcsCancel is ProcessArcs with pre-commit cancellation; see
-// Sharded.ProcessEdgesCancel for the exact semantics.
-func (s *ShardedDirected) ProcessArcsCancel(arcs []stream.Edge, done <-chan struct{}) error {
-	if len(arcs) == 0 {
-		return nil
-	}
-	if canceled(done) {
-		return ErrCanceled
-	}
-	if p := s.pipe.Load(); p != nil && p.enter() {
-		err := s.processArcsVia(p, arcs, true, done)
-		p.exit()
-		return err
-	}
-	sc := batchPool.Get().(*batchScratch)
-	k := s.shards[0].cfg.K
-	n := sc.prepare(arcs, k, len(s.shards), s.shards[0].family.get(), true, s.shards[0].tiers == nil)
-	if n > 0 {
-		if canceled(done) {
-			batchPool.Put(sc)
-			return ErrCanceled
-		}
-		sc.applyShards(len(s.shards), func(shard int) { s.applyShardBatch(sc, shard) })
-		s.arcs.Add(int64(n))
-	}
-	batchPool.Put(sc)
-	return nil
-}
-
-// ProcessArcsAsync is the directed ProcessEdgesAsync: pipeline publish
-// without the completion wait, FlushIngest as the barrier, synchronous
-// degradation when no pipeline is running.
-func (s *ShardedDirected) ProcessArcsAsync(arcs []stream.Edge) {
-	if len(arcs) == 0 {
-		return
-	}
-	if p := s.pipe.Load(); p != nil && p.enter() {
-		s.processArcsVia(p, arcs, false, nil)
-		p.exit()
-		return
-	}
-	s.ProcessArcs(arcs)
-}
-
-func (s *ShardedDirected) processArcsVia(p *pipeline, arcs []stream.Edge, wait bool, done <-chan struct{}) error {
-	sc := batchPool.Get().(*batchScratch)
-	k := s.shards[0].cfg.K
-	n := sc.prepare(arcs, k, len(s.shards), s.shards[0].family.get(), true, s.shards[0].tiers == nil)
-	if n == 0 {
-		batchPool.Put(sc)
-		return nil
-	}
-	if !p.publishBatch(sc, wait, done) {
-		batchPool.Put(sc)
-		return ErrCanceled
-	}
-	if wait {
-		batchPool.Put(sc)
-	}
-	s.arcs.Add(int64(n))
-	return nil
 }

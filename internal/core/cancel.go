@@ -17,7 +17,7 @@ import (
 //     stop claiming shards once done fires, in-flight shards finish
 //     under their RLock, and the call reports ErrCanceled with the
 //     output unspecified.
-//   - Ingest (ProcessEdgesCancel and friends) cancels only BEFORE the
+//   - Ingest (IngestBatchCancel) cancels only BEFORE the
 //     batch is handed to the store. Once the pipeline has enqueued the
 //     batch to any shard owner — or the synchronous path has started
 //     applying — it always completes: a half-applied batch would

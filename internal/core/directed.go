@@ -215,29 +215,12 @@ func (s *DirectedStore) pairQuery(u, v uint64, collect bool, idBuf []uint64) (ma
 	if su == nil || sv == nil {
 		return 0, s.cfg.K, 0, 0, false, idBuf
 	}
-	ids = idBuf
-	outVals := s.out.regs(su.outSlot)
-	inVals := s.in.regs(sv.inSlot)
 	// Degrees use each side's full span; the match comparison runs over
-	// the shared prefix (min-k prefix property, see estimators.go).
+	// the shared prefix.
 	du = sideDegree(&s.out, su.outSlot, su.outArr)
 	dv = sideDegree(&s.in, sv.inSlot, sv.inArr)
-	if len(inVals) < len(outVals) {
-		outVals = outVals[:len(inVals)]
-	}
-	if !collect {
-		matches = matchCount(outVals, inVals)
-	} else {
-		outIDs := s.out.argmins(su.outSlot)
-		for i, val := range outVals {
-			if val == emptyRegister || val != inVals[i] {
-				continue
-			}
-			matches++
-			ids = append(ids, outIDs[i])
-		}
-	}
-	return matches, len(outVals), du, dv, true, ids
+	matches, effK, ids = matchPrefix(s.out.regs(su.outSlot), s.in.regs(sv.inSlot), s.out.argmins(su.outSlot), collect, idBuf)
+	return matches, effK, du, dv, true, ids
 }
 
 // midpointDegree weights directed midpoints by their estimated total

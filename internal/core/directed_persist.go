@@ -7,8 +7,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // Directed persistence: until now the directed stores were the only
@@ -39,9 +37,6 @@ const (
 	directedMagic         = "LPSD"
 	directedVersion       = 1
 	directedVersionTiered = 2
-
-	shardedDirectedMagic   = "LPDH"
-	shardedDirectedVersion = 1
 )
 
 // Save writes the directed store's complete state to w.
@@ -219,102 +214,6 @@ func loadDirected(rd *binReader) (*DirectedStore, error) {
 		if err := rd.span(&s.in, st.inSlot, id); err != nil {
 			return nil, err
 		}
-	}
-	return s, nil
-}
-
-// Save writes the sharded directed store's complete state to w. Like
-// (*Sharded).Save it takes every shard's read lock in index order, so
-// the image is a consistent snapshot even while writers are queued.
-func (s *ShardedDirected) Save(w io.Writer) error {
-	for i := range s.mus {
-		s.mus[i].RLock()
-		defer s.mus[i].RUnlock()
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(shardedDirectedMagic); err != nil {
-		return fmt.Errorf("core: save sharded directed magic: %w", err)
-	}
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], shardedDirectedVersion)
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(s.shards)))
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(s.arcs.Load()))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("core: save sharded directed header: %w", err)
-	}
-	if parallelPersist(len(s.shards)) {
-		// Parallel per-shard encode, byte-identical to the sequential
-		// writer (see persist_parallel.go).
-		if err := saveShardsParallel(bw, len(s.shards),
-			func(i int, w io.Writer) error { return s.shards[i].Save(w) },
-			func(i int, err error) error { return fmt.Errorf("core: save directed shard %d: %w", i, err) },
-		); err != nil {
-			return err
-		}
-	} else {
-		for i, shard := range s.shards {
-			if err := shard.Save(bw); err != nil {
-				return fmt.Errorf("core: save directed shard %d: %w", i, err)
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("core: save sharded directed flush: %w", err)
-	}
-	return nil
-}
-
-// LoadShardedDirected restores a store saved by (*ShardedDirected).Save.
-func LoadShardedDirected(r io.Reader) (*ShardedDirected, error) {
-	rd := newBinReader(r)
-	if err := rd.magic(shardedDirectedMagic); err != nil {
-		return nil, err
-	}
-	if err := rd.version(shardedDirectedVersion); err != nil {
-		return nil, err
-	}
-	nShards, err := rd.u32()
-	if err != nil {
-		return nil, rd.fail("shard count", err)
-	}
-	if nShards == 0 || nShards > 1<<16 {
-		return nil, rd.corrupt("implausible shard count %d", nShards)
-	}
-	arcs, err := rd.u64()
-	if err != nil {
-		return nil, rd.fail("arc count", err)
-	}
-	var shards []*DirectedStore
-	wrapShard := func(i int, err error) error { return fmt.Errorf("core: load directed shard %d: %w", i, err) }
-	if parallelPersist(int(nShards)) {
-		shards, err = loadShardsParallel(rd, int(nShards), lpsdImageSize, loadDirected, wrapShard)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		shards = make([]*DirectedStore, nShards)
-		for i := range shards {
-			store, err := loadDirected(rd)
-			if err != nil {
-				return nil, wrapShard(i, err)
-			}
-			shards[i] = store
-		}
-	}
-	for i := 1; i < len(shards); i++ {
-		if shards[i].cfg != shards[0].cfg {
-			return nil, fmt.Errorf("core: directed shard %d config %+v differs from shard 0", i, shards[i].cfg)
-		}
-	}
-	s := &ShardedDirected{
-		shards:    shards,
-		mus:       make([]sync.RWMutex, nShards),
-		vertGauge: make([]atomic.Int64, nShards),
-		memGauge:  make([]atomic.Int64, nShards),
-	}
-	s.arcs.Store(int64(arcs))
-	for i := range shards {
-		s.refreshGauges(i) // no concurrent access yet, so no lock needed
 	}
 	return s, nil
 }

@@ -598,22 +598,13 @@ func (s *DynamicStore) ScoreBatch(m QueryMeasure, u uint64, candidates []uint64,
 			if m != QueryJaccard {
 				dv = s.degree(sv)
 			}
-			if m == QueryPreferentialAttachment {
-				// No register scan needed: the score is the degree product.
-				out[ci] = srcDeg * dv
-				continue
+			var cand []uint64 // preferential attachment reads no registers
+			if m != QueryPreferentialAttachment {
+				vals = grow(vals, sv.k())
+				s.fillRegs(sv, vals)
+				cand = vals
 			}
-			// Per-pair effective k = min(src span, candidate span): the
-			// kernels compare over the shared prefix (min-k prefix
-			// property), and the score normalizes by the same count.
-			vals = grow(vals, sv.k())
-			s.fillRegs(sv, vals)
-			n := k
-			if len(vals) < n {
-				n = len(vals)
-			}
-			matches, weightSum := matchRegisters(m, srcVals, vals, sc.regWeight)
-			out[ci] = scoreFromSnapshot(m, float64(n), matches, weightSum, srcDeg, dv)
+			out[ci] = scoreCandidate(m, srcVals, cand, sc.regWeight, srcDeg, dv)
 		}
 		*bufp = vals
 		mergeBufPool.Put(bufp)

@@ -15,28 +15,8 @@ func (s *SketchStore) pairQuery(u, v uint64, collect bool, idBuf []uint64) (matc
 	if su == nil || sv == nil {
 		return 0, s.cfg.K, 0, 0, false, idBuf
 	}
-	ids = idBuf
-	uVals := s.bank.regs(su.slot)
-	vVals := s.bank.regs(sv.slot)
-	// Cross-tier pairs compare over the shared register prefix: a k-prefix
-	// of a larger sketch over the same hash family is itself a valid
-	// k-sketch (min-k prefix property).
-	if len(vVals) < len(uVals) {
-		uVals = uVals[:len(vVals)]
-	}
-	if !collect {
-		matches = matchCount(uVals, vVals)
-	} else {
-		uIDs := s.bank.argmins(su.slot)
-		for i, val := range uVals {
-			if val == emptyRegister || val != vVals[i] {
-				continue
-			}
-			matches++
-			ids = append(ids, uIDs[i])
-		}
-	}
-	return matches, len(uVals), s.degree(su), s.degree(sv), true, ids
+	matches, effK, ids = matchPrefix(s.bank.regs(su.slot), s.bank.regs(sv.slot), s.bank.argmins(su.slot), collect, idBuf)
+	return matches, effK, s.degree(su), s.degree(sv), true, ids
 }
 
 // midpointDegree is the degree estimate used to weight common-neighbor

@@ -164,7 +164,7 @@ func estimatePair(s pairScorer, m QueryMeasure, u, v uint64) (float64, error) {
 	matches, effK, du, dv, known, ids := s.pairQuery(u, v, true, (*bufp)[:0])
 	// Midpoint degrees are read after pairQuery has released any pair
 	// locks (one shard lock at a time on the sharded stores — see the
-	// Sharded type comment for the discipline).
+	// locking note in shardset.go).
 	var weightSum float64
 	for _, w := range ids {
 		weightSum += midpointWeight(m, s.midpointDegree(w))
@@ -192,6 +192,30 @@ func fillRegWeights(m QueryMeasure, vals, ids []uint64, regWeight []float64, s p
 	}
 }
 
+// matchPrefix is the register comparison of a pair snapshot. Spans of
+// different widths (cross-tier pairs) compare over their shared prefix:
+// a k-prefix of a wider sketch over the same hash family is itself a
+// valid k-sketch (min-k prefix property). It returns the number of
+// matching non-empty registers and the prefix length; with collect it
+// also appends the argmin ids (from uIDs, u's ids) of the matching
+// registers to ids.
+func matchPrefix(uVals, vVals, uIDs []uint64, collect bool, ids []uint64) (matches, effK int, _ []uint64) {
+	if len(vVals) < len(uVals) {
+		uVals = uVals[:len(vVals)]
+	}
+	if !collect {
+		return matchCount(uVals, vVals), len(uVals), ids
+	}
+	for i, val := range uVals {
+		if val == emptyRegister || val != vVals[i] {
+			continue
+		}
+		matches++
+		ids = append(ids, uIDs[i])
+	}
+	return matches, len(uVals), ids
+}
+
 // matchRegisters counts matching non-empty registers between a pinned
 // source register vector and one candidate's, accumulating the
 // precomputed per-register weights for weighted measures. The shared
@@ -202,4 +226,19 @@ func matchRegisters(m QueryMeasure, src, cand []uint64, regWeight []float64) (ma
 		return matchWeightedRegs(src, cand, regWeight)
 	}
 	return matchCount(src, cand), 0
+}
+
+// scoreCandidate is how every batch path scores one candidate against
+// its pinned source: src and srcDeg are the source's span and degree,
+// cand and candDeg the candidate's, regWeight the source's per-register
+// weights (weighted measures only). The effective k is the shorter span
+// (min-k prefix property). Preferential attachment is the degree
+// product alone and reads no registers, so callers may pass a nil cand
+// for it.
+func scoreCandidate(m QueryMeasure, src, cand []uint64, regWeight []float64, srcDeg, candDeg float64) float64 {
+	if m == QueryPreferentialAttachment {
+		return srcDeg * candDeg
+	}
+	matches, weightSum := matchRegisters(m, src, cand, regWeight)
+	return scoreFromSnapshot(m, float64(min(len(src), len(cand))), matches, weightSum, srcDeg, candDeg)
 }

@@ -34,8 +34,8 @@ import (
 // Correctness: register updates are pointwise minima (commutative,
 // idempotent) and degree counters are sums, so any apply order yields
 // register state byte-identical to sequential ingest of the same edge
-// multiset — the same argument that already covers applyShards, now
-// carried across batches. For deletion-capable stores the per-register
+// multiset — the same argument that already covers the lock-handoff
+// fan-out, now carried across batches. For deletion-capable stores the per-register
 // op ORDER matters; those stores are single-writer (DynamicStore) and
 // never run a pipeline, and the batched WAL replay flushes the pipeline
 // before every KindDelete batch (see wal.RecoverBatched), so every
@@ -215,13 +215,16 @@ func resolvePipelineWorkers(workers, nShards int) int {
 }
 
 // newPipeline builds a pipeline with the given owner count and ring
-// capacity (rounded up to a power of two; <= 0 selects the default)
-// and starts the owner goroutines.
+// capacity (rounded up to a power of two, at least 2; <= 0 selects the
+// default) and starts the owner goroutines. A one-slot ring cannot
+// work: a published slot's sequence, pos+1, is also the free marker of
+// the next position, so a producer would overwrite the batch the owner
+// has not read yet.
 func newPipeline(nShards, workers, ringSize int, apply func(sc *batchScratch, owner, workers int)) *pipeline {
 	if ringSize <= 0 {
 		ringSize = pipeDefaultRing
 	}
-	size := 1
+	size := 2
 	for size < ringSize {
 		size <<= 1
 	}

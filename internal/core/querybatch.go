@@ -142,8 +142,8 @@ func (sc *queryScratch) intern(v uint64) int32 {
 }
 
 // groupByShard counting-sorts the distinct candidates by home shard
-// (same hash as Sharded.shardOf / ShardedDirected.shardOf, read back
-// from the intern pass's cache).
+// (same hash as shardSet.shardOf, read back from the intern pass's
+// cache).
 func (sc *queryScratch) groupByShard(nShards int) {
 	nd := len(sc.distinct)
 	sc.candShard = grow(sc.candShard, nd)
@@ -161,20 +161,21 @@ func (sc *queryScratch) fanOut(out []float64) {
 	}
 }
 
-// ScoreBatch scores every candidate against u under measure m, writing
-// the scores into out (grown as needed) aligned with candidates, and
-// returns it. Duplicate candidate ids receive identical scores (each
-// distinct candidate is scored once); a candidate equal to u is scored
-// like any other pair — ranking layers are responsible for skipping the
-// source. Scores are bit-identical to calling the corresponding
-// sequential estimator per pair on a quiescent store.
+// ScoreBatch scores every candidate against u under measure m — every
+// candidate arc u → c on directed stores — writing the scores into out
+// (grown as needed) aligned with candidates, and returns it. Duplicate
+// candidate ids receive identical scores (each distinct candidate is
+// scored once); a candidate equal to u is scored like any other pair —
+// ranking layers are responsible for skipping the source. Scores are
+// bit-identical to calling the corresponding sequential estimator per
+// pair on a quiescent store.
 //
 // Safe for concurrent use, including concurrently with writers: the
 // source is read under one RLock, and GOMAXPROCS-bounded workers score
 // each shard's candidates directly from its register bank under one
 // RLock per shard per batch. Per-query lock cost is O(shards + K), not
 // O(candidates).
-func (s *Sharded) ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64) ([]float64, error) {
+func (s *shardSet[T]) ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64) ([]float64, error) {
 	return s.ScoreBatchCancel(m, u, candidates, out, nil)
 }
 
@@ -183,7 +184,7 @@ func (s *Sharded) ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out 
 // claimed, so an expired request stops consuming query workers at shard
 // granularity. A fired done returns ErrCanceled; out's contents are
 // then unspecified.
-func (s *Sharded) ScoreBatchCancel(m QueryMeasure, u uint64, candidates []uint64, out []float64, done <-chan struct{}) ([]float64, error) {
+func (s *shardSet[T]) ScoreBatchCancel(m QueryMeasure, u uint64, candidates []uint64, out []float64, done <-chan struct{}) ([]float64, error) {
 	if !m.valid() {
 		return nil, fmt.Errorf("core: unknown query measure %v", m)
 	}
@@ -194,26 +195,20 @@ func (s *Sharded) ScoreBatchCancel(m QueryMeasure, u uint64, candidates []uint64
 	if canceled(done) {
 		return out, ErrCanceled
 	}
-	cfg := s.shards[0].cfg
 	sc := queryPool.Get().(*queryScratch)
 
-	// Stage 1: pin the source under a single RLock. The pinned span is
-	// the source's own register count — Config.K, or its tier size on
-	// tiered stores.
-	srcKnown := false
-	var srcDeg float64
-	k := cfg.K
+	// Stage 1: pin the source's side (its out-sketch on directed stores)
+	// under a single RLock. The pinned span is the source's own register
+	// count — Config.K, or its tier size on tiered stores.
 	a := s.shardOf(u)
 	s.mus[a].RLock()
-	if su := s.shards[a].vertices[u]; su != nil {
-		srcKnown = true
-		srcRegs := s.shards[a].bank.regs(su.slot)
-		k = len(srcRegs)
-		sc.srcVals = grow(sc.srcVals, k)
-		sc.srcIDs = grow(sc.srcIDs, k)
+	srcBank, srcSlot, srcDeg, srcKnown := s.shards[a].side(u, true, true)
+	if srcKnown {
+		srcRegs := srcBank.regs(srcSlot)
+		sc.srcVals = grow(sc.srcVals, len(srcRegs))
+		sc.srcIDs = grow(sc.srcIDs, len(srcRegs))
 		copy(sc.srcVals, srcRegs)
-		copy(sc.srcIDs, s.shards[a].bank.argmins(su.slot))
-		srcDeg = s.shards[a].degree(su)
+		copy(sc.srcIDs, srcBank.argmins(srcSlot))
 	}
 	s.mus[a].RUnlock()
 	if !srcKnown {
@@ -229,7 +224,7 @@ func (s *Sharded) ScoreBatchCancel(m QueryMeasure, u uint64, candidates []uint64
 	// ids array — ≤ K distinct vertices — so this replaces the
 	// sequential path's per-pair degree lookups with ≤ K per batch.
 	if m.weighted() {
-		sc.regWeight = grow(sc.regWeight, k)
+		sc.regWeight = grow(sc.regWeight, len(sc.srcVals))
 		fillRegWeights(m, sc.srcVals, sc.srcIDs, sc.regWeight, s)
 	}
 
@@ -239,21 +234,21 @@ func (s *Sharded) ScoreBatchCancel(m QueryMeasure, u uint64, candidates []uint64
 	sc.groupByShard(nShards)
 
 	// Stage 4: score each shard's candidates in place, directly from the
-	// shard's register bank, under one RLock per shard. Each candidate
-	// belongs to exactly one shard, so workers write disjoint score
-	// slots. matchRegisters + scoreFromSnapshot are the same kernel the
-	// sequential estimators end in, which is what keeps the two paths
-	// bit-identical. Two passes per shard, both under the same RLock (so
-	// slots stay valid — the bank cannot grow/move while it is held):
-	// the first resolves every candidate's slot and walks one word per
-	// cache line of its register span, which overlaps the span fetches
-	// across candidates (the match kernel's loads are consumed serially,
-	// so letting it demand-miss per candidate wastes the memory
+	// shard's register bank (its in-side bank on directed stores), under
+	// one RLock per shard. Each candidate belongs to exactly one shard, so
+	// workers write disjoint score slots. scoreCandidate is the same
+	// kernel the sequential estimators end in, which is what keeps the
+	// two paths bit-identical. Two passes per shard, both under the same
+	// RLock (so slots stay valid — the bank cannot grow/move while it is
+	// held): the first resolves every candidate's slot and walks one word
+	// per cache line of its register span, which overlaps the span
+	// fetches across candidates (the match kernel's loads are consumed
+	// serially, so letting it demand-miss per candidate wastes the memory
 	// parallelism the independent lookups have); the second scores
-	// against now-warm lines. Degrees come from the bank's per-slot
-	// cache in the first pass, so the degree term costs one load per
-	// candidate; preferential attachment is the degree product alone and
-	// touches no registers at all.
+	// against now-warm lines. Degrees come from the bank's per-slot cache
+	// in the first pass, so the degree term costs one load per candidate;
+	// preferential attachment is the degree product alone and touches no
+	// registers at all.
 	sc.slots = grow(sc.slots, nd)
 	sc.degs = grow(sc.degs, nd)
 	sc.scores = grow(sc.scores, nd)
@@ -261,20 +256,20 @@ func (s *Sharded) ScoreBatchCancel(m QueryMeasure, u uint64, candidates []uint64
 		st := s.shards[shard]
 		s.mus[shard].RLock()
 		lo, hi := sc.group.starts[shard], sc.group.starts[shard+1]
+		var bank *regBank // the candidate side's bank, one per shard
 		var warm uint64
 		for gi := lo; gi < hi; gi++ {
 			c := sc.group.order[gi]
-			sv := st.vertices[sc.distinct[c]]
-			if sv == nil {
+			b, slot, d, ok := st.side(sc.distinct[c], false, m != QueryJaccard)
+			if !ok {
 				sc.slots[c] = -1
 				continue
 			}
-			sc.slots[c] = sv.slot
-			if m != QueryJaccard {
-				sc.degs[c] = st.degree(sv)
-			}
+			bank = b
+			sc.slots[c] = slot
+			sc.degs[c] = d
 			if m != QueryPreferentialAttachment {
-				regs := st.bank.regs(sv.slot)
+				regs := b.regs(slot)
 				for j := 0; j < len(regs); j += 8 {
 					warm += regs[j]
 				}
@@ -288,156 +283,7 @@ func (s *Sharded) ScoreBatchCancel(m QueryMeasure, u uint64, candidates []uint64
 				sc.scores[c] = 0
 				continue
 			}
-			var dv float64
-			if m != QueryJaccard {
-				dv = sc.degs[c]
-			}
-			if m == QueryPreferentialAttachment {
-				// No register scan needed: the score is the degree product.
-				sc.scores[c] = srcDeg * dv
-				continue
-			}
-			// Per-pair effective k = min(src span, candidate span): the
-			// kernels compare over the shared prefix (min-k prefix
-			// property); on uniform stores both spans are Config.K.
-			regs := st.bank.regs(slot)
-			n := k
-			if len(regs) < n {
-				n = len(regs)
-			}
-			matches, weightSum := matchRegisters(m, sc.srcVals, regs, sc.regWeight)
-			sc.scores[c] = scoreFromSnapshot(m, float64(n), matches, weightSum, srcDeg, dv)
-		}
-		s.mus[shard].RUnlock()
-	})
-	if !complete {
-		queryPool.Put(sc) // workers joined: scratch is safe to recycle
-		return out, ErrCanceled
-	}
-
-	// Stage 5: fan scores back out to the caller's candidate order.
-	sc.fanOut(out)
-	queryPool.Put(sc)
-	return out, nil
-}
-
-// ScoreBatch scores every candidate arc u → candidate under measure m,
-// writing scores into out aligned with candidates. All six measures are
-// supported, under the directed reading (out-side of the source against
-// the in-side of each candidate). Semantics otherwise mirror
-// Sharded.ScoreBatch: one RLock pins the source's out-sketch, and
-// workers score each shard's candidates in place from its in-side
-// register bank under one RLock per shard per batch.
-func (s *ShardedDirected) ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64) ([]float64, error) {
-	return s.ScoreBatchCancel(m, u, candidates, out, nil)
-}
-
-// ScoreBatchCancel is ScoreBatch with cooperative cancellation at shard
-// granularity; see Sharded.ScoreBatchCancel for the exact semantics.
-func (s *ShardedDirected) ScoreBatchCancel(m QueryMeasure, u uint64, candidates []uint64, out []float64, done <-chan struct{}) ([]float64, error) {
-	if !m.valid() {
-		return nil, fmt.Errorf("core: unknown query measure %v", m)
-	}
-	out = grow(out, len(candidates))
-	if len(candidates) == 0 {
-		return out, nil
-	}
-	if canceled(done) {
-		return out, ErrCanceled
-	}
-	cfg := s.shards[0].cfg
-	sc := queryPool.Get().(*queryScratch)
-
-	// Stage 1: pin u's out-side under a single RLock, at the source's own
-	// span length (its out-tier size on tiered stores).
-	srcKnown := false
-	var srcDeg float64
-	k := cfg.K
-	a := s.shardOf(u)
-	s.mus[a].RLock()
-	if su := s.shards[a].vertices[u]; su != nil {
-		srcKnown = true
-		st := s.shards[a]
-		srcRegs := st.out.regs(su.outSlot)
-		k = len(srcRegs)
-		sc.srcVals = grow(sc.srcVals, k)
-		sc.srcIDs = grow(sc.srcIDs, k)
-		copy(sc.srcVals, srcRegs)
-		copy(sc.srcIDs, st.out.argmins(su.outSlot))
-		srcDeg = sideDegree(&st.out, su.outSlot, su.outArr)
-	}
-	s.mus[a].RUnlock()
-	if !srcKnown {
-		clear(out)
-		queryPool.Put(sc)
-		return out, nil
-	}
-
-	// Stage 2: weighted-measure midpoint weights from the pinned argmin
-	// ids, using total (out+in) degree exactly like the sequential
-	// estimators.
-	if m.weighted() {
-		sc.regWeight = grow(sc.regWeight, k)
-		fillRegWeights(m, sc.srcVals, sc.srcIDs, sc.regWeight, s)
-	}
-
-	// Stages 3–4: intern, group, then score candidates' in-sides in
-	// place from each shard's bank under one RLock per shard — the same
-	// two-pass resolve-then-score shape as the undirected path.
-	nd := sc.internCandidates(candidates)
-	nShards := len(s.shards)
-	sc.groupByShard(nShards)
-	sc.slots = grow(sc.slots, nd)
-	sc.degs = grow(sc.degs, nd)
-	sc.scores = grow(sc.scores, nd)
-	complete := forEachShardDone(nShards, sc.group.starts, done, func(shard int) {
-		st := s.shards[shard]
-		s.mus[shard].RLock()
-		lo, hi := sc.group.starts[shard], sc.group.starts[shard+1]
-		var warm uint64
-		for gi := lo; gi < hi; gi++ {
-			c := sc.group.order[gi]
-			sv := st.vertices[sc.distinct[c]]
-			if sv == nil {
-				sc.slots[c] = -1
-				continue
-			}
-			sc.slots[c] = sv.inSlot
-			if m != QueryJaccard {
-				sc.degs[c] = sideDegree(&st.in, sv.inSlot, sv.inArr)
-			}
-			if m != QueryPreferentialAttachment {
-				regs := st.in.regs(sv.inSlot)
-				for j := 0; j < len(regs); j += 8 {
-					warm += regs[j]
-				}
-			}
-		}
-		prefetchSink.Store(warm)
-		for gi := lo; gi < hi; gi++ {
-			c := sc.group.order[gi]
-			slot := sc.slots[c]
-			if slot < 0 {
-				sc.scores[c] = 0
-				continue
-			}
-			var dIn float64
-			if m != QueryJaccard {
-				dIn = sc.degs[c]
-			}
-			if m == QueryPreferentialAttachment {
-				// No register scan needed: the score is the degree product.
-				sc.scores[c] = srcDeg * dIn
-				continue
-			}
-			regs := st.in.regs(slot)
-			// Per-pair effective k = min(src out-span, candidate in-span).
-			n := k
-			if len(regs) < n {
-				n = len(regs)
-			}
-			matches, weightSum := matchRegisters(m, sc.srcVals, regs, sc.regWeight)
-			sc.scores[c] = scoreFromSnapshot(m, float64(n), matches, weightSum, srcDeg, dIn)
+			sc.scores[c] = scoreCandidate(m, sc.srcVals, bank.regs(slot), sc.regWeight, srcDeg, sc.degs[c])
 		}
 		s.mus[shard].RUnlock()
 	})

@@ -34,11 +34,10 @@ func (s *SketchStore) ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, 
 	}
 	srcDeg := s.degree(su)
 	sc := queryPool.Get().(*queryScratch)
-	srcVals, srcIDs := s.registers(su)
-	k := len(srcVals) // the source's span: Config.K, or its tier size
+	srcVals, srcIDs := s.registers(su) // the source's span: Config.K, or its tier size
 
 	if m.weighted() {
-		sc.regWeight = grow(sc.regWeight, k)
+		sc.regWeight = grow(sc.regWeight, len(srcVals))
 		fillRegWeights(m, srcVals, srcIDs, sc.regWeight, s)
 	}
 
@@ -53,20 +52,7 @@ func (s *SketchStore) ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, 
 			if m != QueryJaccard {
 				dv = s.degree(sv)
 			}
-			if m == QueryPreferentialAttachment {
-				// No register scan needed: the score is the degree product.
-				out[ci] = srcDeg * dv
-				continue
-			}
-			// Per-pair effective k = min(src span, candidate span); the
-			// kernels already compare over the shared prefix.
-			candRegs := s.bank.regs(sv.slot)
-			n := k
-			if len(candRegs) < n {
-				n = len(candRegs)
-			}
-			matches, weightSum := matchRegisters(m, srcVals, candRegs, sc.regWeight)
-			out[ci] = scoreFromSnapshot(m, float64(n), matches, weightSum, srcDeg, dv)
+			out[ci] = scoreCandidate(m, srcVals, s.bank.regs(sv.slot), sc.regWeight, srcDeg, dv)
 		}
 	})
 	queryPool.Put(sc)
@@ -130,13 +116,12 @@ func (w *Windowed) ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out
 		return out, nil
 	}
 	sc := queryPool.Get().(*queryScratch)
-	srcK := len(uv) // the source's merged span (≤ K on tiered stores)
 	var du float64
 	if m != QueryJaccard {
 		du = kmvDistinct(uv, uarr)
 	}
 	if m.weighted() {
-		sc.regWeight = grow(sc.regWeight, srcK)
+		sc.regWeight = grow(sc.regWeight, len(uv)) // the source's merged span (≤ K on tiered stores)
 		fillRegWeights(m, uv, uids, sc.regWeight, w)
 	}
 
@@ -152,22 +137,11 @@ func (w *Windowed) ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out
 				continue
 			}
 			cand := vals[:eff]
-			if m == QueryPreferentialAttachment {
-				// No register scan needed: the score is the degree product.
-				out[ci] = du * kmvDistinct(cand, varr)
-				continue
-			}
-			// Per-pair effective k = min of the two merged spans.
-			n := srcK
-			if eff < n {
-				n = eff
-			}
-			matches, weightSum := matchRegisters(m, uv, cand, sc.regWeight)
 			var dv float64
 			if m != QueryJaccard {
 				dv = kmvDistinct(cand, varr)
 			}
-			out[ci] = scoreFromSnapshot(m, float64(n), matches, weightSum, du, dv)
+			out[ci] = scoreCandidate(m, uv, cand, sc.regWeight, du, dv)
 		}
 		*bufp = vals
 		mergeBufPool.Put(bufp)

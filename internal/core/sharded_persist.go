@@ -5,119 +5,140 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 )
 
-// Sharded persistence: the sharded store serialises as a header plus the
-// per-shard SketchStore images (reusing the single-store format, §persist.go).
-// Save takes every shard's read lock in index order, so it produces a
-// consistent snapshot even while writers are queued (writers block for
-// the duration — checkpoint during a quiet period or accept the pause).
+// Sharded persistence: a shard set serialises as a container header
+// plus the per-shard images, reusing the single-store formats
+// (persist.go, directed_persist.go). The two containers differ only in
+// their magic — "LPSH" over SketchStore images, "LPDH" over
+// DirectedStore images:
+//
+//	magic | version u32 | shardCount u32 | edges u64 | shard images…
+//
+// (edges counts arcs in an LPDH image). Save takes every shard's read
+// lock in index order, so it produces a consistent snapshot even while
+// writers are queued (writers block for the duration — checkpoint
+// during a quiet period or accept the pause).
 
 const (
-	shardedMagic   = "LPSH"
-	shardedVersion = 1
+	shardedMagic         = "LPSH"
+	shardedDirectedMagic = "LPDH"
+	shardedVersion       = 1 // of both containers
 )
 
-// Save writes the sharded store's complete state to w.
-func (s *Sharded) Save(w io.Writer) error {
+// Save writes the store's complete state to w.
+func (s *shardSet[T]) Save(w io.Writer) error {
 	for i := range s.mus {
 		s.mus[i].RLock()
 		defer s.mus[i].RUnlock()
 	}
+	name := s.kind.name
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(shardedMagic); err != nil {
-		return fmt.Errorf("core: save sharded magic: %w", err)
+	if _, err := bw.WriteString(s.kind.magic); err != nil {
+		return fmt.Errorf("core: save %s magic: %w", name, err)
 	}
 	var hdr [16]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], shardedVersion)
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(s.shards)))
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(s.edges.Load()))
 	if _, err := bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("core: save sharded header: %w", err)
+		return fmt.Errorf("core: save %s header: %w", name, err)
 	}
+	wrapShard := func(i int, err error) error { return fmt.Errorf("core: save %s shard %d: %w", name, i, err) }
 	if parallelPersist(len(s.shards)) {
 		// Per-shard images are independent: encode them into buffers in
 		// parallel, write in shard order — byte-identical to the
 		// sequential writer (see persist_parallel.go).
 		if err := saveShardsParallel(bw, len(s.shards),
-			func(i int, w io.Writer) error { return s.shards[i].Save(w) },
-			func(i int, err error) error { return fmt.Errorf("core: save shard %d: %w", i, err) },
-		); err != nil {
+			func(i int, w io.Writer) error { return s.shards[i].Save(w) }, wrapShard); err != nil {
 			return err
 		}
 	} else {
 		for i, shard := range s.shards {
 			if err := shard.Save(bw); err != nil {
-				return fmt.Errorf("core: save shard %d: %w", i, err)
+				return wrapShard(i, err)
 			}
 		}
 	}
 	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("core: save sharded flush: %w", err)
+		return fmt.Errorf("core: save %s flush: %w", name, err)
+	}
+	return nil
+}
+
+// load restores into s a store of kind saved by Save. Corrupt images
+// are rejected with errors naming the byte offset of the fault
+// (offsets count from the start of the container image, across the
+// concatenated shard images).
+func (s *shardSet[T]) load(r io.Reader, kind *shardKind[T]) error {
+	rd := newBinReader(r)
+	if err := rd.magic(kind.magic); err != nil {
+		return err
+	}
+	if err := rd.version(shardedVersion); err != nil {
+		return err
+	}
+	nShards, err := rd.u32()
+	if err != nil {
+		return rd.fail("shard count", err)
+	}
+	if nShards == 0 || nShards > maxShards {
+		return rd.corrupt("implausible shard count %d", nShards)
+	}
+	edges, err := rd.u64()
+	if err != nil {
+		return rd.fail("edge count", err)
+	}
+	var shards []T
+	wrapShard := func(i int, err error) error { return fmt.Errorf("core: load %s shard %d: %w", kind.name, i, err) }
+	if parallelPersist(int(nShards)) {
+		// Decode the concatenated shard images in parallel (see
+		// persist_parallel.go); images that don't scan cleanly fall back
+		// to the sequential decoder for exact error reporting.
+		shards, err = loadShardsParallel(rd, int(nShards), kind.sizeAt, kind.decode, wrapShard)
+		if err != nil {
+			return err
+		}
+	} else {
+		shards = make([]T, nShards)
+		for i := range shards {
+			st, err := kind.decode(rd)
+			if err != nil {
+				return wrapShard(i, err)
+			}
+			shards[i] = st
+		}
+	}
+	cfg := shards[0].Config()
+	for i := 1; i < len(shards); i++ {
+		if c := shards[i].Config(); c != cfg {
+			return fmt.Errorf("core: %s shard %d config %+v differs from shard 0", kind.name, i, c)
+		}
+	}
+	s.adopt(kind, shards)
+	s.edges.Store(int64(edges))
+	for i := range shards {
+		s.refreshGauges(i) // no concurrent access yet, so no lock needed
 	}
 	return nil
 }
 
 // LoadSharded restores a store saved by (*Sharded).Save. The restored
 // store answers every query identically and accepts further ingest.
-// Corrupt images are rejected with errors naming the byte offset of
-// the fault (offsets count from the start of the sharded image, across
-// the concatenated shard images).
 func LoadSharded(r io.Reader) (*Sharded, error) {
-	rd := newBinReader(r)
-	if err := rd.magic(shardedMagic); err != nil {
+	s := new(Sharded)
+	if err := s.load(r, shardedKind); err != nil {
 		return nil, err
 	}
-	if err := rd.version(shardedVersion); err != nil {
+	return s, nil
+}
+
+// LoadShardedDirected restores a store saved by
+// (*ShardedDirected).Save, with the guarantees of LoadSharded.
+func LoadShardedDirected(r io.Reader) (*ShardedDirected, error) {
+	s := new(ShardedDirected)
+	if err := s.load(r, shardedDirectedKind); err != nil {
 		return nil, err
-	}
-	nShards, err := rd.u32()
-	if err != nil {
-		return nil, rd.fail("shard count", err)
-	}
-	if nShards == 0 || nShards > 1<<16 {
-		return nil, rd.corrupt("implausible shard count %d", nShards)
-	}
-	edges, err := rd.u64()
-	if err != nil {
-		return nil, rd.fail("edge count", err)
-	}
-	var shards []*SketchStore
-	wrapShard := func(i int, err error) error { return fmt.Errorf("core: load shard %d: %w", i, err) }
-	if parallelPersist(int(nShards)) {
-		// Decode the concatenated shard images in parallel (see
-		// persist_parallel.go); images that don't scan cleanly fall back
-		// to the sequential decoder for exact error reporting.
-		shards, err = loadShardsParallel(rd, int(nShards), lpskImageSize, loadSketchStore, wrapShard)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		shards = make([]*SketchStore, nShards)
-		for i := range shards {
-			store, err := loadSketchStore(rd)
-			if err != nil {
-				return nil, wrapShard(i, err)
-			}
-			shards[i] = store
-		}
-	}
-	for i := 1; i < len(shards); i++ {
-		if shards[i].cfg != shards[0].cfg {
-			return nil, fmt.Errorf("core: shard %d config %+v differs from shard 0", i, shards[i].cfg)
-		}
-	}
-	s := &Sharded{
-		shards:    shards,
-		mus:       make([]sync.RWMutex, nShards),
-		vertGauge: make([]atomic.Int64, nShards),
-		memGauge:  make([]atomic.Int64, nShards),
-	}
-	s.edges.Store(int64(edges))
-	for i := range shards {
-		s.refreshGauges(i) // no concurrent access yet, so no lock needed
 	}
 	return s, nil
 }

@@ -7,8 +7,9 @@ import (
 )
 
 // Store is the mode-agnostic contract every sketch store satisfies: the
-// plain SketchStore, the sharded concurrent store, the two directed
-// stores, and the windowed store. It covers the full serving surface —
+// plain SketchStore, the two sharded stores (Sharded, ShardedDirected),
+// the single-writer DirectedStore, the windowed store, and the dynamic
+// (deletion-capable) store. It covers the full serving surface —
 // ingest, all query measures, the stats gauges, and persistence — so
 // the root facades and the HTTP server are written once against this
 // interface instead of once per store.
@@ -21,7 +22,7 @@ import (
 //
 // Thread-safety is the store's own contract, not the interface's: the
 // sharded stores are safe for concurrent use, the single-writer stores
-// (SketchStore, DirectedStore, Windowed) are not. Callers that need a
+// (SketchStore, DirectedStore, Windowed, DynamicStore) are not. Callers that need a
 // uniform concurrency story wrap single-writer stores in a lock (see
 // the root package's Synchronized).
 type Store interface {
@@ -173,24 +174,6 @@ func (s *SketchStore) Ingest(e stream.Edge) { s.ProcessEdge(e) }
 // IngestBatch folds a batch of edges (alias of ProcessEdges).
 func (s *SketchStore) IngestBatch(edges []stream.Edge) { s.ProcessEdges(edges) }
 
-// Ingest folds one edge into the store (alias of ProcessEdge). Safe for
-// concurrent use.
-func (s *Sharded) Ingest(e stream.Edge) { s.ProcessEdge(e) }
-
-// IngestBatch folds a batch of edges (alias of ProcessEdges). Safe for
-// concurrent use.
-func (s *Sharded) IngestBatch(edges []stream.Edge) { s.ProcessEdges(edges) }
-
-// IngestBatchAsync publishes a batch to the ingest pipeline without
-// waiting (alias of ProcessEdgesAsync). Safe for concurrent use.
-func (s *Sharded) IngestBatchAsync(edges []stream.Edge) { s.ProcessEdgesAsync(edges) }
-
-// IngestBatchCancel folds a batch with pre-commit cancellation (alias
-// of ProcessEdgesCancel). Safe for concurrent use.
-func (s *Sharded) IngestBatchCancel(edges []stream.Edge, done <-chan struct{}) error {
-	return s.ProcessEdgesCancel(edges, done)
-}
-
 // Ingest folds one arc into the store (alias of ProcessArc).
 func (s *DirectedStore) Ingest(e stream.Edge) { s.ProcessArc(e) }
 
@@ -211,34 +194,6 @@ func (s *DirectedStore) Degree(u uint64) float64 {
 
 // NumEdges returns the number of arcs processed (alias of NumArcs).
 func (s *DirectedStore) NumEdges() int64 { return s.NumArcs() }
-
-// Ingest folds one arc into the store (alias of ProcessArc). Safe for
-// concurrent use.
-func (s *ShardedDirected) Ingest(e stream.Edge) { s.ProcessArc(e) }
-
-// IngestBatch folds a batch of arcs (alias of ProcessArcs). Safe for
-// concurrent use.
-func (s *ShardedDirected) IngestBatch(arcs []stream.Edge) { s.ProcessArcs(arcs) }
-
-// IngestBatchAsync publishes a batch of arcs to the ingest pipeline
-// without waiting (alias of ProcessArcsAsync). Safe for concurrent use.
-func (s *ShardedDirected) IngestBatchAsync(arcs []stream.Edge) { s.ProcessArcsAsync(arcs) }
-
-// IngestBatchCancel folds a batch of arcs with pre-commit cancellation
-// (alias of ProcessArcsCancel). Safe for concurrent use.
-func (s *ShardedDirected) IngestBatchCancel(arcs []stream.Edge, done <-chan struct{}) error {
-	return s.ProcessArcsCancel(arcs, done)
-}
-
-// Degree returns the total (in+out) degree estimate of u. Safe for
-// concurrent use; the two sides are read one shard lock at a time.
-func (s *ShardedDirected) Degree(u uint64) float64 {
-	return s.OutDegree(u) + s.InDegree(u)
-}
-
-// NumEdges returns the number of arcs processed (alias of NumArcs).
-// Safe for concurrent use.
-func (s *ShardedDirected) NumEdges() int64 { return s.NumArcs() }
 
 // Ingest folds one edge into the window (alias of ProcessEdge).
 func (w *Windowed) Ingest(e stream.Edge) { w.ProcessEdge(e) }

@@ -260,23 +260,8 @@ func (w *Windowed) pairQuery(u, v uint64, collect bool, idBuf []uint64) (matches
 	// runs over the shared prefix (min-k prefix property).
 	du = kmvDistinct(uv, uarr)
 	dv = kmvDistinct(vv, varr)
-	if len(vv) < len(uv) {
-		uv = uv[:len(vv)]
-		uids = uids[:len(vv)]
-	}
-	ids = idBuf
-	if !collect {
-		matches = matchCount(uv, vv)
-	} else {
-		for i := range uv {
-			if uv[i] == emptyRegister || uv[i] != vv[i] {
-				continue
-			}
-			matches++
-			ids = append(ids, uids[i])
-		}
-	}
-	return matches, len(uv), du, dv, true, ids
+	matches, effK, ids = matchPrefix(uv, vv, uids, collect, idBuf)
+	return matches, effK, du, dv, true, ids
 }
 
 // midpointDegree weights common-neighbor midpoints by their windowed
