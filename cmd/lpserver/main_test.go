@@ -6,11 +6,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	linkpred "linkpred"
+	"linkpred/internal/stream"
+	"linkpred/internal/wal"
 )
 
 func TestBuildAndServe(t *testing.T) {
@@ -252,5 +255,59 @@ func TestWALSkipsWarmAfterRecovery(t *testing.T) {
 	}
 	if n := a2.srv.Engine().NumEdges(); n != 3 {
 		t.Errorf("recovered %d edges, want 3 (warm must not double-ingest)", n)
+	}
+}
+
+// TestWALRefusesLossyFallback: when the only snapshot fails its
+// checksum and the checkpoint that wrote it has pruned the log it
+// covered, booting would serve a store missing acknowledged edges.
+// lpserver must refuse to start and name the snapshot.
+func TestWALRefusesLossyFallback(t *testing.T) {
+	dir := t.TempDir()
+	eng, err := linkpred.NewEngine(linkpred.EngineSpec{Mode: linkpred.ModeConcurrent, Config: linkpred.Config{K: 32, Seed: 42}, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := wal.Open(dir, wal.Options{Fsync: wal.FsyncAlways, SegmentBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := wal.NewDurable(w, dir, wal.KindEdge, eng.Save)
+	ingest := func(from, to uint64) {
+		var batch []stream.Edge
+		for u := from; u < to; u++ {
+			batch = append(batch, stream.Edge{U: u, V: u + 1})
+		}
+		if err := d.Ingest(batch, func(es []stream.Edge) {
+			for _, e := range es {
+				eng.ObserveEdge(linkpred.Edge{U: e.U, V: e.V})
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for u := uint64(0); u < 2000; u += 100 {
+		ingest(u, u+100)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ingest(2000, 2100)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(dir, "snap-00000000000007d0.snap") // seq 2000
+	img, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img[len(img)/2] ^= 1
+	if err := os.WriteFile(snap, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if _, err := build([]string{"-addr", ":0", "-k", "32", "-wal-dir", dir}, &out); err == nil ||
+		!strings.Contains(err.Error(), filepath.Base(snap)) {
+		t.Fatalf("boot over a corrupt snapshot and a pruned log = %v; want an error naming %s", err, filepath.Base(snap))
 	}
 }

@@ -151,8 +151,8 @@ func (s *DirectedStore) Reserve(n int) {
 	if len(s.vertices) == 0 {
 		s.vertices = make(map[uint64]*dirVertexState, n)
 	}
-	s.out.reserve(n)
-	s.in.reserve(n)
+	s.out.reserve([MaxTiers]int{n})
+	s.in.reserve([MaxTiers]int{n})
 }
 
 // TierOccupancy returns the live slot count per tier, summing the out-

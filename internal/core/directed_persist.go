@@ -1,12 +1,9 @@
 package core
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"sort"
 )
 
 // Directed persistence: until now the directed stores were the only
@@ -41,84 +38,52 @@ const (
 
 // Save writes the directed store's complete state to w.
 func (s *DirectedStore) Save(w io.Writer) error {
-	bw, buffered := w.(*bufio.Writer)
-	if !buffered {
-		bw = bufio.NewWriter(w)
-	}
-	if _, err := bw.WriteString(directedMagic); err != nil {
-		return fmt.Errorf("core: save directed magic: %w", err)
-	}
-	writeU64 := func(v uint64) error {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], v)
-		_, err := bw.Write(buf[:])
-		return err
-	}
-	version := uint32(directedVersion)
+	bw := newBinWriter(w)
+	bw.str(directedMagic)
 	if s.tiers != nil {
-		version = directedVersionTiered
+		bw.u32(directedVersionTiered)
+	} else {
+		bw.u32(directedVersion)
 	}
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], version)
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(s.cfg.K))
-	if _, err := bw.Write(hdr[:8]); err != nil {
-		return fmt.Errorf("core: save directed header: %w", err)
-	}
-	if err := writeU64(s.cfg.Seed); err != nil {
-		return fmt.Errorf("core: save directed seed: %w", err)
-	}
-	flags := []byte{byte(s.cfg.Hash), byte(s.cfg.Degrees), 0, 0}
-	if _, err := bw.Write(flags); err != nil {
-		return fmt.Errorf("core: save directed flags: %w", err)
-	}
+	bw.u32(uint32(s.cfg.K))
+	bw.u64(s.cfg.Seed)
+	bw.u8(byte(s.cfg.Hash))
+	bw.u8(byte(s.cfg.Degrees))
+	bw.u8(0)
+	bw.u8(0)
 	if s.tiers != nil {
-		if err := writeTierTable(bw, s.tiers); err != nil {
-			return fmt.Errorf("core: save directed tier table: %w", err)
-		}
+		writeTierTable(bw, s.tiers)
 	}
-	if err := writeU64(uint64(s.arcs)); err != nil {
-		return fmt.Errorf("core: save arc count: %w", err)
-	}
-	if err := writeU64(uint64(len(s.vertices))); err != nil {
-		return fmt.Errorf("core: save vertex count: %w", err)
-	}
-
-	ids := make([]uint64, 0, len(s.vertices))
-	for id := range s.vertices {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	bw.u64(uint64(s.arcs))
+	bw.u64(uint64(len(s.vertices)))
+	for _, id := range sortedIDs(s.vertices) {
 		st := s.vertices[id]
-		if err := writeU64(id); err != nil {
-			return fmt.Errorf("core: save vertex %d: %w", id, err)
-		}
-		if err := writeU64(uint64(st.outArr)); err != nil {
-			return fmt.Errorf("core: save vertex %d out-arrivals: %w", id, err)
-		}
-		if err := writeU64(uint64(st.inArr)); err != nil {
-			return fmt.Errorf("core: save vertex %d in-arrivals: %w", id, err)
-		}
-		for _, side := range [2]struct {
-			b    *regBank
-			slot int32
-		}{{&s.out, st.outSlot}, {&s.in, st.inSlot}} {
-			for _, v := range side.b.regs(side.slot) {
-				if err := writeU64(v); err != nil {
-					return fmt.Errorf("core: save vertex %d registers: %w", id, err)
-				}
-			}
-			for _, v := range side.b.argmins(side.slot) {
-				if err := writeU64(v); err != nil {
-					return fmt.Errorf("core: save vertex %d argmins: %w", id, err)
-				}
-			}
-		}
+		bw.u64(id)
+		bw.u64(uint64(st.outArr))
+		bw.u64(uint64(st.inArr))
+		bw.u64s(s.out.regs(st.outSlot))
+		bw.u64s(s.out.argmins(st.outSlot))
+		bw.u64s(s.in.regs(st.inSlot))
+		bw.u64s(s.in.argmins(st.inSlot))
 	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("core: save directed flush: %w", err)
+	if err := bw.flush(); err != nil {
+		return fmt.Errorf("core: save directed: %w", err)
 	}
 	return nil
+}
+
+// imageSize returns the length of the image Save writes.
+func (s *DirectedStore) imageSize() int {
+	n := lpsdHeaderBytes + 24*len(s.vertices)
+	if s.tiers != nil {
+		n += 4 + 12*len(s.tiers)
+	}
+	for _, b := range [2]*regBank{&s.out, &s.in} {
+		for t, c := range b.tierCounts() {
+			n += c * 16 * b.tiers[t].k
+		}
+	}
+	return n
 }
 
 // LoadDirected reads a store saved by (*DirectedStore).Save. Hardened
@@ -129,6 +94,7 @@ func LoadDirected(r io.Reader) (*DirectedStore, error) {
 }
 
 func loadDirected(rd *binReader) (*DirectedStore, error) {
+	start := rd.off
 	if err := rd.magic(directedMagic); err != nil {
 		return nil, err
 	}
@@ -185,10 +151,17 @@ func loadDirected(rd *binReader) (*DirectedStore, error) {
 	if vertexCount > uint64(math.MaxInt64)/uint64(24+32*minK) {
 		return nil, rd.corrupt("impossible vertex count %d for K=%d", vertexCount, k)
 	}
+	n, slots := lpsdFormat.reservation(rd, start, vertexCount, s.tiers != nil, 24+32*minK)
+	s.vertices = make(map[uint64]*dirVertexState, n)
+	s.out.reserve(slots[0])
+	s.in.reserve(slots[1])
 	for i := uint64(0); i < vertexCount; i++ {
 		id, err := rd.u64()
 		if err != nil {
 			return nil, rd.fail(fmt.Sprintf("vertex %d id", i), err)
+		}
+		if s.vertices[id] != nil { // see loadSketchStore
+			return nil, rd.corrupt("vertex %d appears twice", id)
 		}
 		outArr, err := rd.u64()
 		if err != nil {

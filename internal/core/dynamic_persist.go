@@ -1,12 +1,9 @@
 package core
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"sort"
 )
 
 // Dynamic-store persistence. Layout (all little-endian):
@@ -41,103 +38,46 @@ const (
 
 // Save writes the store's complete state to w.
 func (s *DynamicStore) Save(w io.Writer) error {
-	bw, buffered := w.(*bufio.Writer)
-	if !buffered {
-		bw = bufio.NewWriter(w)
-	}
-	if _, err := bw.WriteString(dynamicMagic); err != nil {
-		return fmt.Errorf("core: save magic: %w", err)
-	}
-	writeU32 := func(v uint32) error {
-		var buf [4]byte
-		binary.LittleEndian.PutUint32(buf[:], v)
-		_, err := bw.Write(buf[:])
-		return err
-	}
-	writeU64 := func(v uint64) error {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], v)
-		_, err := bw.Write(buf[:])
-		return err
-	}
-	version := uint32(dynamicVersion)
+	bw := newBinWriter(w)
+	bw.str(dynamicMagic)
 	if s.tiers != nil {
-		version = dynamicVersionTiered
+		bw.u32(dynamicVersionTiered)
+	} else {
+		bw.u32(dynamicVersion)
 	}
-	if err := writeU32(version); err != nil {
-		return fmt.Errorf("core: save version: %w", err)
-	}
-	if err := writeU32(uint32(s.cfg.K)); err != nil {
-		return fmt.Errorf("core: save K: %w", err)
-	}
-	if err := writeU32(uint32(s.depth)); err != nil {
-		return fmt.Errorf("core: save depth: %w", err)
-	}
-	if err := writeU64(s.cfg.Seed); err != nil {
-		return fmt.Errorf("core: save seed: %w", err)
-	}
-	if _, err := bw.Write([]byte{byte(s.cfg.Hash), byte(s.cfg.Degrees), 0, 0}); err != nil {
-		return fmt.Errorf("core: save flags: %w", err)
-	}
+	bw.u32(uint32(s.cfg.K))
+	bw.u32(uint32(s.depth))
+	bw.u64(s.cfg.Seed)
+	bw.u8(byte(s.cfg.Hash))
+	bw.u8(byte(s.cfg.Degrees))
+	bw.u8(0)
+	bw.u8(0)
 	if s.tiers != nil {
-		if err := writeTierTable(bw, s.tiers); err != nil {
-			return fmt.Errorf("core: save tier table: %w", err)
-		}
+		writeTierTable(bw, s.tiers)
 	}
-	if err := writeU64(uint64(s.edges)); err != nil {
-		return fmt.Errorf("core: save edge count: %w", err)
-	}
-	if err := writeU64(uint64(len(s.vertices))); err != nil {
-		return fmt.Errorf("core: save vertex count: %w", err)
-	}
-
-	ids := make([]uint64, 0, len(s.vertices))
-	for id := range s.vertices {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	bw.u64(uint64(s.edges))
+	bw.u64(uint64(len(s.vertices)))
+	for _, id := range sortedIDs(s.vertices) {
 		st := s.vertices[id]
-		if err := writeU64(id); err != nil {
-			return fmt.Errorf("core: save vertex %d: %w", id, err)
-		}
-		if err := writeU64(uint64(st.arrivals)); err != nil {
-			return fmt.Errorf("core: save vertex %d arrivals: %w", id, err)
-		}
+		bw.u64(id)
+		bw.u64(uint64(st.arrivals))
 		if s.tiers != nil {
-			if err := writeU64(uint64(st.inserts)); err != nil {
-				return fmt.Errorf("core: save vertex %d inserts: %w", id, err)
-			}
+			bw.u64(uint64(st.inserts))
 		}
 		for i := 0; i < st.k(); i++ {
 			m := st.meta[i]
-			if err := writeU32(m.lost); err != nil {
-				return fmt.Errorf("core: save vertex %d register %d lost: %w", id, i, err)
-			}
-			var flags byte
-			if m.bad {
-				flags = 1
-			}
-			if _, err := bw.Write([]byte{flags, byte(m.n)}); err != nil {
-				return fmt.Errorf("core: save vertex %d register %d header: %w", id, i, err)
-			}
-			base := i * s.depth
-			for j := 0; j < int(m.n); j++ {
-				e := st.ents[base+j]
-				if err := writeU64(e.hash); err != nil {
-					return fmt.Errorf("core: save vertex %d register %d hashes: %w", id, i, err)
-				}
-				if err := writeU64(e.id); err != nil {
-					return fmt.Errorf("core: save vertex %d register %d ids: %w", id, i, err)
-				}
-				if err := writeU32(e.refs); err != nil {
-					return fmt.Errorf("core: save vertex %d register %d refs: %w", id, i, err)
-				}
+			bw.u32(m.lost)
+			bw.u8(flagByte(m.bad))
+			bw.u8(byte(m.n))
+			for _, e := range st.ents[i*s.depth : i*s.depth+int(m.n)] {
+				bw.u64(e.hash)
+				bw.u64(e.id)
+				bw.u32(e.refs)
 			}
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("core: save flush: %w", err)
+	if err := bw.flush(); err != nil {
+		return fmt.Errorf("core: save: %w", err)
 	}
 	return nil
 }
@@ -221,6 +161,7 @@ func loadDynamicStore(rd *binReader) (*DynamicStore, error) {
 	if vertexCount > uint64(math.MaxInt64)/uint64(16+6*minK) {
 		return nil, rd.corrupt("impossible vertex count %d for K=%d", vertexCount, k)
 	}
+	s.vertices = make(map[uint64]*dynVertexState, rd.backable(vertexCount, 16+6*minK))
 	// A vertex's buffers hold K·depth entries however few the record
 	// carries, so each record is decoded into these scratch buffers first
 	// and the vertex allocated only once its bytes have been read: a

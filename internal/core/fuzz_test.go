@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"io"
 	"runtime"
 	"testing"
 )
@@ -103,11 +105,14 @@ func loadAllocBound(n int) uint64 { return 64<<20 + 1024*uint64(n) }
 
 // FuzzLoadAny feeds arbitrary bytes to the magic-sniffing loader, seeded
 // with one valid image of every format — LPSK, LPSH, LPSW, LPSD, LPDH,
-// LPDY — in both its uniform (v1) and tiered (v2) variant. Rejected
-// images must not panic or over-allocate. An accepted image re-saves to
-// a canonical image (vertices in id order, reserved bytes zeroed) that
-// loads back and re-saves byte-identically, and every loaded bank
-// satisfies the KMV degree-cache invariant.
+// LPDY — in both its uniform (v1) and tiered (v2) variant. Each input
+// goes through both reader shapes: a *bytes.Reader, which the loaders
+// decode in place, and a plain stream they decode sequentially. Both
+// must accept and reject the same inputs with the same error, without
+// panicking or over-allocating. An accepted image re-saves, from either
+// shape, to the same canonical image (vertices in id order, reserved
+// bytes zeroed), which loads back and re-saves byte-identically, and
+// every loaded bank satisfies the KMV degree-cache invariant.
 func FuzzLoadAny(f *testing.F) {
 	uniform := Config{K: 8, Seed: 3, Degrees: DegreeDistinctKMV}
 	tiered := Config{K: 8, Seed: 3, Degrees: DegreeDistinctKMV,
@@ -139,22 +144,32 @@ func FuzzLoadAny(f *testing.F) {
 			f.Add(img.Bytes())
 		}
 	}
+	// An empty store on the widest tier ladder: its image is headers
+	// alone, so a load must not reserve register spans for it.
+	wide := Config{K: maxPersistK, Seed: 3, Degrees: DegreeDistinctKMV, Tiers: [MaxTiers]Tier{
+		{K: maxPersistK - 2}, {K: maxPersistK - 1, PromoteAt: 1}, {K: maxPersistK, PromoteAt: 2}}}
+	var img bytes.Buffer
+	if err := must(NewShardedDirected(wide, 3)).Save(&img); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(img.Bytes())
 
 	f.Fuzz(func(t *testing.T, img []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		s, err := LoadAny(bytes.NewReader(img))
-		runtime.ReadMemStats(&after)
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > loadAllocBound(len(img)) {
-			t.Fatalf("loading %d bytes allocated %d (err %v)", len(img), grew, err)
+		s, err := loadAnyBounded(t, bytes.NewReader(img), len(img))
+		streamed, serr := loadAnyBounded(t, struct{ io.Reader }{bytes.NewReader(img)}, len(img))
+		if fmt.Sprint(err) != fmt.Sprint(serr) {
+			t.Fatalf("in place: %v; streamed: %v", err, serr)
 		}
 		if err != nil {
 			return // rejected: fine
 		}
 		assertKMVCache(t, "loaded", s)
-		var canon bytes.Buffer
+		var canon, fromStream bytes.Buffer
 		if err := s.Save(&canon); err != nil {
 			t.Fatalf("re-save of accepted image failed: %v", err)
+		}
+		if err := streamed.Save(&fromStream); err != nil || !bytes.Equal(fromStream.Bytes(), canon.Bytes()) {
+			t.Fatalf("the streamed load re-saves differently (err %v)", err)
 		}
 		again, err := LoadAny(bytes.NewReader(canon.Bytes()))
 		if err != nil {
@@ -179,4 +194,17 @@ func FuzzLoadAny(f *testing.F) {
 			}
 		}
 	})
+}
+
+// loadAnyBounded loads an n-byte image from r and fails t if that
+// allocated more than loadAllocBound(n).
+func loadAnyBounded(t *testing.T, r io.Reader, n int) (Store, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := LoadAny(r)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > loadAllocBound(n) {
+		t.Fatalf("loading %d bytes from a %T allocated %d (err %v)", n, r, grew, err)
+	}
+	return s, err
 }

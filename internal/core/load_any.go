@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 )
@@ -18,14 +17,11 @@ import (
 // mode wrote it. The stream binary format (LPS1, internal/stream) is deliberately
 // rejected here: it is a stream of edges, not a store image.
 func LoadAny(r io.Reader) (Store, error) {
-	// Peek, don't consume: each loader re-verifies its own magic. The
-	// loaders hand r to newBinReader, which uses an existing
-	// *bufio.Reader as-is, so the peeked bytes are not lost.
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReader(r)
-	}
-	magic, err := br.Peek(4)
+	// Peek, don't consume: each loader re-verifies its own magic. One
+	// binReader serves the loader too, so a random-access input (see
+	// randomAccess) is still decoded in place.
+	rd := newBinReader(r)
+	magic, err := rd.br.Peek(4)
 	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -34,17 +30,17 @@ func LoadAny(r io.Reader) (Store, error) {
 	}
 	switch string(magic) {
 	case persistMagic:
-		return LoadSketchStore(br)
+		return loadSketchStore(rd)
 	case shardedMagic:
-		return LoadSharded(br)
+		return loadSharded(rd)
 	case windowedMagic:
-		return LoadWindowed(br)
+		return loadWindowed(rd)
 	case directedMagic:
-		return LoadDirected(br)
+		return loadDirected(rd)
 	case shardedDirectedMagic:
-		return LoadShardedDirected(br)
+		return loadShardedDirected(rd)
 	case dynamicMagic:
-		return LoadDynamicStore(br)
+		return loadDynamicStore(rd)
 	default:
 		return nil, fmt.Errorf("core: unknown store image magic %q", magic)
 	}

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Sketch persistence: a stream processor that maintains sketches for
@@ -26,7 +24,8 @@ import (
 // u32 + entries (id u64, rank f64).
 //
 // Vertices are written in ascending id order, so saving the same store
-// twice produces byte-identical output.
+// twice produces byte-identical output. Each vertex appears once; the
+// loaders reject an image that repeats one.
 //
 // Version 2 is the tiered layout: uniform stores keep writing version 1
 // (byte-identical to every pre-tier image), tiered stores bump the
@@ -42,127 +41,92 @@ const (
 	persistVersionTiered = 2
 )
 
-// writeTierTable appends a v2 header's tier ladder: tier count u32,
+// writeTierTable writes a v2 header's tier ladder: tier count u32,
 // then (K u32, PromoteAt u64) per tier.
-func writeTierTable(bw *bufio.Writer, tiers []Tier) error {
-	var buf [12]byte
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(tiers)))
-	if _, err := bw.Write(buf[:4]); err != nil {
-		return err
-	}
+func writeTierTable(bw binWriter, tiers []Tier) {
+	bw.u32(uint32(len(tiers)))
 	for _, t := range tiers {
-		binary.LittleEndian.PutUint32(buf[0:4], uint32(t.K))
-		binary.LittleEndian.PutUint64(buf[4:12], uint64(t.PromoteAt))
-		if _, err := bw.Write(buf[:12]); err != nil {
-			return err
-		}
+		bw.u32(uint32(t.K))
+		bw.u64(uint64(t.PromoteAt))
 	}
-	return nil
+}
+
+// flagByte encodes a boolean flag byte.
+func flagByte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// sortedIDs returns the keys of a vertex map in ascending order: the
+// order every Save writes vertices in.
+func sortedIDs[V any](vertices map[uint64]V) []uint64 {
+	ids := make([]uint64, 0, len(vertices))
+	for id := range vertices {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // Save writes the store's complete state to w.
 func (s *SketchStore) Save(w io.Writer) error {
-	bw, buffered := w.(*bufio.Writer)
-	if !buffered {
-		bw = bufio.NewWriter(w)
-	}
-	if _, err := bw.WriteString(persistMagic); err != nil {
-		return fmt.Errorf("core: save magic: %w", err)
-	}
-	writeU32 := func(v uint32) error {
-		var buf [4]byte
-		binary.LittleEndian.PutUint32(buf[:], v)
-		_, err := bw.Write(buf[:])
-		return err
-	}
-	writeU64 := func(v uint64) error {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], v)
-		_, err := bw.Write(buf[:])
-		return err
-	}
-	version := uint32(persistVersion)
+	bw := newBinWriter(w)
+	bw.str(persistMagic)
 	if s.tiers != nil {
-		version = persistVersionTiered
+		bw.u32(persistVersionTiered)
+	} else {
+		bw.u32(persistVersion)
 	}
-	if err := writeU32(version); err != nil {
-		return fmt.Errorf("core: save version: %w", err)
-	}
-	if err := writeU32(uint32(s.cfg.K)); err != nil {
-		return fmt.Errorf("core: save K: %w", err)
-	}
-	if err := writeU64(s.cfg.Seed); err != nil {
-		return fmt.Errorf("core: save seed: %w", err)
-	}
-	flags := []byte{byte(s.cfg.Hash), byte(s.cfg.Degrees), 0, 0}
-	if s.cfg.EnableBiased {
-		flags[2] = 1
-	}
-	if s.cfg.TrackTriangles {
-		flags[3] = 1
-	}
-	if _, err := bw.Write(flags); err != nil {
-		return fmt.Errorf("core: save flags: %w", err)
-	}
+	bw.u32(uint32(s.cfg.K))
+	bw.u64(s.cfg.Seed)
+	bw.u8(byte(s.cfg.Hash))
+	bw.u8(byte(s.cfg.Degrees))
+	bw.u8(flagByte(s.cfg.EnableBiased))
+	bw.u8(flagByte(s.cfg.TrackTriangles))
 	if s.tiers != nil {
-		if err := writeTierTable(bw, s.tiers); err != nil {
-			return fmt.Errorf("core: save tier table: %w", err)
-		}
+		writeTierTable(bw, s.tiers)
 	}
-	if err := writeU64(uint64(s.edges)); err != nil {
-		return fmt.Errorf("core: save edge count: %w", err)
-	}
-	if err := writeU64(math.Float64bits(s.triangles)); err != nil {
-		return fmt.Errorf("core: save triangle accumulator: %w", err)
-	}
-	if err := writeU64(uint64(len(s.vertices))); err != nil {
-		return fmt.Errorf("core: save vertex count: %w", err)
-	}
-
-	ids := make([]uint64, 0, len(s.vertices))
-	for id := range s.vertices {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	bw.u64(uint64(s.edges))
+	bw.u64(math.Float64bits(s.triangles))
+	bw.u64(uint64(len(s.vertices)))
+	for _, id := range sortedIDs(s.vertices) {
 		st := s.vertices[id]
-		if err := writeU64(id); err != nil {
-			return fmt.Errorf("core: save vertex %d: %w", id, err)
-		}
-		if err := writeU64(uint64(st.arrivals)); err != nil {
-			return fmt.Errorf("core: save vertex %d arrivals: %w", id, err)
-		}
-		if err := writeU64(math.Float64bits(st.triangles)); err != nil {
-			return fmt.Errorf("core: save vertex %d triangles: %w", id, err)
-		}
-		for _, v := range s.bank.regs(st.slot) {
-			if err := writeU64(v); err != nil {
-				return fmt.Errorf("core: save vertex %d registers: %w", id, err)
-			}
-		}
-		for _, v := range s.bank.argmins(st.slot) {
-			if err := writeU64(v); err != nil {
-				return fmt.Errorf("core: save vertex %d argmins: %w", id, err)
-			}
-		}
+		bw.u64(id)
+		bw.u64(uint64(st.arrivals))
+		bw.u64(math.Float64bits(st.triangles))
+		bw.u64s(s.bank.regs(st.slot))
+		bw.u64s(s.bank.argmins(st.slot))
 		if s.cfg.EnableBiased {
-			if err := writeU32(uint32(len(st.biased.entries))); err != nil {
-				return fmt.Errorf("core: save vertex %d biased count: %w", id, err)
-			}
+			bw.u32(uint32(len(st.biased.entries)))
 			for _, e := range st.biased.entries {
-				if err := writeU64(e.id); err != nil {
-					return fmt.Errorf("core: save vertex %d biased ids: %w", id, err)
-				}
-				if err := writeU64(math.Float64bits(e.rank)); err != nil {
-					return fmt.Errorf("core: save vertex %d biased ranks: %w", id, err)
-				}
+				bw.u64(e.id)
+				bw.u64(math.Float64bits(e.rank))
 			}
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("core: save flush: %w", err)
+	if err := bw.flush(); err != nil {
+		return fmt.Errorf("core: save: %w", err)
 	}
 	return nil
+}
+
+// imageSize returns the length of the image Save writes.
+func (s *SketchStore) imageSize() int {
+	n := lpskHeaderBytes
+	if s.tiers != nil {
+		n += 4 + 12*len(s.tiers)
+	}
+	for t, c := range s.bank.tierCounts() {
+		n += c * (24 + 16*s.bank.tiers[t].k)
+	}
+	if s.cfg.EnableBiased {
+		for _, st := range s.vertices {
+			n += 4 + 16*len(st.biased.entries)
+		}
+	}
+	return n
 }
 
 // LoadSketchStore reads a store saved by Save. The restored store
@@ -180,6 +144,7 @@ func LoadSketchStore(r io.Reader) (*SketchStore, error) {
 }
 
 func loadSketchStore(rd *binReader) (*SketchStore, error) {
+	start := rd.off
 	if err := rd.magic(persistMagic); err != nil {
 		return nil, err
 	}
@@ -246,10 +211,21 @@ func loadSketchStore(rd *binReader) (*SketchStore, error) {
 	if vertexCount > uint64(math.MaxInt64)/uint64(24+16*minK) {
 		return nil, rd.corrupt("impossible vertex count %d for K=%d", vertexCount, k)
 	}
+	n, slots := lpskFormat.reservation(rd, start, vertexCount, s.tiers != nil, 24+16*minK)
+	s.vertices = make(map[uint64]*vertexState, n)
+	s.bank.reserve(slots[0])
 	for i := uint64(0); i < vertexCount; i++ {
 		id, err := rd.u64()
 		if err != nil {
 			return nil, rd.fail(fmt.Sprintf("vertex %d id", i), err)
+		}
+		// A second record for one vertex would be decoded at the width
+		// of the tier the first one reached, not the width its own
+		// arrival count gives, so images are sized (storeFormat.layout)
+		// on the rule that every vertex appears once — Save's output
+		// always does.
+		if s.vertices[id] != nil {
+			return nil, rd.corrupt("vertex %d appears twice", id)
 		}
 		arrivals, err := rd.u64()
 		if err != nil {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"runtime"
 	"testing"
 )
@@ -138,4 +140,82 @@ func TestParallelLoadCorruptImage(t *testing.T) {
 			_, _ = LoadSharded(bytes.NewReader(mut))
 		}
 	})
+}
+
+// TestInPlaceLoadMatchesStream: with the shard fan-out on, decoding a
+// container in place from a random-access input must accept and reject
+// exactly the images the sequential stream decoder does, with the same
+// error text and the same restored store — uniform and tiered, across
+// truncations and bit flips (a flipped id may repeat another vertex; a
+// flipped arrival counter moves a record to another tier).
+func TestInPlaceLoadMatchesStream(t *testing.T) {
+	uniform := Config{K: 8, Seed: 3, Degrees: DegreeDistinctKMV}
+	tiered := uniform
+	tiered.Tiers = [MaxTiers]Tier{{K: 2}, {K: 4, PromoteAt: 3}, {K: 8, PromoteAt: 6}}
+	edges := skewedEdges(8, 32, 5)
+	var imgs [][]byte
+	for _, cfg := range []Config{uniform, tiered} {
+		s := must(NewSharded(cfg, 3))
+		s.ProcessEdges(edges)
+		d := must(NewShardedDirected(cfg, 3))
+		d.ProcessArcs(edges)
+		imgs = append(imgs, pipelineSaveBytes(t, s.Save), pipelineSaveBytes(t, d.Save))
+	}
+	check := func(in []byte) {
+		s, err := LoadAny(bytes.NewReader(in))
+		streamed, serr := LoadAny(struct{ io.Reader }{bytes.NewReader(in)})
+		if fmt.Sprint(err) != fmt.Sprint(serr) {
+			t.Fatalf("in place: %v; streamed: %v", err, serr)
+		}
+		if err == nil && !bytes.Equal(pipelineSaveBytes(t, s.Save), pipelineSaveBytes(t, streamed.Save)) {
+			t.Fatal("in-place and streamed loads restore different stores")
+		}
+	}
+	step := 1
+	if testing.Short() {
+		step = 5
+	}
+	withGOMAXPROCS(4, func() {
+		for _, img := range imgs {
+			for n := 0; n < len(img); n += step {
+				check(img[:n])
+			}
+			mut := append([]byte(nil), img...)
+			for off := 0; off < len(mut); off += step {
+				for _, bit := range []byte{0x01, 0x80} {
+					mut[off] ^= bit
+					check(mut)
+					mut[off] ^= bit
+				}
+			}
+		}
+	})
+}
+
+// TestImageSizeMatchesSave: imageSize, which sizes the parallel save's
+// per-shard buffers, is exactly the length of the image Save writes —
+// uniform, tiered and with biased sketches.
+func TestImageSizeMatchesSave(t *testing.T) {
+	edges := skewedEdges(40, 600, 40171)
+	for _, cfg := range []Config{
+		{K: 16, Seed: 40173, Degrees: DegreeDistinctKMV},
+		tieredCfg(40177),
+		{K: 16, Seed: 40179, EnableBiased: true, TrackTriangles: true},
+	} {
+		s := must(NewSketchStore(cfg))
+		s.ProcessEdges(edges)
+		if got, want := s.imageSize(), len(pipelineSaveBytes(t, s.Save)); got != want {
+			t.Errorf("%+v: SketchStore.imageSize = %d, Save writes %d bytes", cfg, got, want)
+		}
+		if cfg.EnableBiased {
+			continue // directed stores have no biased sketches
+		}
+		d := must(NewDirectedStore(cfg))
+		for _, e := range edges {
+			d.ProcessArc(e)
+		}
+		if got, want := d.imageSize(), len(pipelineSaveBytes(t, d.Save)); got != want {
+			t.Errorf("%+v: DirectedStore.imageSize = %d, Save writes %d bytes", cfg, got, want)
+		}
+	}
 }

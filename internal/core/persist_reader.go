@@ -19,6 +19,9 @@ import (
 // checked against their legal ranges, and every decode error names the
 // byte offset where the image went bad so a corrupt checkpoint can be
 // diagnosed with nothing but the error string and a hex dump.
+//
+// The encoding side, binWriter, is at the end of this file: every Save
+// writes its words through it.
 
 // maxPersistK bounds the sketch width accepted from an image. The
 // largest useful K is a few thousand (error shrinks as 1/√K); 2^20
@@ -34,10 +37,30 @@ const maxPersistK = 1 << 20
 // (for a container format such as the sharded image, that is the start
 // of the *container*, so offsets in errors locate the fault within the
 // whole file).
+//
+// When the input allows random access (see randomAccess), the reader
+// also keeps it as src: image byte off is src byte base+off, and the
+// input ends at image offset size. Loaders use that to look ahead
+// without consuming (peekAt), to size a store before decoding it, and
+// to decode the shards of a container in place, each from its own
+// section.
 type binReader struct {
 	br  *bufio.Reader
 	off int64
 	buf []byte // u64s staging buffer, reused across calls
+
+	src        io.ReaderAt // nil for a stream
+	base, size int64
+}
+
+// randomAccess is an input the loaders can read in place: the
+// *bytes.Reader wal.LoadNewestSnapshot hands over, a *strings.Reader or
+// an *io.SectionReader. The image runs from its current position to
+// Size.
+type randomAccess interface {
+	io.ReadSeeker
+	io.ReaderAt
+	Size() int64
 }
 
 // newBinReader wraps r. An existing *bufio.Reader is used as-is:
@@ -45,11 +68,60 @@ type binReader struct {
 // any data that follows it in the same stream (the sharded formats
 // concatenate several store images back to back).
 func newBinReader(r io.Reader) *binReader {
+	rd := &binReader{}
+	if ra, ok := r.(randomAccess); ok {
+		if pos, err := ra.Seek(0, io.SeekCurrent); err == nil {
+			rd.src, rd.base, rd.size = ra, pos, ra.Size()-pos
+		}
+	}
 	br, ok := r.(*bufio.Reader)
 	if !ok {
 		br = bufio.NewReader(r)
 	}
-	return &binReader{br: br}
+	rd.br = br
+	return rd
+}
+
+// section returns a reader over image bytes [off, off+n) of a
+// random-access input. Its offsets stay image-relative, so errors from
+// a shard decoded on its own still locate the fault in the container.
+func (b *binReader) section(off, n int64) *binReader {
+	return &binReader{
+		br:   bufio.NewReader(io.NewSectionReader(b.src, b.base+off, n)),
+		off:  off,
+		src:  b.src,
+		base: b.base,
+		size: off + n,
+	}
+}
+
+// peekAt fills p with the image bytes at image offset off without
+// consuming anything. It reports false on a stream and when the input
+// ends first.
+func (b *binReader) peekAt(p []byte, off int64) bool {
+	if b.src == nil || off < 0 || off > b.size-int64(len(p)) {
+		return false
+	}
+	_, err := b.src.ReadAt(p, b.base+off)
+	return err == nil
+}
+
+// streamReserveBytes is how much unread input a loader assumes on a
+// stream, whose length it cannot know, when it sizes a store from the
+// vertex count in the store's header.
+const streamReserveBytes = 16 << 20
+
+// backable returns how many of count records, each at least minRec
+// bytes, the unread input can hold: what remains of a random-access
+// input, or streamReserveBytes of a stream. Loaders reserve no more
+// than this, so a forged count cannot make them allocate ahead of
+// their input.
+func (b *binReader) backable(count uint64, minRec int) int {
+	rest := int64(streamReserveBytes)
+	if b.src != nil {
+		rest = max(b.size-b.off, 0)
+	}
+	return int(min(count, uint64(rest)/uint64(minRec)))
 }
 
 // fail wraps err with the field being decoded and the image offset
@@ -73,21 +145,31 @@ func (b *binReader) read(p []byte) error {
 	return err
 }
 
+// staged reads the next n ≤ 8*u64sChunk bytes into the reader's staging
+// buffer, so decoding a word allocates nothing. The bytes stay valid
+// until the next read.
+func (b *binReader) staged(n int) ([]byte, error) {
+	if b.buf == nil {
+		b.buf = make([]byte, 8*u64sChunk)
+	}
+	p := b.buf[:n]
+	return p, b.read(p)
+}
+
 func (b *binReader) u32() (uint32, error) {
-	var buf [4]byte
-	if err := b.read(buf[:]); err != nil {
+	p, err := b.staged(4)
+	if err != nil {
 		return 0, err
 	}
-	return uint32(buf[0]) | uint32(buf[1])<<8 | uint32(buf[2])<<16 | uint32(buf[3])<<24, nil
+	return binary.LittleEndian.Uint32(p), nil
 }
 
 func (b *binReader) u64() (uint64, error) {
-	var buf [8]byte
-	if err := b.read(buf[:]); err != nil {
+	p, err := b.staged(8)
+	if err != nil {
 		return 0, err
 	}
-	return uint64(buf[0]) | uint64(buf[1])<<8 | uint64(buf[2])<<16 | uint64(buf[3])<<24 |
-		uint64(buf[4])<<32 | uint64(buf[5])<<40 | uint64(buf[6])<<48 | uint64(buf[7])<<56, nil
+	return binary.LittleEndian.Uint64(p), nil
 }
 
 // u64sChunk is how many words u64s moves per ReadFull.
@@ -102,11 +184,8 @@ const u64sChunk = 512
 func (b *binReader) u64s(dst []uint64) error {
 	for len(dst) > 0 {
 		n := min(len(dst), u64sChunk)
-		if b.buf == nil {
-			b.buf = make([]byte, 8*u64sChunk)
-		}
-		p := b.buf[:8*n]
-		if err := b.read(p); err != nil {
+		p, err := b.staged(8 * n)
+		if err != nil {
 			return err
 		}
 		for i := range dst[:n] {
@@ -242,3 +321,65 @@ func (b *binReader) degreeMode(v byte) (DegreeMode, error) {
 	}
 	return m, nil
 }
+
+// binWriter is the encoding side of binReader: it appends little-endian
+// words straight into a bufio.Writer's free buffer, so a Save allocates
+// nothing per word. Write errors are the bufio.Writer's own — sticky,
+// and returned by flush — so encoders write every field unchecked and
+// check once at the end.
+type binWriter struct{ bw *bufio.Writer }
+
+// newBinWriter wraps w. An existing *bufio.Writer is used as-is, so the
+// images a container concatenates share its buffer.
+func newBinWriter(w io.Writer) binWriter {
+	bw, ok := w.(*bufio.Writer)
+	if !ok {
+		bw = bufio.NewWriter(w)
+	}
+	return binWriter{bw}
+}
+
+// free returns the writer's free buffer once it holds at least n bytes,
+// flushing first if needed, or nil after a write error.
+func (w binWriter) free(n int) []byte {
+	if w.bw.Available() < n && w.bw.Flush() != nil {
+		return nil
+	}
+	return w.bw.AvailableBuffer()
+}
+
+func (w binWriter) u32(v uint32) {
+	if p := w.free(4); p != nil {
+		w.bw.Write(binary.LittleEndian.AppendUint32(p, v))
+	}
+}
+
+func (w binWriter) u64(v uint64) {
+	if p := w.free(8); p != nil {
+		w.bw.Write(binary.LittleEndian.AppendUint64(p, v))
+	}
+}
+
+// u64s writes vs as consecutive words, a free buffer's worth per Write.
+func (w binWriter) u64s(vs []uint64) {
+	for len(vs) > 0 {
+		p := w.free(8)
+		if p == nil {
+			return
+		}
+		n := min(len(vs), cap(p)/8)
+		for _, v := range vs[:n] {
+			p = binary.LittleEndian.AppendUint64(p, v)
+		}
+		w.bw.Write(p)
+		vs = vs[n:]
+	}
+}
+
+func (w binWriter) u8(v byte) { w.bw.WriteByte(v) }
+
+// str writes s's bytes, such as a format's magic.
+func (w binWriter) str(s string) { w.bw.WriteString(s) }
+
+// flush writes out the buffer and returns the first write error.
+func (w binWriter) flush() error { return w.bw.Flush() }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -169,6 +170,45 @@ func TestU64sMatchesWordReads(t *testing.T) {
 		}
 		if errBulk != nil && bulk.fail("span", errBulk).Error() != word.fail("span", errWord).Error() {
 			t.Fatalf("n=%d: %v != %v", n, bulk.fail("span", errBulk), word.fail("span", errWord))
+		}
+	}
+}
+
+// failAfter accepts n bytes, then fails every write.
+type failAfter struct{ n int }
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		k := f.n
+		f.n = 0
+		return k, io.ErrShortWrite
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// TestSaveReportsWriteErrors: every Save returns an error when its
+// writer fails, wherever in the image the failure lands.
+func TestSaveReportsWriteErrors(t *testing.T) {
+	cfg := Config{K: 16, Seed: 41, Degrees: DegreeDistinctKMV}
+	edges := skewedEdges(40, 600, 43)
+	stores := []Store{
+		must(NewSketchStore(cfg)), must(NewSharded(cfg, 4)), must(NewWindowed(cfg, 300, 3)),
+		must(NewDirectedStore(cfg)), must(NewShardedDirected(cfg, 4)), must(NewDynamicStore(cfg, 2)),
+	}
+	for _, s := range stores {
+		for _, e := range edges {
+			s.Ingest(e)
+		}
+		size := len(pipelineSaveBytes(t, s.Save))
+		for _, procs := range []int{1, 4} {
+			withGOMAXPROCS(procs, func() {
+				for _, n := range []int{0, 100, size / 2, size - 1} {
+					if err := s.Save(&failAfter{n}); err == nil {
+						t.Errorf("%T.Save at GOMAXPROCS=%d succeeded on a writer failing after %d of %d bytes", s, procs, n, size)
+					}
+				}
+			})
 		}
 	}
 }

@@ -24,7 +24,7 @@ var shardedKind = &shardKind[*SketchStore]{
 	magic:    shardedMagic,
 	newShard: NewSketchStore,
 	decode:   loadSketchStore,
-	sizeAt:   lpskImageSize,
+	format:   lpskFormat,
 }
 
 // NewSharded returns a Sharded store with the given number of shards.

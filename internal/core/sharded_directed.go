@@ -21,7 +21,7 @@ var shardedDirectedKind = &shardKind[*DirectedStore]{
 	directed: true,
 	newShard: NewDirectedStore,
 	decode:   loadDirected,
-	sizeAt:   lpsdImageSize,
+	format:   lpsdFormat,
 }
 
 // NewShardedDirected returns a sharded directed store. It returns an

@@ -49,8 +49,7 @@ func (s *shardSet[T]) Save(w io.Writer) error {
 		// Per-shard images are independent: encode them into buffers in
 		// parallel, write in shard order — byte-identical to the
 		// sequential writer (see persist_parallel.go).
-		if err := saveShardsParallel(bw, len(s.shards),
-			func(i int, w io.Writer) error { return s.shards[i].Save(w) }, wrapShard); err != nil {
+		if err := saveShardsParallel(bw, s.shards, wrapShard); err != nil {
 			return err
 		}
 	} else {
@@ -70,8 +69,7 @@ func (s *shardSet[T]) Save(w io.Writer) error {
 // are rejected with errors naming the byte offset of the fault
 // (offsets count from the start of the container image, across the
 // concatenated shard images).
-func (s *shardSet[T]) load(r io.Reader, kind *shardKind[T]) error {
-	rd := newBinReader(r)
+func (s *shardSet[T]) load(rd *binReader, kind *shardKind[T]) error {
 	if err := rd.magic(kind.magic); err != nil {
 		return err
 	}
@@ -89,25 +87,10 @@ func (s *shardSet[T]) load(r io.Reader, kind *shardKind[T]) error {
 	if err != nil {
 		return rd.fail("edge count", err)
 	}
-	var shards []T
-	wrapShard := func(i int, err error) error { return fmt.Errorf("core: load %s shard %d: %w", kind.name, i, err) }
-	if parallelPersist(int(nShards)) {
-		// Decode the concatenated shard images in parallel (see
-		// persist_parallel.go); images that don't scan cleanly fall back
-		// to the sequential decoder for exact error reporting.
-		shards, err = loadShardsParallel(rd, int(nShards), kind.sizeAt, kind.decode, wrapShard)
-		if err != nil {
-			return err
-		}
-	} else {
-		shards = make([]T, nShards)
-		for i := range shards {
-			st, err := kind.decode(rd)
-			if err != nil {
-				return wrapShard(i, err)
-			}
-			shards[i] = st
-		}
+	shards, err := loadShards(rd, int(nShards), kind.format, kind.decode,
+		func(i int, err error) error { return fmt.Errorf("core: load %s shard %d: %w", kind.name, i, err) })
+	if err != nil {
+		return err
 	}
 	cfg := shards[0].Config()
 	for i := 1; i < len(shards); i++ {
@@ -125,9 +108,11 @@ func (s *shardSet[T]) load(r io.Reader, kind *shardKind[T]) error {
 
 // LoadSharded restores a store saved by (*Sharded).Save. The restored
 // store answers every query identically and accepts further ingest.
-func LoadSharded(r io.Reader) (*Sharded, error) {
+func LoadSharded(r io.Reader) (*Sharded, error) { return loadSharded(newBinReader(r)) }
+
+func loadSharded(rd *binReader) (*Sharded, error) {
 	s := new(Sharded)
-	if err := s.load(r, shardedKind); err != nil {
+	if err := s.load(rd, shardedKind); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -136,8 +121,12 @@ func LoadSharded(r io.Reader) (*Sharded, error) {
 // LoadShardedDirected restores a store saved by
 // (*ShardedDirected).Save, with the guarantees of LoadSharded.
 func LoadShardedDirected(r io.Reader) (*ShardedDirected, error) {
+	return loadShardedDirected(newBinReader(r))
+}
+
+func loadShardedDirected(rd *binReader) (*ShardedDirected, error) {
 	s := new(ShardedDirected)
-	if err := s.load(r, shardedDirectedKind); err != nil {
+	if err := s.load(rd, shardedDirectedKind); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -72,6 +72,10 @@ type shardStore interface {
 	// side, u's slot in it, and, when deg is set, u's degree on that
 	// side. ok is false when u is unknown. The caller holds a read lock.
 	side(u uint64, src, deg bool) (b *regBank, slot int32, d float64, ok bool)
+
+	// imageSize is the length of the image Save writes, so a parallel
+	// save can size the shard's buffer up front.
+	imageSize() int
 }
 
 // shardKind is what a shard set needs to know about its store type
@@ -83,7 +87,7 @@ type shardKind[T shardStore] struct {
 	directed bool
 	newShard func(Config) (T, error)
 	decode   func(*binReader) (T, error)
-	sizeAt   func(buf []byte, pos int) (int, bool) // see shardImageSize
+	format   *storeFormat // sizes a shard image before decoding it
 }
 
 // shardSet is the generic sharded store; Sharded and ShardedDirected

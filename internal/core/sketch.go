@@ -186,18 +186,20 @@ func (b *regBank) promote(slot int32, to int) int32 {
 	return newSlot
 }
 
-// reserve pre-grows tier 0's backing arrays for n additional slots, so
-// a bulk load of a known vertex count pays one allocation instead of a
-// doubling cascade.
-func (b *regBank) reserve(n int) {
-	tr := &b.tiers[0]
-	tr.vals = slices.Grow(tr.vals, n*tr.k)
-	if b.trackIDs {
-		tr.ids = slices.Grow(tr.ids, n*tr.k)
-	}
-	if b.trackKMV {
-		tr.kmv = slices.Grow(tr.kmv, n)
-		tr.empty = slices.Grow(tr.empty, n)
+// reserve pre-grows each tier's backing arrays for slots[t] more slots,
+// so a bulk load of a known vertex count pays one allocation per array
+// instead of a doubling cascade.
+func (b *regBank) reserve(slots [MaxTiers]int) {
+	for t := range b.tiers {
+		tr, n := &b.tiers[t], slots[t]
+		tr.vals = slices.Grow(tr.vals, n*tr.k)
+		if b.trackIDs {
+			tr.ids = slices.Grow(tr.ids, n*tr.k)
+		}
+		if b.trackKMV {
+			tr.kmv = slices.Grow(tr.kmv, n)
+			tr.empty = slices.Grow(tr.empty, n)
+		}
 	}
 }
 

@@ -266,7 +266,7 @@ func (s *SketchStore) Reserve(n int) {
 	if len(s.vertices) == 0 {
 		s.vertices = make(map[uint64]*vertexState, n)
 	}
-	s.bank.reserve(n)
+	s.bank.reserve([MaxTiers]int{n})
 }
 
 // TierOccupancy returns the live vertex count per register tier, or nil

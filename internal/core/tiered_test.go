@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"strings"
 	"testing"
 
 	"linkpred/internal/rng"
@@ -612,5 +613,45 @@ func TestTieredCorruptTierTable(t *testing.T) {
 	binary.LittleEndian.PutUint32(bad[tierCountOff+4:], 999999999)
 	if _, err := LoadSketchStore(bytes.NewReader(bad)); err == nil {
 		t.Fatal("absurd tier K accepted")
+	}
+}
+
+// TestTieredRepeatedVertexRejected: a tiered record is as wide as the
+// tier its arrival counter has earned, but a vertex decoded twice keeps
+// the wider span of its first record. An image that repeats a vertex
+// would therefore decode at other widths than its layout says, and
+// re-save to an image that loads as a different store; the loaders
+// reject it, from a stream and in place alike.
+func TestTieredRepeatedVertexRejected(t *testing.T) {
+	// Vertex 1 reaches the top tier (K=32); vertices 100.. stay at K=8.
+	var edges []stream.Edge
+	for i := uint64(0); i < 25; i++ {
+		edges = append(edges, stream.Edge{U: 1, V: 100 + i, T: int64(i)})
+	}
+	s := must(NewSketchStore(tieredCfg(531)))
+	s.ProcessEdges(edges)
+	d := must(NewDirectedStore(tieredCfg(531)))
+	for _, e := range edges {
+		d.ProcessArc(e)
+	}
+	// The second record's id follows the header (the v1 header plus the
+	// three-tier table) and vertex 1's record.
+	for _, tc := range []struct {
+		name  string
+		img   []byte
+		idOff int
+	}{
+		{"undirected", saveBytes(t, s.Save), lpskHeaderBytes + 4 + 3*12 + 24 + 16*32},
+		{"directed", saveBytes(t, d.Save), lpsdHeaderBytes + 4 + 3*12 + 24 + 16*32 + 16*8},
+	} {
+		if got := binary.LittleEndian.Uint64(tc.img[tc.idOff:]); got != 100 {
+			t.Fatalf("%s: record layout drifted; adjust the test (id %d)", tc.name, got)
+		}
+		binary.LittleEndian.PutUint64(tc.img[tc.idOff:], 1)
+		for _, r := range []io.Reader{bytes.NewReader(tc.img), struct{ io.Reader }{bytes.NewReader(tc.img)}} {
+			if _, err := LoadAny(r); err == nil || !strings.Contains(err.Error(), "vertex 1 appears twice") {
+				t.Fatalf("%s image repeating vertex 1 from %T: %v", tc.name, r, err)
+			}
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -20,39 +19,32 @@ const (
 
 // Save writes the windowed store's complete state to w.
 func (s *Windowed) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(windowedMagic); err != nil {
-		return fmt.Errorf("core: save windowed magic: %w", err)
-	}
-	var hdr [44]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], windowedVersion)
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(s.span))
-	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(s.gens)))
-	binary.LittleEndian.PutUint32(hdr[16:20], uint32(s.cur))
-	binary.LittleEndian.PutUint64(hdr[20:28], uint64(s.curEnd))
-	binary.LittleEndian.PutUint64(hdr[28:36], uint64(s.rotation))
-	if s.started {
-		hdr[36] = 1
-	}
-	// hdr[37:44] reserved.
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("core: save windowed header: %w", err)
-	}
+	bw := newBinWriter(w)
+	bw.str(windowedMagic)
+	bw.u32(windowedVersion)
+	bw.u64(uint64(s.span))
+	bw.u32(uint32(len(s.gens)))
+	bw.u32(uint32(s.cur))
+	bw.u64(uint64(s.curEnd))
+	bw.u64(uint64(s.rotation))
+	bw.u8(flagByte(s.started))
+	bw.str("\x00\x00\x00\x00\x00\x00\x00") // reserved
 	for i, g := range s.gens {
-		if err := g.Save(bw); err != nil {
+		if err := g.Save(bw.bw); err != nil {
 			return fmt.Errorf("core: save generation %d: %w", i, err)
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("core: save windowed flush: %w", err)
+	if err := bw.flush(); err != nil {
+		return fmt.Errorf("core: save windowed: %w", err)
 	}
 	return nil
 }
 
 // LoadWindowed restores a store saved by (*Windowed).Save. Corrupt
 // images are rejected with errors naming the byte offset of the fault.
-func LoadWindowed(r io.Reader) (*Windowed, error) {
-	rd := newBinReader(r)
+func LoadWindowed(r io.Reader) (*Windowed, error) { return loadWindowed(newBinReader(r)) }
+
+func loadWindowed(rd *binReader) (*Windowed, error) {
 	if err := rd.magic(windowedMagic); err != nil {
 		return nil, err
 	}

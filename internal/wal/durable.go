@@ -297,9 +297,10 @@ func RecoverBatched(fsys FS, dir string, load func(io.Reader) error, applyBatch 
 // that passes its checksum (calling load with the image), then replays
 // the WAL tail after the snapshot's sequence number (calling apply per
 // record, in append order). Corrupt newest snapshots fall back to
-// older ones; a torn or corrupt WAL tail is truncated at replay, not
-// fatal. After Recover, open the log for appending with Open and
-// Options.NextSeq = result.LastSeq()+1.
+// older ones — unless the checkpoint that wrote one has since pruned the
+// log it covered (see checkLogCovers); a torn or corrupt WAL tail is
+// truncated at replay, not fatal. After Recover, open the log for
+// appending with Open and Options.NextSeq = result.LastSeq()+1.
 func Recover(fsys FS, dir string, load func(io.Reader) error, apply func(Record) error) (RecoverResult, error) {
 	if fsys == nil {
 		fsys = OSFS{}
@@ -320,9 +321,45 @@ func Recover(fsys FS, dir string, load func(io.Reader) error, apply func(Record)
 	default:
 		return res, err
 	}
+	if err := checkLogCovers(fsys, dir, res.SnapshotSeq, skipped); err != nil {
+		return res, err
+	}
 	res.Replay, err = Replay(fsys, dir, res.SnapshotSeq, apply)
 	if err != nil {
 		return res, err
 	}
 	return res, nil
+}
+
+// checkLogCovers fails when falling back past the skipped snapshots
+// would lose acknowledged edges. A checkpoint prunes every log segment
+// its snapshot covers and every older snapshot, so once a snapshot newer
+// than the one recovery loaded (seq loaded, 0 for none) is skipped as
+// unreadable or corrupt, the log must still start at loaded+1 for the
+// replay to restore what that snapshot held. Gaps inside the log, left
+// by appends that failed and were never acknowledged, stay legal.
+func checkLogCovers(fsys FS, dir string, loaded uint64, skipped []string) error {
+	var newest uint64
+	var newestName string
+	for _, name := range skipped {
+		if seq, ok := parseSnapName(name); ok && seq > newest {
+			newest, newestName = seq, name
+		}
+	}
+	if newest <= loaded {
+		return nil
+	}
+	segs, err := listSegments(fsys, dir)
+	if err != nil {
+		return fmt.Errorf("wal: list %s: %w", dir, err)
+	}
+	if len(segs) > 0 && segs[0].firstSeq <= loaded+1 {
+		return nil
+	}
+	logState := "the log is empty"
+	if len(segs) > 0 {
+		logState = fmt.Sprintf("the log starts at seq %d", segs[0].firstSeq)
+	}
+	return fmt.Errorf("wal: snapshot %s (seq %d) is unreadable or corrupt and %s, so recovering from seq %d would lose acknowledged edges; restore the snapshot or the pruned log segments",
+		newestName, newest, logState, loaded)
 }

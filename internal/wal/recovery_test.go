@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -390,6 +391,99 @@ func TestRecoveryCorruptTrailingBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
+}
+
+// TestRecoveryCorruptSnapshotOverPrunedLog: a checkpoint prunes the log
+// its snapshot covers, so when that snapshot later fails its checksum,
+// falling back to an empty store plus what is left of the log would
+// serve a store missing acknowledged edges. Recovery must refuse and
+// name the snapshot. With the log intact behind the snapshot — it still
+// starts at seq 1 — the fallback replays everything and is exact.
+func TestRecoveryCorruptSnapshotOverPrunedLog(t *testing.T) {
+	edges := testEdges(47, 6000)
+	for _, tc := range []struct {
+		name     string
+		segBytes int64
+		pruned   bool
+	}{
+		{"pruned", 16 << 10, true},
+		{"intact", 1 << 20, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := NewFaultFS()
+			store, err := core.NewSharded(recoveryCfg, recoveryShards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := Open("/wal", Options{FS: fs, Fsync: FsyncAlways, SegmentBytes: tc.segBytes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := NewDurable(w, "/wal", KindEdge, store.Save)
+			apply := func(b []stream.Edge) { store.ProcessEdges(b) }
+			for i := 0; i < len(edges); i += 200 {
+				if err := d.Ingest(edges[i:i+200], apply); err != nil {
+					t.Fatal(err)
+				}
+				if i+200 == 4000 {
+					if err := d.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			segs, err := listSegments(fs, "/wal")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := segs[0].firstSeq > 1; got != tc.pruned {
+				t.Fatalf("oldest segment starts at seq %d; pruned = %v, want %v", segs[0].firstSeq, got, tc.pruned)
+			}
+
+			snap := filepath.Join("/wal", snapName(4000))
+			data, err := fs.ReadFile(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[snapHeaderSize+len(data)/2] ^= 0x01
+			f, err := fs.Create(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Write(data)
+			f.Sync()
+			f.Close()
+
+			recovered, err := core.NewSharded(recoveryCfg, recoveryShards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Recover(fs, "/wal", func(r io.Reader) error {
+				t.Error("a snapshot that fails its checksum reached the loader")
+				return nil
+			}, func(rec Record) error {
+				recovered.ProcessEdges(rec.Edges)
+				return nil
+			})
+			if tc.pruned {
+				if err == nil || !strings.Contains(err.Error(), snapName(4000)) {
+					t.Fatalf("recovery over a pruned log = %+v, %v; want an error naming %s", res, err, snapName(4000))
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.SnapshotLoaded || res.LastSeq() != uint64(len(edges)) {
+				t.Fatalf("recovery result %+v", res)
+			}
+			if !bytes.Equal(saveBytes(t, recovered), saveBytes(t, referenceStore(t, edges))) {
+				t.Fatal("full replay differs from the reference store")
+			}
+		})
+	}
 }
 
 // TestDurableConcurrentIngest exercises the quiesce discipline under
