@@ -72,20 +72,6 @@ func (s *DirectedStore) Save(w io.Writer) error {
 	return nil
 }
 
-// imageSize returns the length of the image Save writes.
-func (s *DirectedStore) imageSize() int {
-	n := lpsdHeaderBytes + 24*len(s.vertices)
-	if s.tiers != nil {
-		n += 4 + 12*len(s.tiers)
-	}
-	for _, b := range [2]*regBank{&s.out, &s.in} {
-		for t, c := range b.tierCounts() {
-			n += c * 16 * b.tiers[t].k
-		}
-	}
-	return n
-}
-
 // LoadDirected reads a store saved by (*DirectedStore).Save. Hardened
 // like LoadSketchStore: bounded counts, validated enum bytes, and
 // errors naming the image byte offset of the fault.

@@ -112,23 +112,6 @@ func (s *SketchStore) Save(w io.Writer) error {
 	return nil
 }
 
-// imageSize returns the length of the image Save writes.
-func (s *SketchStore) imageSize() int {
-	n := lpskHeaderBytes
-	if s.tiers != nil {
-		n += 4 + 12*len(s.tiers)
-	}
-	for t, c := range s.bank.tierCounts() {
-		n += c * (24 + 16*s.bank.tiers[t].k)
-	}
-	if s.cfg.EnableBiased {
-		for _, st := range s.vertices {
-			n += 4 + 16*len(st.biased.entries)
-		}
-	}
-	return n
-}
-
 // LoadSketchStore reads a store saved by Save. The restored store
 // answers every estimator query identically to the original and can
 // continue consuming the stream where the original left off.

@@ -79,8 +79,7 @@ func allocated(fn func()) uint64 {
 // snapshot once, for its checksum, and decodes the store from it in
 // place, so the whole boot allocates at most 2.5× the image — the image
 // plus the store it becomes. Save allocates nothing per word: at most
-// 1.5× the image with the parallel fan-out, which encodes into buffers
-// sized to the image, and under 1 MiB sequentially. Uniform and tiered.
+// 1.5× the image, and under 1 MiB. Uniform and tiered.
 func TestSnapshotLoadSaveAllocBounds(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations distort the counts")
@@ -109,10 +108,10 @@ func TestSnapshotLoadSaveAllocBounds(t *testing.T) {
 				if float64(save) > 1.5*float64(size) {
 					t.Errorf("%s, GOMAXPROCS=%d: save allocated %d bytes for a %d-byte image (> 1.5x)", name, procs, save, size)
 				}
-				// Sequentially, the shards encode straight into the
-				// writer: only the sorted id lists are allocated.
-				if procs == 1 && save >= 1<<20 {
-					t.Errorf("%s: sequential save allocated %d bytes (>= 1 MiB)", name, save)
+				// The shards encode straight into the writer: only the
+				// sorted id lists are allocated.
+				if save >= 1<<20 {
+					t.Errorf("%s, GOMAXPROCS=%d: save allocated %d bytes (>= 1 MiB)", name, procs, save)
 				}
 			})
 		}

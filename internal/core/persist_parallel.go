@@ -1,63 +1,33 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
-	"io"
 	"runtime"
 )
 
-// Parallel shard persistence. The sharded container formats (LPSH,
-// LPDH) concatenate per-shard images that are mutually independent, so
-// on a multi-proc host encoding and decoding can fan out across shards:
+// Parallel shard loading. The sharded container formats (LPSH, LPDH)
+// concatenate per-shard images that are mutually independent, so on a
+// multi-proc host decoding can fan out across shards.
 //
-//   - Save encodes every shard in parallel into its own buffer, sized to
-//     the shard's image up front, then writes the buffers in shard
-//     order. The bytes are identical to the sequential writer's — same
-//     per-shard encoder, same order — so snapshot byte-determinism (and
-//     the crash-replay cmp tests that rely on it) is preserved.
-//   - Load decodes in place. The WAL snapshot loader hands over a
-//     random-access reader on the payload it has just CRC-checked, so
-//     the loader sizes every shard image from its header
-//     (storeFormat.layout) and decodes each shard from its own section
-//     of that payload — no copy of the image is made. A uniform image's
-//     records are fixed-size (24 + 16K bytes undirected, 24 + 32K
-//     directed); a tiered image's record is as wide as the tier its
-//     arrival counter has earned, so sizing it takes one pass over the
-//     counters. A stream, or an image whose headers don't size cleanly
-//     (biased records, corruption), is decoded sequentially instead,
-//     which produces the same errors it always did.
+// Load decodes in place. The WAL snapshot loader hands over a
+// random-access reader on the payload it has just CRC-checked, so the
+// loader sizes every shard image from its header (storeFormat.layout)
+// and decodes each shard from its own section of that payload — no copy
+// of the image is made. A uniform image's records are fixed-size
+// (24 + 16K bytes undirected, 24 + 32K directed); a tiered image's
+// record is as wide as the tier its arrival counter has earned, so
+// sizing it takes one pass over the counters. A stream, or an image
+// whose headers don't size cleanly (biased records, corruption), is
+// decoded sequentially instead, which reports the same errors.
 //
-// Both fan-outs engage only at GOMAXPROCS > 1 with more than one
-// shard; otherwise the sequential paths run unchanged.
+// The fan-out engages only at GOMAXPROCS > 1 with more than one shard;
+// otherwise the sequential path runs. Save does not fan out: encoding
+// straight into the output's buffer costs less than encoding each shard
+// into a buffer of its own and copying it out.
 
 // parallelPersist reports whether the shard fan-out is worth engaging.
 func parallelPersist(nShards int) bool {
 	return nShards > 1 && runtime.GOMAXPROCS(0) > 1
-}
-
-// saveShardsParallel encodes every shard into a buffer of its image's
-// size in parallel and writes the buffers to w in shard order.
-func saveShardsParallel[T shardStore](w io.Writer, shards []T, wrap func(shard int, err error) error) error {
-	bufs := make([]bytes.Buffer, len(shards))
-	errs := make([]error, len(shards))
-	parallelRange(len(shards), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			bufs[i].Grow(shards[i].imageSize())
-			errs[i] = shards[i].Save(&bufs[i])
-		}
-	})
-	for i, err := range errs {
-		if err != nil {
-			return wrap(i, err)
-		}
-	}
-	for i := range bufs {
-		if _, err := w.Write(bufs[i].Bytes()); err != nil {
-			return wrap(i, err)
-		}
-	}
-	return nil
 }
 
 // storeFormat is what sizing a single-store image takes to know about
@@ -182,7 +152,7 @@ func (f *storeFormat) layout(rd *binReader, off int64) (lay imageLayout, ok bool
 // minRec bytes: the vertex map gets n entries and tier t of register
 // bank b slots[b][t] slots. Neither exceeds what the unread input can
 // back (binReader.backable). A tiered store's tier counts come from the
-// image's layout; without one — on a stream — only its map is sized.
+// image's layout. A stream has neither, so nothing is reserved.
 func (f *storeFormat) reservation(rd *binReader, start int64, count uint64, tiered bool, minRec int) (n int, slots [2][MaxTiers]int) {
 	n = rd.backable(count, minRec)
 	if !tiered {

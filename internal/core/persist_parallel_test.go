@@ -191,31 +191,3 @@ func TestInPlaceLoadMatchesStream(t *testing.T) {
 		}
 	})
 }
-
-// TestImageSizeMatchesSave: imageSize, which sizes the parallel save's
-// per-shard buffers, is exactly the length of the image Save writes —
-// uniform, tiered and with biased sketches.
-func TestImageSizeMatchesSave(t *testing.T) {
-	edges := skewedEdges(40, 600, 40171)
-	for _, cfg := range []Config{
-		{K: 16, Seed: 40173, Degrees: DegreeDistinctKMV},
-		tieredCfg(40177),
-		{K: 16, Seed: 40179, EnableBiased: true, TrackTriangles: true},
-	} {
-		s := must(NewSketchStore(cfg))
-		s.ProcessEdges(edges)
-		if got, want := s.imageSize(), len(pipelineSaveBytes(t, s.Save)); got != want {
-			t.Errorf("%+v: SketchStore.imageSize = %d, Save writes %d bytes", cfg, got, want)
-		}
-		if cfg.EnableBiased {
-			continue // directed stores have no biased sketches
-		}
-		d := must(NewDirectedStore(cfg))
-		for _, e := range edges {
-			d.ProcessArc(e)
-		}
-		if got, want := d.imageSize(), len(pipelineSaveBytes(t, d.Save)); got != want {
-			t.Errorf("%+v: DirectedStore.imageSize = %d, Save writes %d bytes", cfg, got, want)
-		}
-	}
-}

@@ -106,22 +106,16 @@ func (b *binReader) peekAt(p []byte, off int64) bool {
 	return err == nil
 }
 
-// streamReserveBytes is how much unread input a loader assumes on a
-// stream, whose length it cannot know, when it sizes a store from the
-// vertex count in the store's header.
-const streamReserveBytes = 16 << 20
-
 // backable returns how many of count records, each at least minRec
-// bytes, the unread input can hold: what remains of a random-access
-// input, or streamReserveBytes of a stream. Loaders reserve no more
-// than this, so a forged count cannot make them allocate ahead of
-// their input.
+// bytes, the unread input of a random-access input can hold. Loaders
+// reserve no more than this, so a forged count cannot make them
+// allocate ahead of their input. A stream cannot tell how much remains,
+// so it backs none: its loaders grow as they decode.
 func (b *binReader) backable(count uint64, minRec int) int {
-	rest := int64(streamReserveBytes)
-	if b.src != nil {
-		rest = max(b.size-b.off, 0)
+	if b.src == nil {
+		return 0
 	}
-	return int(min(count, uint64(rest)/uint64(minRec)))
+	return int(min(count, uint64(max(b.size-b.off, 0))/uint64(minRec)))
 }
 
 // fail wraps err with the field being decoded and the image offset
@@ -329,15 +323,11 @@ func (b *binReader) degreeMode(v byte) (DegreeMode, error) {
 // check once at the end.
 type binWriter struct{ bw *bufio.Writer }
 
-// newBinWriter wraps w. An existing *bufio.Writer is used as-is, so the
-// images a container concatenates share its buffer.
-func newBinWriter(w io.Writer) binWriter {
-	bw, ok := w.(*bufio.Writer)
-	if !ok {
-		bw = bufio.NewWriter(w)
-	}
-	return binWriter{bw}
-}
+// newBinWriter wraps w. bufio.NewWriter returns a *bufio.Writer of at
+// least its default size as-is, so the images a container concatenates
+// share its buffer; a smaller one is wrapped, which keeps every free
+// buffer wide enough for a word.
+func newBinWriter(w io.Writer) binWriter { return binWriter{bufio.NewWriter(w)} }
 
 // free returns the writer's free buffer once it holds at least n bytes,
 // flushing first if needed, or nil after a write error.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"strings"
@@ -188,7 +189,8 @@ func (f *failAfter) Write(p []byte) (int, error) {
 }
 
 // TestSaveReportsWriteErrors: every Save returns an error when its
-// writer fails, wherever in the image the failure lands.
+// writer fails, wherever in the image the failure lands, and writes its
+// whole image through a caller's bufio.Writer however small its buffer.
 func TestSaveReportsWriteErrors(t *testing.T) {
 	cfg := Config{K: 16, Seed: 41, Degrees: DegreeDistinctKMV}
 	edges := skewedEdges(40, 600, 43)
@@ -200,15 +202,19 @@ func TestSaveReportsWriteErrors(t *testing.T) {
 		for _, e := range edges {
 			s.Ingest(e)
 		}
-		size := len(pipelineSaveBytes(t, s.Save))
-		for _, procs := range []int{1, 4} {
-			withGOMAXPROCS(procs, func() {
-				for _, n := range []int{0, 100, size / 2, size - 1} {
-					if err := s.Save(&failAfter{n}); err == nil {
-						t.Errorf("%T.Save at GOMAXPROCS=%d succeeded on a writer failing after %d of %d bytes", s, procs, n, size)
-					}
-				}
-			})
+		img := pipelineSaveBytes(t, s.Save)
+		for _, n := range []int{0, 100, len(img) / 2, len(img) - 1} {
+			if err := s.Save(&failAfter{n}); err == nil {
+				t.Errorf("%T.Save succeeded on a writer failing after %d of %d bytes", s, n, len(img))
+			}
+		}
+		var buf bytes.Buffer
+		small := bufio.NewWriterSize(&buf, 4)
+		if err := s.Save(small); err != nil {
+			t.Fatalf("%T.Save into a 4-byte bufio.Writer: %v", s, err)
+		}
+		if err := small.Flush(); err != nil || !bytes.Equal(buf.Bytes(), img) {
+			t.Errorf("%T.Save into a 4-byte bufio.Writer wrote %d bytes, not its %d-byte image (flush: %v)", s, buf.Len(), len(img), err)
 		}
 	}
 }

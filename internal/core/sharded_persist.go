@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 )
@@ -32,35 +30,18 @@ func (s *shardSet[T]) Save(w io.Writer) error {
 		s.mus[i].RLock()
 		defer s.mus[i].RUnlock()
 	}
-	name := s.kind.name
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(s.kind.magic); err != nil {
-		return fmt.Errorf("core: save %s magic: %w", name, err)
-	}
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], shardedVersion)
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(s.shards)))
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(s.edges.Load()))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("core: save %s header: %w", name, err)
-	}
-	wrapShard := func(i int, err error) error { return fmt.Errorf("core: save %s shard %d: %w", name, i, err) }
-	if parallelPersist(len(s.shards)) {
-		// Per-shard images are independent: encode them into buffers in
-		// parallel, write in shard order — byte-identical to the
-		// sequential writer (see persist_parallel.go).
-		if err := saveShardsParallel(bw, s.shards, wrapShard); err != nil {
-			return err
-		}
-	} else {
-		for i, shard := range s.shards {
-			if err := shard.Save(bw); err != nil {
-				return wrapShard(i, err)
-			}
+	bw := newBinWriter(w)
+	bw.str(s.kind.magic)
+	bw.u32(shardedVersion)
+	bw.u32(uint32(len(s.shards)))
+	bw.u64(uint64(s.edges.Load()))
+	for i, shard := range s.shards {
+		if err := shard.Save(bw.bw); err != nil {
+			return fmt.Errorf("core: save %s shard %d: %w", s.kind.name, i, err)
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("core: save %s flush: %w", name, err)
+	if err := bw.flush(); err != nil {
+		return fmt.Errorf("core: save %s: %w", s.kind.name, err)
 	}
 	return nil
 }

@@ -72,10 +72,6 @@ type shardStore interface {
 	// side, u's slot in it, and, when deg is set, u's degree on that
 	// side. ok is false when u is unknown. The caller holds a read lock.
 	side(u uint64, src, deg bool) (b *regBank, slot int32, d float64, ok bool)
-
-	// imageSize is the length of the image Save writes, so a parallel
-	// save can size the shard's buffer up front.
-	imageSize() int
 }
 
 // shardKind is what a shard set needs to know about its store type
