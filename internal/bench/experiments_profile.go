@@ -24,7 +24,7 @@ func runE18(cfg RunConfig) (*Table, error) {
 		Title:   "E18: stream profiling accuracy (monitor vs exact, raw streams)",
 		Columns: []string{"dataset", "hitter_capacity", "distinct_edge_err", "distinct_vertex_err", "dup_rate_err", "hitters_in_top20", "profile_KiB"},
 		Notes: []string{
-			"KMV 1024 (≈3% expected), Count-Min 16384x4; space-saving capacity swept",
+			"KMV 1024 (≈3% expected); space-saving capacity swept",
 			"hitters_in_top20: fraction of the 10 reported heavy hitters inside the true top-20 by arrival degree",
 			"expected shape: distinct errors ~3% everywhere; hitter precision is guaranteed only for keys above N/capacity arrivals, so it jumps once capacity makes that threshold reachable",
 		},

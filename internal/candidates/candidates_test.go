@@ -295,3 +295,25 @@ func TestMaxVerticesMemoryBounded(t *testing.T) {
 		t.Errorf("%d vertices live, cap 64", tr.NumVertices())
 	}
 }
+
+// TestTrackerReserve: reserving is a pure sizing hint — state is
+// preserved and queries are unchanged.
+func TestTrackerReserve(t *testing.T) {
+	tr, err := New(4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Reserve(1024)
+	tr.ProcessEdge(stream.Edge{U: 2, V: 3})
+	tr.ProcessEdge(stream.Edge{U: 1, V: 2}) // path 1-2-3 → 3 is a candidate of 1
+	before := tr.Candidates(1)
+	tr.Reserve(4096)
+	after := tr.Candidates(1)
+	if len(before) == 0 || len(after) != len(before) || after[0] != before[0] {
+		t.Fatalf("Reserve changed candidates: %v != %v", after, before)
+	}
+	tr.Reserve(0) // no-op
+	if !tr.Knows(2) {
+		t.Fatal("Reserve(0) dropped state")
+	}
+}

@@ -295,7 +295,7 @@ func (sc *batchScratch) prepare(edges []stream.Edge, k, nShards int, family *has
 	// across the two counting-sort passes.
 	sc.vertShard = grow(sc.vertShard, nd)
 	for i, v := range sc.distinct {
-		sc.vertShard[i] = int32(rng.Mix64(v) % uint64(nShards))
+		sc.vertShard[i] = int32(shardFor(v, nShards))
 	}
 	sc.vertGroup.group(nd, nShards, func(i int) int32 { return sc.vertShard[i] })
 

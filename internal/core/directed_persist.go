@@ -149,6 +149,9 @@ func loadDirected(rd *binReader) (*DirectedStore, error) {
 		if s.vertices[id] != nil { // see loadSketchStore
 			return nil, rd.corrupt("vertex %d appears twice", id)
 		}
+		if err := rd.placed(id); err != nil {
+			return nil, err
+		}
 		outArr, err := rd.u64()
 		if err != nil {
 			return nil, rd.fail(fmt.Sprintf("vertex %d out-arrivals", id), err)

@@ -210,6 +210,9 @@ func loadSketchStore(rd *binReader) (*SketchStore, error) {
 		if s.vertices[id] != nil {
 			return nil, rd.corrupt("vertex %d appears twice", id)
 		}
+		if err := rd.placed(id); err != nil {
+			return nil, err
+		}
 		arrivals, err := rd.u64()
 		if err != nil {
 			return nil, rd.fail(fmt.Sprintf("vertex %d arrivals", id), err)

@@ -197,7 +197,9 @@ func loadShards[T any](rd *binReader, nShards int, f *storeFormat,
 			errs := make([]error, nShards)
 			parallelRange(nShards, 1, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					shards[i], errs[i] = decode(rd.section(offs[i], offs[i+1]-offs[i]))
+					sec := rd.section(offs[i], offs[i+1]-offs[i])
+					sec.shard, sec.nShards = i, nShards
+					shards[i], errs[i] = decode(sec)
 				}
 			})
 			for i, err := range errs {
@@ -209,6 +211,7 @@ func loadShards[T any](rd *binReader, nShards int, f *storeFormat,
 		}
 	}
 	for i := range shards {
+		rd.shard, rd.nShards = i, nShards
 		s, err := decode(rd)
 		if err != nil {
 			return nil, wrap(i, err)

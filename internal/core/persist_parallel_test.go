@@ -17,11 +17,10 @@ func withGOMAXPROCS(n int, fn func()) {
 	fn()
 }
 
-// TestParallelSaveByteIdentical: the parallel per-shard encoder must
-// emit exactly the bytes of the sequential encoder — parallel encode
-// into per-shard buffers, ordered concatenation — for both sharded
-// stores. The committed snapshot format (and the crash-replay cmp
-// smoke in CI) depends on this.
+// TestParallelSaveByteIdentical: Save's bytes do not depend on
+// GOMAXPROCS — both sharded stores write the same image at 1 and 4
+// procs. The committed snapshot format (and the crash-replay cmp smoke
+// in CI) depends on this.
 func TestParallelSaveByteIdentical(t *testing.T) {
 	edges := randomEdges(300, 6000, 40111)
 	s, err := NewSharded(Config{K: 32, Seed: 40123, Degrees: DegreeDistinctKMV}, 8)

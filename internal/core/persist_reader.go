@@ -51,6 +51,10 @@ type binReader struct {
 
 	src        io.ReaderAt // nil for a stream
 	base, size int64
+
+	// shard and nShards are set while a container's shard image is
+	// decoded: every vertex in it must hash there (shardFor).
+	shard, nShards int
 }
 
 // randomAccess is an input the loaders can read in place: the
@@ -116,6 +120,18 @@ func (b *binReader) backable(count uint64, minRec int) int {
 		return 0
 	}
 	return int(min(count, uint64(max(b.size-b.off, 0))/uint64(minRec)))
+}
+
+// placed rejects vertex id when the image being decoded is a container
+// shard that id does not hash to: ingest and queries would look for it
+// in another shard, so it would be unreachable there.
+func (b *binReader) placed(id uint64) error {
+	if b.nShards > 0 {
+		if want := shardFor(id, b.nShards); want != b.shard {
+			return b.corrupt("vertex %d is stored in shard %d but hashes to shard %d", id, b.shard, want)
+		}
+	}
+	return nil
 }
 
 // fail wraps err with the field being decoded and the image offset

@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
 	"linkpred/internal/rng"
+	"linkpred/internal/stream"
 )
 
 func TestShardedSaveLoadRoundTrip(t *testing.T) {
@@ -104,5 +107,71 @@ func TestShardedSaveConsistencyAcrossShardBoundaries(t *testing.T) {
 	if loaded.NumVertices() != s.NumVertices() {
 		t.Errorf("vertices %d != %d after 16-shard round trip",
 			loaded.NumVertices(), s.NumVertices())
+	}
+}
+
+// TestContainerRejectsMisplacedVertex: an LPSH or LPDH image whose shard
+// holds a vertex that hashes to another shard is rejected, naming the
+// shard and the vertex. Loaded, such a vertex would be unreachable:
+// Knows reports false, its pairs score 0, and ingesting it again makes
+// a second copy in its own shard. The image re-saves to the same bytes,
+// so only the loader can catch it. Both the sequential and the parallel
+// decode are checked.
+func TestContainerRejectsMisplacedVertex(t *testing.T) {
+	u := uint64(1)
+	for shardFor(u, 2) != 1 {
+		u++
+	}
+	v := u + 1
+	for shardFor(v, 2) != 0 {
+		v++
+	}
+	cfg := Config{K: 8, Seed: 1}
+	for _, tc := range []struct {
+		magic string
+		store func() (Store, error)
+		load  func(io.Reader) error
+	}{
+		{shardedMagic,
+			func() (Store, error) { return NewSketchStore(cfg) },
+			func(r io.Reader) error { _, err := LoadSharded(r); return err }},
+		{shardedDirectedMagic,
+			func() (Store, error) { return NewDirectedStore(cfg) },
+			func(r io.Reader) error { _, err := LoadShardedDirected(r); return err }},
+	} {
+		// Shard 0 holds the whole edge (u, v); shard 1 is empty.
+		full, err := tc.store()
+		if err != nil {
+			t.Fatal(err)
+		}
+		full.Ingest(stream.Edge{U: u, V: v})
+		empty, err := tc.store()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var img bytes.Buffer
+		bw := newBinWriter(&img)
+		bw.str(tc.magic)
+		bw.u32(shardedVersion)
+		bw.u32(2)
+		bw.u64(1)
+		if err := full.Save(bw.bw); err != nil {
+			t.Fatal(err)
+		}
+		if err := empty.Save(bw.bw); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.flush(); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("vertex %d is stored in shard 0 but hashes to shard 1", u)
+		for _, procs := range []int{1, 4} {
+			withGOMAXPROCS(procs, func() {
+				err := tc.load(bytes.NewReader(img.Bytes()))
+				if err == nil || !strings.Contains(err.Error(), "shard 0:") || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s at GOMAXPROCS %d: load error %v, want one naming shard 0 and %q", tc.magic, procs, err, want)
+				}
+			})
+		}
 	}
 }

@@ -148,9 +148,10 @@ func (s *shardSet[T]) Config() Config { return s.cfg }
 // NumShards returns the shard count.
 func (s *shardSet[T]) NumShards() int { return len(s.shards) }
 
-func (s *shardSet[T]) shardOf(u uint64) int {
-	return int(rng.Mix64(u) % uint64(len(s.shards)))
-}
+func (s *shardSet[T]) shardOf(u uint64) int { return shardFor(u, len(s.shards)) }
+
+// shardFor is the shard that a set of n shards places vertex u in.
+func shardFor(u uint64, n int) int { return int(rng.Mix64(u) % uint64(n)) }
 
 // Reserve pre-sizes every shard for its share of n expected vertices
 // (see SketchStore.Reserve). Safe for concurrent use.

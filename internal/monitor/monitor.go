@@ -1,3 +1,13 @@
+// Package monitor profiles a graph stream in constant space: how many
+// distinct edges and vertices it carries, how much of it is duplicates,
+// and which vertices dominate. It is the operational companion to the
+// sketches — before choosing K or a degree mode (DESIGN.md §2.4) you
+// want to know the duplicate rate and the tail of the stream, and a
+// production ingester wants those numbers continuously.
+//
+// Two classic summaries are implemented from scratch: a space-saving
+// heavy-hitter table (the top-degree vertices) and a k-minimum-values
+// distinct counter (distinct edges/vertices under duplication).
 package monitor
 
 import (
@@ -7,27 +17,24 @@ import (
 	"linkpred/internal/stream"
 )
 
-// StreamMonitor profiles a graph stream in constant space, combining the
-// three summaries: distinct vertices and edges (KMV), approximate vertex
-// degrees (Count–Min), and the top-degree vertices (space-saving).
+// kmvSize is the size of the two distinct counters (relative error
+// ≈ 1/√k ≈ 3%).
+const kmvSize = 1024
+
+// StreamMonitor profiles a graph stream in constant space, combining
+// distinct counters for vertices and edges (KMV) with the top-degree
+// vertices (space-saving).
 type StreamMonitor struct {
 	edges     int64
 	selfLoops int64
 
 	vertices *KMV
 	edgeSet  *KMV
-	degrees  *CountMin
 	hitters  *SpaceSaving
 }
 
 // Config parameterises a StreamMonitor. Zero values select defaults.
 type Config struct {
-	// KMVSize is the size of the distinct counters (default 1024;
-	// relative error ≈ 1/√k ≈ 3%).
-	KMVSize int
-	// CountMinWidth and CountMinDepth size the degree sketch (defaults
-	// 16384 × 4).
-	CountMinWidth, CountMinDepth int
 	// HeavyHitters is the number of tracked top-degree vertices
 	// (default 64).
 	HeavyHitters int
@@ -37,28 +44,15 @@ type Config struct {
 
 // New returns an empty StreamMonitor.
 func New(cfg Config) (*StreamMonitor, error) {
-	if cfg.KMVSize == 0 {
-		cfg.KMVSize = 1024
-	}
-	if cfg.CountMinWidth == 0 {
-		cfg.CountMinWidth = 16384
-	}
-	if cfg.CountMinDepth == 0 {
-		cfg.CountMinDepth = 4
-	}
 	if cfg.HeavyHitters == 0 {
 		cfg.HeavyHitters = 64
 	}
 	sm := rng.NewSplitMix64(cfg.Seed)
-	vertices, err := NewKMV(cfg.KMVSize, sm.Uint64())
+	vertices, err := NewKMV(kmvSize, sm.Uint64())
 	if err != nil {
 		return nil, err
 	}
-	edgeSet, err := NewKMV(cfg.KMVSize, sm.Uint64())
-	if err != nil {
-		return nil, err
-	}
-	degrees, err := NewCountMin(cfg.CountMinWidth, cfg.CountMinDepth, sm.Uint64())
+	edgeSet, err := NewKMV(kmvSize, sm.Uint64())
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +63,6 @@ func New(cfg Config) (*StreamMonitor, error) {
 	return &StreamMonitor{
 		vertices: vertices,
 		edgeSet:  edgeSet,
-		degrees:  degrees,
 		hitters:  hitters,
 	}, nil
 }
@@ -87,15 +80,9 @@ func (m *StreamMonitor) ProcessEdge(e stream.Edge) {
 	m.edgeSet.Add(key)
 	m.vertices.Add(e.U)
 	m.vertices.Add(e.V)
-	m.degrees.Add(e.U, 1)
-	m.degrees.Add(e.V, 1)
-	m.hitters.Add(e.U, 1)
-	m.hitters.Add(e.V, 1)
+	m.hitters.Add(e.U)
+	m.hitters.Add(e.V)
 }
-
-// Degree returns the approximate arrival-degree of u (an overestimate by
-// at most the Count–Min error).
-func (m *StreamMonitor) Degree(u uint64) uint64 { return m.degrees.Count(u) }
 
 // Report summarises the stream so far.
 type Report struct {
@@ -141,8 +128,7 @@ func (m *StreamMonitor) Report(topK int) Report {
 
 // MemoryBytes returns the total payload memory of the profile.
 func (m *StreamMonitor) MemoryBytes() int {
-	return m.vertices.MemoryBytes() + m.edgeSet.MemoryBytes() +
-		m.degrees.MemoryBytes() + m.hitters.MemoryBytes()
+	return m.vertices.MemoryBytes() + m.edgeSet.MemoryBytes() + m.hitters.MemoryBytes()
 }
 
 // String renders a compact one-line summary.

@@ -10,68 +10,6 @@ import (
 	"linkpred/internal/stream"
 )
 
-func TestCountMinValidation(t *testing.T) {
-	if _, err := NewCountMin(0, 4, 1); err == nil {
-		t.Error("width=0 should error")
-	}
-	if _, err := NewCountMin(16, 0, 1); err == nil {
-		t.Error("depth=0 should error")
-	}
-}
-
-func TestCountMinNeverUnderestimates(t *testing.T) {
-	cm, _ := NewCountMin(256, 4, 7)
-	truth := map[uint64]uint64{}
-	x := rng.NewXoshiro256(1)
-	for i := 0; i < 20000; i++ {
-		k := x.Uint64() % 500
-		cm.Add(k, 1)
-		truth[k]++
-	}
-	if cm.Total() != 20000 {
-		t.Errorf("Total = %d", cm.Total())
-	}
-	for k, want := range truth {
-		if got := cm.Count(k); got < want {
-			t.Fatalf("Count(%d) = %d underestimates true %d", k, got, want)
-		}
-	}
-}
-
-func TestCountMinErrorBounded(t *testing.T) {
-	const width, n = 2048, 50000
-	cm, _ := NewCountMin(width, 4, 9)
-	truth := map[uint64]uint64{}
-	x := rng.NewXoshiro256(2)
-	for i := 0; i < n; i++ {
-		k := x.Uint64() % 2000
-		cm.Add(k, 1)
-		truth[k]++
-	}
-	// Expected overcount per counter ≈ N/width ≈ 24; allow 8× slack on
-	// the max over the min-of-depth estimates.
-	maxOver := uint64(0)
-	for k, want := range truth {
-		if over := cm.Count(k) - want; over > maxOver {
-			maxOver = over
-		}
-	}
-	if maxOver > 8*n/width {
-		t.Errorf("max overcount %d exceeds 8N/width = %d", maxOver, 8*n/width)
-	}
-}
-
-func TestCountMinUnseenKeySmall(t *testing.T) {
-	cm, _ := NewCountMin(4096, 4, 11)
-	for i := uint64(0); i < 10000; i++ {
-		cm.Add(i, 1)
-	}
-	// An unseen key's estimate is pure collision noise: small.
-	if got := cm.Count(1 << 60); got > 30 {
-		t.Errorf("unseen key count = %d, want near 0", got)
-	}
-}
-
 func TestSpaceSavingValidation(t *testing.T) {
 	if _, err := NewSpaceSaving(0); err == nil {
 		t.Error("capacity=0 should error")
@@ -96,7 +34,7 @@ func TestSpaceSavingFindsHeavyHitters(t *testing.T) {
 	}
 	x.Shuffle(len(events), func(i, j int) { events[i], events[j] = events[j], events[i] })
 	for _, k := range events {
-		ss.Add(k, 1)
+		ss.Add(k)
 		truth[k]++
 	}
 	top := ss.Top(5)
@@ -113,8 +51,8 @@ func TestSpaceSavingFindsHeavyHitters(t *testing.T) {
 				e.Key, e.Count, e.Err, truth[e.Key])
 		}
 	}
-	if ss.Tracked() > 20 {
-		t.Errorf("tracking %d keys, capacity 20", ss.Tracked())
+	if len(ss.entries) > 20 {
+		t.Errorf("tracking %d keys, capacity 20", len(ss.entries))
 	}
 }
 
@@ -123,7 +61,7 @@ func TestSpaceSavingTopOrderDeterministic(t *testing.T) {
 		ss, _ := NewSpaceSaving(8)
 		x := rng.NewXoshiro256(5)
 		for i := 0; i < 5000; i++ {
-			ss.Add(x.Uint64()%100, 1)
+			ss.Add(x.Uint64() % 100)
 		}
 		return ss.Top(8)
 	}
@@ -132,6 +70,140 @@ func TestSpaceSavingTopOrderDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("Top not deterministic")
 		}
+	}
+}
+
+// tracked returns key's entry and whether the summary holds it.
+func tracked(s *SpaceSaving, key uint64) (Entry, bool) {
+	i, ok := s.index[key]
+	if !ok {
+		return Entry{}, false
+	}
+	return s.entries[i], true
+}
+
+// TestSpaceSavingExact: while the summary has room, every count is
+// exact with zero error.
+func TestSpaceSavingExact(t *testing.T) {
+	s, err := NewSpaceSaving(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		for j := 0; j <= i; j++ {
+			s.Add(uint64(i))
+		}
+	}
+	for i := 0; i < 8; i++ {
+		e, ok := tracked(s, uint64(i))
+		if !ok || e.Count != uint64(i+1) || e.Err != 0 {
+			t.Fatalf("key %d: entry %+v tracked=%v, want exact count %d", i, e, ok, i+1)
+		}
+	}
+	top := s.Top(3)
+	if len(top) != 3 || top[0].Key != 7 || top[1].Key != 6 || top[2].Key != 5 {
+		t.Fatalf("Top(3) = %+v, want keys 7, 6, 5", top)
+	}
+}
+
+// TestSpaceSavingEviction: replacement inherits the evicted minimum's
+// count as its error bound and evicts the smallest key among ties.
+func TestSpaceSavingEviction(t *testing.T) {
+	s, _ := NewSpaceSaving(2)
+	s.Add(10)
+	s.Add(20)
+	// Both at count 1 → tie; 30 must evict the smaller key, 10.
+	s.Add(30)
+	if _, ok := tracked(s, 10); ok {
+		t.Fatal("expected key 10 evicted (smallest key among minimum-count ties)")
+	}
+	if e, ok := tracked(s, 30); !ok || e.Count != 2 || e.Err != 1 {
+		t.Fatalf("key 30: entry %+v tracked=%v, want count 2 err 1", e, ok)
+	}
+	if e, ok := tracked(s, 20); !ok || e.Count != 1 {
+		t.Fatal("key 20 should survive the eviction")
+	}
+}
+
+// TestSpaceSavingDeterminism: equal observation sequences produce
+// identical summaries, whatever map iteration order does internally.
+func TestSpaceSavingDeterminism(t *testing.T) {
+	build := func() []Entry {
+		s, _ := NewSpaceSaving(16)
+		r := rng.NewXoshiro256(99)
+		for i := 0; i < 20000; i++ {
+			s.Add(r.Uint64() % 400)
+		}
+		return s.Top(16)
+	}
+	a, b := build(), build()
+	if len(a) != 16 || len(b) != 16 {
+		t.Fatalf("summary sizes %d, %d, want 16", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("entry %d diverges: %+v != %+v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestSpaceSavingGuarantees: on a skewed stream, (1) counts never
+// underestimate, (2) count − err never overestimates, (3) every key
+// with true frequency > N/capacity is present, (4) per-entry error is
+// bounded by N/capacity.
+func TestSpaceSavingGuarantees(t *testing.T) {
+	const capacity = 64
+	s, _ := NewSpaceSaving(capacity)
+	truth := make(map[uint64]uint64)
+	r := rng.NewXoshiro256(7)
+	var n uint64
+	for i := 0; i < 100000; i++ {
+		// Zipf-ish skew: low keys vastly more frequent.
+		key := r.Uint64() % 1000
+		key = key * key / 1000
+		truth[key]++
+		s.Add(key)
+		n++
+	}
+	threshold := n / capacity
+	for key, tc := range truth {
+		e, ok := tracked(s, key)
+		if !ok {
+			if tc > threshold {
+				t.Fatalf("key %d with true count %d > N/cap %d missing from summary", key, tc, threshold)
+			}
+			continue
+		}
+		if e.Count < tc {
+			t.Fatalf("key %d: estimate %d underestimates true count %d", key, e.Count, tc)
+		}
+		if e.Count-e.Err > tc {
+			t.Fatalf("key %d: lower bound %d exceeds true count %d", key, e.Count-e.Err, tc)
+		}
+		if e.Err > threshold {
+			t.Fatalf("key %d: error %d exceeds N/cap %d", key, e.Err, threshold)
+		}
+	}
+	if len(s.entries) > capacity {
+		t.Fatalf("summary holds %d entries, capacity %d", len(s.entries), capacity)
+	}
+}
+
+// TestSpaceSavingBoundedMemory: memory is a function of capacity, not
+// of the number of distinct keys streamed through.
+func TestSpaceSavingBoundedMemory(t *testing.T) {
+	const capacity = 32
+	s, _ := NewSpaceSaving(capacity)
+	before := s.MemoryBytes()
+	for i := 0; i < 100000; i++ {
+		s.Add(uint64(i))
+	}
+	if got := s.MemoryBytes(); got != before {
+		t.Fatalf("memory grew from %d to %d over a high-churn stream", before, got)
+	}
+	if len(s.entries) != capacity || cap(s.entries) != capacity || len(s.index) != capacity {
+		t.Fatalf("entries len %d cap %d, index %d; want %d each",
+			len(s.entries), cap(s.entries), len(s.index), capacity)
 	}
 }
 
@@ -147,6 +219,28 @@ func TestKMVValidationAndExactness(t *testing.T) {
 	}
 	if got := v.Estimate(); got != 40 {
 		t.Errorf("under-k estimate = %v, want exactly 40", got)
+	}
+}
+
+// TestKMVFullStaysAtK: once full, an insertion shifts the largest
+// value out in place, so the slice keeps the k words MemoryBytes
+// reports instead of growing past them.
+func TestKMVFullStaysAtK(t *testing.T) {
+	const k = 1024
+	v, _ := NewKMV(k, 5)
+	for i := uint64(0); i < 50*k; i++ {
+		v.Add(i)
+	}
+	if len(v.vals) != k || cap(v.vals) != k {
+		t.Fatalf("len %d cap %d, want %d", len(v.vals), cap(v.vals), k)
+	}
+	if v.MemoryBytes() != 8*cap(v.vals) {
+		t.Fatalf("MemoryBytes %d, backing array %d bytes", v.MemoryBytes(), 8*cap(v.vals))
+	}
+	for i := 1; i < k; i++ {
+		if v.vals[i-1] >= v.vals[i] {
+			t.Fatalf("vals not strictly ascending at %d", i)
+		}
 	}
 }
 
@@ -249,20 +343,124 @@ func TestMonitorSelfLoops(t *testing.T) {
 	}
 }
 
-func TestMonitorDegreeLookup(t *testing.T) {
-	m, _ := New(Config{Seed: 1})
-	for i := 0; i < 50; i++ {
-		m.ProcessEdge(stream.Edge{U: 7, V: uint64(100 + i)})
-	}
-	if got := m.Degree(7); got < 50 {
-		t.Errorf("Degree(7) = %d underestimates 50", got)
-	}
-}
-
 func TestMonitorEmptyReport(t *testing.T) {
 	m, _ := New(Config{})
 	r := m.Report(5)
 	if r.Edges != 0 || r.DuplicateRate != 0 || r.MeanDegree != 0 {
 		t.Errorf("empty report = %+v", r)
+	}
+}
+
+// TestReportPinned pins Report(64) on two seeded streams to the values
+// the map-backed Space-Saving and the Count–Min-carrying monitor gave:
+// every top-list entry and the distinct counts, bit for bit. Both
+// streams evict constantly at 64 slots, so the list depends on the
+// minimum-count, smaller-key eviction order.
+func TestReportPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name                                           string
+		open                                           func() (stream.Source, error)
+		edges                                          int64
+		distinctEdges, distinctVertices, duplicateRate float64
+		top                                            []Entry
+	}{
+		{
+			name:  "flickr",
+			open:  func() (stream.Source, error) { return gen.Open(gen.DatasetFlickr, gen.ScaleSmall, 42) },
+			edges: 20000, distinctEdges: 15574.627886096741, distinctVertices: 2012.2535205926308, duplicateRate: 0.22126860569516293,
+			top: []Entry{
+				{0, 2396, 0}, {1, 1374, 0}, {2, 1018, 1}, {3, 753, 3},
+				{4, 669, 2}, {5, 579, 544}, {10, 574, 569}, {14, 574, 570},
+				{6, 573, 572}, {8, 573, 568}, {11, 573, 571}, {15, 573, 572},
+				{19, 573, 571}, {20, 573, 572}, {29, 573, 571}, {42, 573, 572},
+				{44, 573, 572}, {45, 573, 572}, {53, 573, 570}, {60, 573, 572},
+				{80, 573, 572}, {99, 573, 569}, {130, 573, 572}, {157, 573, 572},
+				{173, 573, 572}, {176, 573, 572}, {248, 573, 572}, {307, 573, 572},
+				{335, 573, 572}, {342, 573, 572}, {384, 573, 572}, {577, 573, 572},
+				{703, 573, 572}, {829, 573, 572}, {1011, 573, 572}, {1504, 573, 572},
+				{1679, 573, 572}, {1748, 573, 572}, {1984, 573, 572}, {430, 572, 571},
+				{527, 572, 571}, {545, 572, 571}, {578, 572, 571}, {619, 572, 571},
+				{672, 572, 571}, {735, 572, 571}, {767, 572, 571}, {900, 572, 571},
+				{968, 572, 571}, {1076, 572, 571}, {1100, 572, 571}, {1148, 572, 571},
+				{1179, 572, 571}, {1201, 572, 571}, {1236, 572, 571}, {1323, 572, 571},
+				{1332, 572, 571}, {1355, 572, 571}, {1412, 572, 571}, {1479, 572, 571},
+				{1765, 572, 571}, {1909, 572, 571}, {1947, 572, 571}, {1982, 572, 571},
+			},
+		},
+		{
+			name:  "rmat",
+			open:  func() (stream.Source, error) { return gen.RMAT(12, 40000, .57, .19, .19, .05, 7) },
+			edges: 40000, distinctEdges: 32200.974658418992, distinctVertices: 3023.0359532748075, duplicateRate: 0.19497563353952518,
+			top: []Entry{
+				{0, 2944, 2}, {4, 1229, 1211}, {16, 1225, 1216}, {256, 1225, 1215},
+				{260, 1225, 1220}, {1, 1224, 1183}, {64, 1224, 1222}, {2056, 1224, 1220},
+				{3136, 1224, 1222}, {2, 1223, 1222}, {8, 1223, 1222}, {24, 1223, 1222},
+				{48, 1223, 1222}, {72, 1223, 1222}, {74, 1223, 1222}, {82, 1223, 1222},
+				{116, 1223, 1222}, {136, 1223, 1222}, {160, 1223, 1222}, {257, 1223, 1222},
+				{261, 1223, 1222}, {264, 1223, 1222}, {268, 1223, 1222}, {300, 1223, 1222},
+				{364, 1223, 1222}, {489, 1223, 1222}, {528, 1223, 1222}, {608, 1223, 1222},
+				{640, 1223, 1222}, {704, 1223, 1222}, {1016, 1223, 1222}, {1024, 1223, 1220},
+				{1026, 1223, 1222}, {1032, 1223, 1222}, {1033, 1223, 1222}, {1040, 1223, 1222},
+				{1056, 1223, 1222}, {1090, 1223, 1222}, {1217, 1223, 1222}, {1312, 1223, 1222},
+				{1538, 1223, 1222}, {2065, 1223, 1222}, {2084, 1223, 1222}, {2088, 1223, 1222},
+				{2180, 1223, 1222}, {2194, 1223, 1222}, {2202, 1223, 1222}, {2257, 1223, 1222},
+				{2432, 1223, 1222}, {2571, 1223, 1222}, {2625, 1223, 1222}, {2626, 1223, 1222},
+				{2628, 1223, 1222}, {2657, 1223, 1222}, {2690, 1223, 1222}, {2440, 1222, 1221},
+				{2688, 1222, 1221}, {2734, 1222, 1221}, {3080, 1222, 1221}, {3084, 1222, 1221},
+				{3088, 1222, 1221}, {3154, 1222, 1220}, {3206, 1222, 1221}, {3399, 1222, 1221},
+			},
+		},
+	} {
+		src, err := tc.open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := stream.Collect(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := New(Config{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range raw {
+			m.ProcessEdge(e)
+		}
+		r := m.Report(64)
+		if r.Edges != tc.edges || r.DistinctEdges != tc.distinctEdges ||
+			r.DistinctVertices != tc.distinctVertices || r.DuplicateRate != tc.duplicateRate {
+			t.Errorf("%s: report %+v, want edges %d distinct edges %v vertices %v dup %v", tc.name, r,
+				tc.edges, tc.distinctEdges, tc.distinctVertices, tc.duplicateRate)
+		}
+		if len(r.TopVertices) != len(tc.top) {
+			t.Fatalf("%s: %d top vertices, want %d", tc.name, len(r.TopVertices), len(tc.top))
+		}
+		for i, e := range r.TopVertices {
+			if e != tc.top[i] {
+				t.Errorf("%s: top vertex %d = %+v, want %+v", tc.name, i, e, tc.top[i])
+			}
+		}
+	}
+}
+
+// BenchmarkProcessEdge folds a seeded scale-16 R-MAT stream, the shape
+// bench/e2e ingests, into one monitor: ns/op is the cost of one edge.
+func BenchmarkProcessEdge(b *testing.B) {
+	src, err := gen.RMAT(16, 1<<19, .57, .19, .19, .05, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	raw, err := stream.Collect(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := New(Config{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.ProcessEdge(raw[i%len(raw)])
 	}
 }

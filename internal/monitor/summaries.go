@@ -8,53 +8,29 @@ import (
 	"linkpred/internal/hashing"
 )
 
-// SpaceSaving is Metwally's space-saving heavy-hitter summary: it tracks
-// at most capacity keys and guarantees that any key with true count
-// above N/capacity is present, with count overestimated by at most the
-// minimum tracked count.
+// SpaceSaving is Metwally, Agrawal and El Abbadi's space-saving
+// heavy-hitter summary: it tracks the approximately most frequent keys
+// of a stream in O(capacity) memory, whatever the stream length or key
+// universe.
+//
+// Guarantees (N = total observations, c = capacity):
+//
+//   - every key whose true count exceeds N/c is tracked;
+//   - Count never underestimates: true count ∈ [Count−Err, Count],
+//     where Err is the count the entry inherited when it overwrote the
+//     previous minimum (0 for keys tracked since their first arrival);
+//   - Err ≤ N/c for every entry.
+//
+// When the summary is full, a new key overwrites the minimum-count
+// entry, ties broken toward the smaller key, so equal streams produce
+// identical summaries. Finding that entry scans the array: an untracked
+// arrival costs O(capacity), any other O(1).
+//
+// Not safe for concurrent use.
 type SpaceSaving struct {
 	capacity int
-	counts   map[uint64]uint64
-	// err[k] bounds the overcount of k (the count it inherited on entry).
-	err map[uint64]uint64
-}
-
-// NewSpaceSaving returns a summary tracking at most capacity keys. It
-// returns an error if capacity < 1.
-func NewSpaceSaving(capacity int) (*SpaceSaving, error) {
-	if capacity < 1 {
-		return nil, fmt.Errorf("monitor: SpaceSaving needs capacity >= 1, got %d", capacity)
-	}
-	return &SpaceSaving{
-		capacity: capacity,
-		counts:   make(map[uint64]uint64, capacity),
-		err:      make(map[uint64]uint64, capacity),
-	}, nil
-}
-
-// Add increments key's count by delta.
-func (s *SpaceSaving) Add(key uint64, delta uint64) {
-	if _, ok := s.counts[key]; ok {
-		s.counts[key] += delta
-		return
-	}
-	if len(s.counts) < s.capacity {
-		s.counts[key] = delta
-		s.err[key] = 0
-		return
-	}
-	// Evict the minimum-count key; the newcomer inherits its count.
-	var minKey uint64
-	minVal := ^uint64(0)
-	for k, v := range s.counts {
-		if v < minVal || (v == minVal && k < minKey) {
-			minKey, minVal = k, v
-		}
-	}
-	delete(s.counts, minKey)
-	delete(s.err, minKey)
-	s.counts[key] = minVal + delta
-	s.err[key] = minVal
+	entries  []Entry
+	index    map[uint64]int // key → position in entries
 }
 
 // Entry is one tracked key with its estimated count and error bound
@@ -65,13 +41,47 @@ type Entry struct {
 	Err   uint64
 }
 
+// NewSpaceSaving returns a summary tracking at most capacity keys. It
+// returns an error if capacity < 1.
+func NewSpaceSaving(capacity int) (*SpaceSaving, error) {
+	if capacity < 1 {
+		return nil, fmt.Errorf("monitor: SpaceSaving needs capacity >= 1, got %d", capacity)
+	}
+	return &SpaceSaving{
+		capacity: capacity,
+		entries:  make([]Entry, 0, capacity),
+		index:    make(map[uint64]int, capacity),
+	}, nil
+}
+
+// Add records one occurrence of key.
+func (s *SpaceSaving) Add(key uint64) {
+	if i, ok := s.index[key]; ok {
+		s.entries[i].Count++
+		return
+	}
+	if len(s.entries) < s.capacity {
+		s.index[key] = len(s.entries)
+		s.entries = append(s.entries, Entry{Key: key, Count: 1})
+		return
+	}
+	minIdx := 0
+	for i := 1; i < len(s.entries); i++ {
+		e, m := &s.entries[i], &s.entries[minIdx]
+		if e.Count < m.Count || (e.Count == m.Count && e.Key < m.Key) {
+			minIdx = i
+		}
+	}
+	old := s.entries[minIdx]
+	delete(s.index, old.Key)
+	s.index[key] = minIdx
+	s.entries[minIdx] = Entry{Key: key, Count: old.Count + 1, Err: old.Count}
+}
+
 // Top returns the k highest-count entries, count-descending with ties
 // toward smaller keys.
 func (s *SpaceSaving) Top(k int) []Entry {
-	out := make([]Entry, 0, len(s.counts))
-	for key, c := range s.counts {
-		out = append(out, Entry{Key: key, Count: c, Err: s.err[key]})
-	}
+	out := append([]Entry(nil), s.entries...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {
 			return out[i].Count > out[j].Count
@@ -84,11 +94,9 @@ func (s *SpaceSaving) Top(k int) []Entry {
 	return out
 }
 
-// Tracked returns the number of keys currently tracked.
-func (s *SpaceSaving) Tracked() int { return len(s.counts) }
-
-// MemoryBytes returns the payload size of the summary.
-func (s *SpaceSaving) MemoryBytes() int { return 48 * s.capacity }
+// MemoryBytes returns the payload size of the summary: the entry array
+// plus a rough 48 bytes per key of index.
+func (s *SpaceSaving) MemoryBytes() int { return (24 + 48) * s.capacity }
 
 // KMV is a k-minimum-values distinct counter over 64-bit keys: it keeps
 // the k smallest hash values seen; with m_k the k-th smallest mapped to
@@ -111,19 +119,21 @@ func NewKMV(k int, seed uint64) (*KMV, error) {
 // Add observes one key (duplicates are free by construction).
 func (v *KMV) Add(key uint64) {
 	h := v.hash.Hash(key)
-	if len(v.vals) == v.k && h >= v.vals[len(v.vals)-1] {
+	n := len(v.vals)
+	if n == v.k && h >= v.vals[n-1] {
 		return
 	}
-	i := sort.Search(len(v.vals), func(i int) bool { return v.vals[i] >= h })
-	if i < len(v.vals) && v.vals[i] == h {
+	i := sort.Search(n, func(i int) bool { return v.vals[i] >= h })
+	if i < n && v.vals[i] == h {
 		return // already present
 	}
-	v.vals = append(v.vals, 0)
+	// When full, the shift drops the largest value, so the slice never
+	// outgrows the k words it was made with.
+	if n < v.k {
+		v.vals = append(v.vals, 0)
+	}
 	copy(v.vals[i+1:], v.vals[i:])
 	v.vals[i] = h
-	if len(v.vals) > v.k {
-		v.vals = v.vals[:v.k]
-	}
 }
 
 // Estimate returns the estimated number of distinct keys observed. While

@@ -209,13 +209,13 @@ func (s *Server) resilienceGauges() map[string]any {
 		hs := s.opts.Durability.WAL().HealState()
 		ws := s.opts.Durability.WAL().Stats()
 		heal := map[string]any{
-			"enabled":             hs.Enabled,
-			"degraded":            hs.Degraded,
-			"attempts":            ws.HealAttempts,
-			"heals":               ws.Heals,
-			"quarantined":         ws.Quarantined,
-			"degraded_seconds":    ws.DegradedSecs,
-			"episode_attempts":    hs.Attempts,
+			"enabled":          hs.Enabled,
+			"degraded":         hs.Degraded,
+			"attempts":         ws.HealAttempts,
+			"heals":            ws.Heals,
+			"quarantined":      ws.Quarantined,
+			"degraded_seconds": ws.DegradedSecs,
+			"episode_attempts": hs.Attempts,
 		}
 		if hs.Degraded {
 			heal["reason"] = hs.Reason

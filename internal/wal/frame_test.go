@@ -218,8 +218,8 @@ func TestAppendFrameRejectsMalformed(t *testing.T) {
 func FuzzFrameReader(f *testing.F) {
 	good, _ := EncodeFrame(nil, KindEdge, testEdges(9, 4))
 	f.Add(good)
-	f.Add(good[:7])                 // torn header
-	f.Add(good[:len(good)-5])       // torn payload
+	f.Add(good[:7])           // torn header
+	f.Add(good[:len(good)-5]) // torn payload
 	badCRC := append([]byte(nil), good...)
 	badCRC[0] ^= 0xff
 	f.Add(badCRC)
