@@ -53,6 +53,11 @@ func corruptLoaders(t *testing.T) map[string]struct {
 		t.Fatal(err)
 	}
 	shardedDir.ProcessArcs(edges)
+	dynamic, err := NewDynamicStore(Config{K: 8, Seed: 1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dynamic.ProcessEdges(edges)
 
 	save := func(s interface{ Save(io.Writer) error }) []byte {
 		var buf bytes.Buffer
@@ -85,6 +90,10 @@ func corruptLoaders(t *testing.T) map[string]struct {
 			_, err := LoadShardedDirected(r)
 			return err
 		}},
+		"dynamic": {save(dynamic), func(r io.Reader) error {
+			_, err := LoadDynamicStore(r)
+			return err
+		}},
 	}
 }
 
@@ -113,26 +122,32 @@ func TestLoadersRejectTruncation(t *testing.T) {
 // byte offset.
 func TestLoadersRejectImpossibleFields(t *testing.T) {
 	loaders := corruptLoaders(t)
-	// Shared single-store header layout (sketch and directed):
-	// magic 0:4 | version 4:8 | K 8:12 | seed 12:20 | flags 20:24.
+	// Shared single-store header layout: magic 0:4 | version 4:8 |
+	// K 8:12 | seed | flags; LPDY's recovery depth sits before the seed,
+	// so its flags start at byte 24 instead of 20.
 	singleStore := []struct {
 		name   string
-		mutate func(img []byte)
+		mutate func(img []byte, flags int)
 	}{
-		{"bad-magic", func(img []byte) { copy(img, "NOPE") }},
-		{"bad-version", func(img []byte) { binary.LittleEndian.PutUint32(img[4:8], 99) }},
-		{"zero-K", func(img []byte) { binary.LittleEndian.PutUint32(img[8:12], 0) }},
-		{"huge-K", func(img []byte) { binary.LittleEndian.PutUint32(img[8:12], 1<<30) }},
-		{"bad-hash-kind", func(img []byte) { img[20] = 0x40 }},
-		{"bad-degree-mode", func(img []byte) { img[21] = 0x40 }},
-		{"bad-flag-byte", func(img []byte) { img[22] = 7 }},
+		{"bad-magic", func(img []byte, _ int) { copy(img, "NOPE") }},
+		{"bad-version", func(img []byte, _ int) { binary.LittleEndian.PutUint32(img[4:8], 99) }},
+		{"zero-K", func(img []byte, _ int) { binary.LittleEndian.PutUint32(img[8:12], 0) }},
+		{"huge-K", func(img []byte, _ int) { binary.LittleEndian.PutUint32(img[8:12], 1<<30) }},
+		{"bad-hash-kind", func(img []byte, flags int) { img[flags] = 0x40 }},
+		{"bad-degree-mode", func(img []byte, flags int) { img[flags+1] = 0x40 }},
+		{"bad-flag-byte", func(img []byte, flags int) { img[flags+2] = 7 }},
 	}
-	for _, fmtName := range []string{"sketch", "directed"} {
+	// Per format: where the flags start and where the vertex count sits.
+	for fmtName, off := range map[string]struct{ flags, count int }{
+		"sketch":   {20, 40},
+		"directed": {20, 32},
+		"dynamic":  {24, 36},
+	} {
 		tc := loaders[fmtName]
 		for _, m := range singleStore {
 			t.Run(fmtName+"/"+m.name, func(t *testing.T) {
 				img := append([]byte(nil), tc.image...)
-				m.mutate(img)
+				m.mutate(img, off.flags)
 				err := tc.load(bytes.NewReader(img))
 				if err == nil {
 					t.Fatal("impossible image loaded without error")
@@ -142,17 +157,10 @@ func TestLoadersRejectImpossibleFields(t *testing.T) {
 				}
 			})
 		}
-	}
-	// Vertex count no image could back.
-	for _, fmtName := range []string{"sketch", "directed"} {
-		tc := loaders[fmtName]
+		// Vertex count no image could back.
 		t.Run(fmtName+"/huge-vertex-count", func(t *testing.T) {
 			img := append([]byte(nil), tc.image...)
-			off := 40 // sketch: after edges+triangles
-			if fmtName == "directed" {
-				off = 32 // directed: after arcs
-			}
-			binary.LittleEndian.PutUint64(img[off:off+8], 1<<62)
+			binary.LittleEndian.PutUint64(img[off.count:off.count+8], 1<<62)
 			if err := tc.load(bytes.NewReader(img)); err == nil {
 				t.Fatal("forged vertex count loaded without error")
 			}
@@ -190,6 +198,51 @@ func TestLoadersRejectImpossibleFields(t *testing.T) {
 				m.mutate(img)
 				if err := tc.load(bytes.NewReader(img)); err == nil {
 					t.Fatal("impossible windowed image loaded without error")
+				}
+			})
+		}
+	}
+}
+
+// TestLoadersRejectNonCanonical forges one image per rule that Save's
+// output always keeps — vertex ids ascend, LPSW's reserved header bytes
+// are zero, nothing follows the image — and checks that LoadAny rejects
+// each with an error naming a byte offset, from both reader shapes and
+// through both the sequential and the parallel shard decode.
+func TestLoadersRejectNonCanonical(t *testing.T) {
+	loaders := corruptLoaders(t)
+	sketch := must(NewSketchStore(Config{K: 8, Seed: 1}))
+	sketch.ProcessEdges(randomEdges(60, 500, 503))
+	forged := map[string][]byte{}
+	// Records 0 and 1 swapped, so the ids descend. At K=8 a uniform LPSK
+	// image has a 48-byte header and 152-byte records, LPSD 40 and 280.
+	for _, tc := range []struct {
+		name     string
+		img      []byte
+		hdr, rec int
+	}{
+		{"sketch", saveBytes(t, sketch.Save), 48, 24 + 16*8},
+		{"directed", loaders["directed"].image, 40, 24 + 32*8},
+	} {
+		img := bytes.Clone(tc.img)
+		first := bytes.Clone(img[tc.hdr : tc.hdr+tc.rec])
+		copy(img[tc.hdr:], img[tc.hdr+tc.rec:tc.hdr+2*tc.rec])
+		copy(img[tc.hdr+tc.rec:], first)
+		forged[tc.name+"/ids-descend"] = img
+	}
+	windowed := bytes.Clone(loaders["windowed"].image)
+	windowed[44] = 1 // in reserved header bytes 41-47
+	forged["windowed/reserved-byte"] = windowed
+	for name, tc := range loaders {
+		forged[name+"/trailing-byte"] = append(bytes.Clone(tc.image), 0)
+	}
+	for name, img := range forged {
+		for _, procs := range []int{1, 4} {
+			withGOMAXPROCS(procs, func() {
+				for _, r := range []io.Reader{bytes.NewReader(img), struct{ io.Reader }{bytes.NewReader(img)}} {
+					if _, err := LoadAny(r); err == nil || !strings.Contains(err.Error(), "byte") {
+						t.Errorf("%s from %T at GOMAXPROCS %d: %v, want an error naming a byte offset", name, r, procs, err)
+					}
 				}
 			})
 		}

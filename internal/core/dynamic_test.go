@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math/rand"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -443,6 +446,32 @@ func TestDynamicLoadRejectsCorrupt(t *testing.T) {
 	copy(bad[12:16], []byte{0, 0, 0, 0})
 	if _, err := LoadDynamicStore(bytes.NewReader(bad)); err == nil {
 		t.Fatal("zero recovery depth accepted")
+	}
+	// A vertex stored twice. A star on vertex 1 loses edges until one
+	// register degrades; then vertex 1's record is appended to the image
+	// and the vertex count raised to 40. Loaded, the store would count
+	// the degraded register twice, and its re-save would load as a
+	// different store.
+	star := must(NewDynamicStore(Config{K: 4, Seed: 2}, 1))
+	for leaf := uint64(2); leaf < 40; leaf++ {
+		star.ProcessEdge(stream.Edge{U: 1, V: leaf, T: int64(leaf)})
+	}
+	for leaf := uint64(2); star.DegradedRegisters() == 0; leaf++ {
+		star.DeleteEdge(stream.Edge{U: 1, V: leaf})
+	}
+	full = saveBytes(t, star.Save)
+	// Vertex 1's record follows the 44-byte header: id and arrivals, then
+	// K register records of 6 bytes plus 20 per entry.
+	end := 44 + 16
+	for r := 0; r < 4; r++ {
+		end += 6 + 20*int(full[end+5])
+	}
+	twice := append(bytes.Clone(full), full[44:end]...)
+	binary.LittleEndian.PutUint64(twice[36:44], 40)
+	for _, r := range []io.Reader{bytes.NewReader(twice), struct{ io.Reader }{bytes.NewReader(twice)}} {
+		if _, err := LoadAny(r); err == nil || !strings.Contains(err.Error(), "byte") {
+			t.Fatalf("image storing vertex 1 twice, from %T: %v", r, err)
+		}
 	}
 }
 

@@ -15,7 +15,8 @@ import (
 // windowed, LPSD directed, LPDH sharded-directed, LPDY dynamic) — so a
 // checkpoint file is self-describing and a server can restore whatever
 // mode wrote it. The stream binary format (LPS1, internal/stream) is deliberately
-// rejected here: it is a stream of edges, not a store image.
+// rejected here: it is a stream of edges, not a store image. So are
+// bytes after the image, which Save never writes.
 func LoadAny(r io.Reader) (Store, error) {
 	// Peek, don't consume: each loader re-verifies its own magic. One
 	// binReader serves the loader too, so a random-access input (see
@@ -28,20 +29,28 @@ func LoadAny(r io.Reader) (Store, error) {
 		}
 		return nil, fmt.Errorf("core: load store image magic: %w", err)
 	}
+	var s Store
 	switch string(magic) {
 	case persistMagic:
-		return loadSketchStore(rd)
+		s, err = loadSketchStore(rd)
 	case shardedMagic:
-		return loadSharded(rd)
+		s, err = loadSharded(rd)
 	case windowedMagic:
-		return loadWindowed(rd)
+		s, err = loadWindowed(rd)
 	case directedMagic:
-		return loadDirected(rd)
+		s, err = loadDirected(rd)
 	case shardedDirectedMagic:
-		return loadShardedDirected(rd)
+		s, err = loadShardedDirected(rd)
 	case dynamicMagic:
-		return loadDynamicStore(rd)
+		s, err = loadDynamicStore(rd)
 	default:
 		return nil, fmt.Errorf("core: unknown store image magic %q", magic)
 	}
+	if err != nil {
+		return nil, err
+	}
+	if err := rd.end(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }

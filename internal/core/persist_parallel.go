@@ -30,37 +30,6 @@ func parallelPersist(nShards int) bool {
 	return nShards > 1 && runtime.GOMAXPROCS(0) > 1
 }
 
-// storeFormat is what sizing a single-store image takes to know about
-// its format. Both formats (persist.go, directed_persist.go) open with
-// magic | version u32 | K u32 | seed u64 | four flag bytes, then carry
-// the tier ladder on version 2, the store totals and the vertex count;
-// every vertex record opens with 24 bytes of id and counters — the
-// arrival counter of register bank b at record byte 8+8b — followed by
-// a values and an argmin span per bank, each as wide as the bank's tier.
-type storeFormat struct {
-	magic  string
-	totals int64 // bytes of store totals before the vertex count
-	banks  int   // register banks per vertex record
-	biased bool  // flag byte 2 marks biased records, which vary in size
-}
-
-var (
-	lpskFormat = &storeFormat{magic: persistMagic, totals: 16, banks: 1, biased: true}
-	lpsdFormat = &storeFormat{magic: directedMagic, totals: 8, banks: 2}
-)
-
-// Header bytes of a uniform (v1) image, through the vertex count.
-//
-// LPSK: magic 4 | version 4 | K 4 | seed 8 | flags 4 (hash, degrees,
-// biased, triangles) | edges 8 | triangles 8 | vertexCount 8 = 48.
-//
-// LPSD: magic 4 | version 4 | K 4 | seed 8 | flags 4 | arcs 8 |
-// vertexCount 8 = 40.
-const (
-	lpskHeaderBytes = 48
-	lpsdHeaderBytes = 40
-)
-
 // imageLayout is what a store image's header and arrival counters tell
 // before it is decoded: its length and, per register bank, how many of
 // its vertices land in each tier.
@@ -70,75 +39,43 @@ type imageLayout struct {
 }
 
 // layout sizes the image of format f that starts at image offset off of
-// a random-access input. It checks only what sizing needs — full
-// validation stays with the decoder — and ok is false on a stream, for
+// a random-access input, reading its header from a section of the input
+// with the decoder's own header reader. ok is false on a stream, for
 // biased records (whose size only decoding tells), and for anything
 // that does not fit the input; the decoder then reports the fault.
 func (f *storeFormat) layout(rd *binReader, off int64) (lay imageLayout, ok bool) {
-	le := binary.LittleEndian
-	var hdr [24]byte
-	if !rd.peekAt(hdr[:], off) || string(hdr[:4]) != f.magic {
+	if rd.src == nil {
 		return lay, false
 	}
-	k := le.Uint32(hdr[8:])
-	if k == 0 || k > maxPersistK || (f.biased && hdr[22] != 0) {
+	sec := rd.section(off, rd.size-off)
+	h, err := f.readHeader(sec)
+	if err != nil || h.cfg.EnableBiased {
 		return lay, false
 	}
-	tiers := [MaxTiers]Tier{{K: int(k)}}
-	nTiers := 1
-	p := off + int64(len(hdr))
-	var word [16]byte
-	switch le.Uint32(hdr[4:]) {
-	case 1:
-	case 2:
-		if !rd.peekAt(word[:4], p) {
-			return lay, false
-		}
-		nTiers = int(le.Uint32(word[:]))
-		if nTiers < 2 || nTiers > MaxTiers {
-			return lay, false
-		}
-		p += 4
-		for t := range tiers[:nTiers] {
-			if !rd.peekAt(word[:12], p) {
-				return lay, false
-			}
-			tk := le.Uint32(word[:])
-			if tk == 0 || tk > maxPersistK {
-				return lay, false
-			}
-			tiers[t] = Tier{K: int(tk), PromoteAt: int64(le.Uint64(word[4:]))}
-			p += 12
-		}
-	default:
-		return lay, false
-	}
-	if !rd.peekAt(word[:8], p+f.totals) {
-		return lay, false
-	}
-	count := le.Uint64(word[:])
-	p += f.totals + 8
-	if nTiers == 1 {
-		rec := 24 + int64(f.banks)*16*int64(k)
-		if count > uint64(rd.size-p)/uint64(rec) {
+	p := sec.off
+	tiers := h.cfg.activeTiers()
+	if tiers == nil {
+		rec := int64(f.minRecord(h.cfg))
+		if h.count > uint64(rd.size-p)/uint64(rec) {
 			return lay, false
 		}
 		for b := range f.banks {
-			lay.slots[b][0] = int(count)
+			lay.slots[b][0] = int(h.count)
 		}
-		lay.size = p - off + int64(count)*rec
+		lay.size = p - off + int64(h.count)*rec
 		return lay, true
 	}
 	// Each record's spans are as wide as the tier its arrival counter has
 	// earned — the tier the decoder promotes it to. The scan ends within
-	// the input: every record moves p on by at least 24 bytes.
-	for i := uint64(0); i < count; i++ {
+	// the input: every record moves p on by at least f.head bytes.
+	var word [16]byte
+	for i := uint64(0); i < h.count; i++ {
 		if !rd.peekAt(word[:8*f.banks], p+8) {
 			return lay, false
 		}
-		p += 24
+		p += int64(f.head)
 		for b := range f.banks {
-			t := tierFor(tiers[:nTiers], int64(le.Uint64(word[8*b:])))
+			t := tierFor(tiers, int64(binary.LittleEndian.Uint64(word[8*b:])))
 			lay.slots[b][t]++
 			p += 16 * int64(tiers[t].K)
 		}
@@ -148,14 +85,14 @@ func (f *storeFormat) layout(rd *binReader, off int64) (lay imageLayout, ok bool
 }
 
 // reservation sizes a store loading an image of format f, which began
-// at image offset start and declares count vertex records of at least
-// minRec bytes: the vertex map gets n entries and tier t of register
-// bank b slots[b][t] slots. Neither exceeds what the unread input can
-// back (binReader.backable). A tiered store's tier counts come from the
-// image's layout. A stream has neither, so nothing is reserved.
-func (f *storeFormat) reservation(rd *binReader, start int64, count uint64, tiered bool, minRec int) (n int, slots [2][MaxTiers]int) {
-	n = rd.backable(count, minRec)
-	if !tiered {
+// at image offset start and has header h: the vertex map gets n entries
+// and tier t of register bank b slots[b][t] slots. Neither exceeds what
+// the unread input can back (binReader.backable). A tiered store's tier
+// counts come from the image's layout. A stream has neither, so nothing
+// is reserved.
+func (f *storeFormat) reservation(rd *binReader, start int64, h storeHeader) (n int, slots [2][MaxTiers]int) {
+	n = rd.backable(h.count, f.minRecord(h.cfg))
+	if !h.cfg.tiered() {
 		for b := range f.banks {
 			slots[b][0] = n
 		}
@@ -207,6 +144,9 @@ func loadShards[T any](rd *binReader, nShards int, f *storeFormat,
 					return nil, wrap(i, err)
 				}
 			}
+			// The sections were read instead of rd: move its offset to
+			// the images' end, where binReader.end looks for more input.
+			rd.off = offs[nShards]
 			return shards, nil
 		}
 	}

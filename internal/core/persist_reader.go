@@ -122,14 +122,45 @@ func (b *binReader) backable(count uint64, minRec int) int {
 	return int(min(count, uint64(max(b.size-b.off, 0))/uint64(minRec)))
 }
 
-// placed rejects vertex id when the image being decoded is a container
-// shard that id does not hash to: ingest and queries would look for it
-// in another shard, so it would be unreachable there.
-func (b *binReader) placed(id uint64) error {
+// vertexID consumes the id of vertex record i, where prev is record
+// i-1's id. Save writes ids in strictly ascending order, and the
+// loaders accept no other: a second record for one vertex would decode
+// at the width of the tier its first record reached, not the width its
+// own counter gives, so images are sized (storeFormat.layout) on the
+// rule that every vertex appears once. In a container shard the id must
+// also hash to that shard, or ingest and queries, which look for it
+// there, would never find it.
+func (b *binReader) vertexID(i, prev uint64) (uint64, error) {
+	id, err := b.u64()
+	if err != nil {
+		return 0, b.fail(fmt.Sprintf("vertex %d id", i), err)
+	}
+	switch {
+	case i > 0 && id == prev:
+		return 0, b.corrupt("vertex %d appears twice", id)
+	case i > 0 && id < prev:
+		return 0, b.corrupt("vertex %d follows vertex %d: ids must ascend", id, prev)
+	}
 	if b.nShards > 0 {
 		if want := shardFor(id, b.nShards); want != b.shard {
-			return b.corrupt("vertex %d is stored in shard %d but hashes to shard %d", id, b.shard, want)
+			return 0, b.corrupt("vertex %d is stored in shard %d but hashes to shard %d", id, b.shard, want)
 		}
+	}
+	return id, nil
+}
+
+// end rejects input left after a whole image: Save writes none.
+func (b *binReader) end() error {
+	more := b.off < b.size
+	if b.src == nil {
+		_, err := b.br.Peek(1)
+		if err != nil && err != io.EOF {
+			return b.fail("end of image", err)
+		}
+		more = err == nil
+	}
+	if more {
+		return b.corrupt("bytes follow the image")
 	}
 	return nil
 }

@@ -175,3 +175,59 @@ func TestContainerRejectsMisplacedVertex(t *testing.T) {
 		}
 	}
 }
+
+// TestContainerRejectsBiasedShard: NewSharded refuses biased sketches
+// and triangle tracking, so an LPSH image whose shard header sets either
+// flag is rejected, naming a byte offset. Loaded, every vertex ingested
+// afterwards would allocate a biased sketch that the batched apply never
+// updates. Both reader shapes are checked, one shard and two, through
+// the sequential and the parallel decode.
+func TestContainerRejectsBiasedShard(t *testing.T) {
+	u := uint64(1)
+	for shardFor(u, 2) != 0 {
+		u++
+	}
+	v := u + 1
+	for shardFor(v, 2) != 0 {
+		v++
+	}
+	for _, cfg := range []Config{
+		{K: 8, Seed: 1, EnableBiased: true, TrackTriangles: true},
+		{K: 8, Seed: 1, EnableBiased: true},
+		{K: 8, Seed: 1, TrackTriangles: true},
+	} {
+		for _, nShards := range []int{1, 2} {
+			// Shard 0 holds the edge (u, v), which hashes there under
+			// either shard count; any other shard is empty.
+			var img bytes.Buffer
+			bw := newBinWriter(&img)
+			bw.str(shardedMagic)
+			bw.u32(shardedVersion)
+			bw.u32(uint32(nShards))
+			bw.u64(1)
+			for i := range nShards {
+				shard := must(NewSketchStore(cfg))
+				if i == 0 {
+					shard.ProcessEdge(stream.Edge{U: u, V: v})
+				}
+				if err := shard.Save(bw.bw); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := bw.flush(); err != nil {
+				t.Fatal(err)
+			}
+			for _, procs := range []int{1, 4} {
+				withGOMAXPROCS(procs, func() {
+					for _, r := range []io.Reader{bytes.NewReader(img.Bytes()), struct{ io.Reader }{bytes.NewReader(img.Bytes())}} {
+						_, err := LoadAny(r)
+						if err == nil || !strings.Contains(err.Error(), "byte") || !strings.Contains(err.Error(), "biased or triangles flag") {
+							t.Errorf("biased %v, triangles %v, %d shards, from %T at GOMAXPROCS %d: load error %v",
+								cfg.EnableBiased, cfg.TrackTriangles, nShards, r, procs, err)
+						}
+					}
+				})
+			}
+		}
+	}
+}

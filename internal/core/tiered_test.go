@@ -177,7 +177,7 @@ func TestTieredReserve(t *testing.T) {
 // image's 4-byte magic.
 func imageVersion(img []byte) uint32 { return binary.LittleEndian.Uint32(img[4:8]) }
 
-func saveBytes(t *testing.T, save func(io.Writer) error) []byte {
+func saveBytes(t testing.TB, save func(io.Writer) error) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := save(&buf); err != nil {
@@ -615,6 +615,18 @@ func TestTieredCorruptTierTable(t *testing.T) {
 		t.Fatal("absurd tier K accepted")
 	}
 }
+
+// Header bytes of a uniform (v1) image, through the vertex count.
+//
+// LPSK: magic 4 | version 4 | K 4 | seed 8 | flags 4 (hash, degrees,
+// biased, triangles) | edges 8 | triangles 8 | vertexCount 8 = 48.
+//
+// LPSD: magic 4 | version 4 | K 4 | seed 8 | flags 4 | arcs 8 |
+// vertexCount 8 = 40.
+const (
+	lpskHeaderBytes = 48
+	lpsdHeaderBytes = 40
+)
 
 // TestTieredRepeatedVertexRejected: a tiered record is as wide as the
 // tier its arrival counter has earned, but a vertex decoded twice keeps

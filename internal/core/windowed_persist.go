@@ -13,8 +13,9 @@ import (
 // the window.
 
 const (
-	windowedMagic   = "LPSW"
-	windowedVersion = 1
+	windowedMagic    = "LPSW"
+	windowedVersion  = 1
+	windowedReserved = "\x00\x00\x00\x00\x00\x00\x00" // header bytes 41–47
 )
 
 // Save writes the windowed store's complete state to w.
@@ -28,7 +29,7 @@ func (s *Windowed) Save(w io.Writer) error {
 	bw.u64(uint64(s.curEnd))
 	bw.u64(uint64(s.rotation))
 	bw.u8(flagByte(s.started))
-	bw.str("\x00\x00\x00\x00\x00\x00\x00") // reserved
+	bw.str(windowedReserved)
 	for i, g := range s.gens {
 		if err := g.Save(bw.bw); err != nil {
 			return fmt.Errorf("core: save generation %d: %w", i, err)
@@ -72,6 +73,9 @@ func loadWindowed(rd *binReader) (*Windowed, error) {
 		return nil, rd.corrupt("started flag byte %#x, want 0 or 1", hdr[36])
 	}
 	started := hdr[36] == 1
+	if string(hdr[37:]) != windowedReserved {
+		return nil, rd.corrupt("reserved windowed header bytes %x, want 0", hdr[37:])
+	}
 	gens := make([]*SketchStore, nGens)
 	for i := range gens {
 		store, err := loadSketchStore(rd)
@@ -80,6 +84,10 @@ func loadWindowed(rd *binReader) (*Windowed, error) {
 		}
 		if i > 0 && store.cfg != gens[0].cfg {
 			return nil, fmt.Errorf("core: generation %d config differs from generation 0", i)
+		}
+		// NewWindowed supports neither, so Save never writes them.
+		if store.cfg.EnableBiased || store.cfg.TrackTriangles {
+			return nil, rd.corrupt("generation %d sets the biased or triangles flag", i)
 		}
 		gens[i] = store
 	}

@@ -266,6 +266,14 @@ func TestLoadWindowedErrors(t *testing.T) {
 	if _, err := LoadWindowed(bytes.NewReader(bad)); err == nil {
 		t.Error("bad version should error")
 	}
+	// Generations that track triangles, which NewWindowed refuses.
+	tri := bytes.Clone(buf.Bytes()[:48])
+	for range 4 {
+		tri = append(tri, saveBytes(t, must(NewSketchStore(Config{K: 8, Seed: 1, TrackTriangles: true})).Save)...)
+	}
+	if _, err := LoadWindowed(bytes.NewReader(tri)); err == nil {
+		t.Error("generations tracking triangles should error")
+	}
 }
 
 func TestWindowedLargeGapConstantTime(t *testing.T) {
