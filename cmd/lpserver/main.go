@@ -123,7 +123,7 @@ func build(args []string, stdout io.Writer) (*app, error) {
 		distinct   = fs.Bool("distinct-degrees", true, "KMV distinct-degree estimation (robust to duplicate edges)")
 		warm       = fs.String("warm", "", "optional stream file to ingest before serving")
 		checkpoint = fs.String("checkpoint", "", "restore predictor from this file on start (if present) and save to it on graceful exit")
-		maxBody    = fs.Int64("max-body-bytes", 64<<20, "request body cap for /ingest and /restore (0 = unlimited)")
+		maxBody    = fs.Int64("max-body-bytes", 64<<20, "request body cap for /ingest (POST and DELETE), /scorebatch and /restore (0 = unlimited)")
 		readTO     = fs.Duration("read-timeout", time.Minute, "HTTP server read timeout")
 		writeTO    = fs.Duration("write-timeout", 5*time.Minute, "HTTP server write timeout")
 		mon        = fs.Bool("monitor", true, "profile the ingest stream (duplicate rate, distinct counts) in /metrics")
@@ -227,14 +227,14 @@ func build(args []string, stdout io.Writer) (*app, error) {
 				if ai, ok := linkpred.AsyncIngesterOf(pred); ok {
 					ai.FlushIngest()
 				}
-				del.DeleteEdges(toEdges(edges))
+				del.DeleteEdges(edges)
 				return nil
 			}
 			if ai, ok := linkpred.AsyncIngesterOf(pred); ok {
-				ai.ObserveEdgesAsync(toEdges(edges))
+				ai.ObserveEdgesAsync(edges)
 				return nil
 			}
-			pred.ObserveEdges(toEdges(edges))
+			pred.ObserveEdges(edges)
 			return nil
 		}, wal.BatchedReplayOptions{})
 		if err != nil {
@@ -303,7 +303,7 @@ func build(args []string, stdout io.Writer) (*app, error) {
 		n := 0
 		err = stream.ForEachBatch(stream.NewTextReader(f), 4096, func(batch []stream.Edge) error {
 			apply := func(b []stream.Edge) {
-				pred.ObserveEdges(toEdges(b))
+				pred.ObserveEdges(b)
 				if tracker != nil {
 					for _, e := range b {
 						tracker.ProcessEdge(e)
@@ -361,15 +361,6 @@ func startIngestPipeline(e linkpred.Engine, workers, ring int) {
 	if pl, ok := linkpred.PipelinerOf(e); ok {
 		pl.StartIngestPipeline(workers, ring)
 	}
-}
-
-// toEdges converts a batch of stream edges to the library edge type.
-func toEdges(batch []stream.Edge) []linkpred.Edge {
-	out := make([]linkpred.Edge, len(batch))
-	for i, e := range batch {
-		out[i] = linkpred.Edge{U: e.U, V: e.V, T: e.T}
-	}
-	return out
 }
 
 // run serves until the context is cancelled (signal) or the listener

@@ -240,11 +240,7 @@ func run(args []string, stdout io.Writer, queries io.Reader) error {
 		// large batches, and on pipeline-capable engines each batch is
 		// published asynchronously so the log reader overlaps decode with
 		// the shard owners' applies.
-		res, rerr := wal.RecoverBatched(nil, *walDir, load, func(kind wal.Kind, batch []stream.Edge) error {
-			b := make([]linkpred.Edge, len(batch))
-			for i, e := range batch {
-				b[i] = linkpred.Edge{U: e.U, V: e.V, T: e.T}
-			}
+		res, rerr := wal.RecoverBatched(nil, *walDir, load, func(kind wal.Kind, b []stream.Edge) error {
 			if kind == wal.KindDelete {
 				del, ok := linkpred.DeleterOf(eng)
 				if !ok {
@@ -291,14 +287,14 @@ func run(args []string, stdout io.Writer, queries io.Reader) error {
 	edges := 0
 	start := time.Now()
 	var (
-		work, free chan []linkpred.Edge
+		work, free chan []stream.Edge
 		wg         sync.WaitGroup
 	)
 	if *parallel > 1 {
-		work = make(chan []linkpred.Edge, *parallel)
-		free = make(chan []linkpred.Edge, 2**parallel)
+		work = make(chan []stream.Edge, *parallel)
+		free = make(chan []stream.Edge, 2**parallel)
 		for i := 0; i < cap(free); i++ {
-			free <- make([]linkpred.Edge, 0, *batch)
+			free <- make([]stream.Edge, *batch)
 		}
 		for w := 0; w < *parallel; w++ {
 			wg.Add(1)
@@ -306,67 +302,55 @@ func run(args []string, stdout io.Writer, queries io.Reader) error {
 				defer wg.Done()
 				for b := range work {
 					observe(b)
-					free <- b[:0]
+					free <- b[:cap(b)]
 				}
 			}()
 		}
 	}
 	rbuf := make([]stream.Edge, *batch)
-	inline := make([]linkpred.Edge, 0, *batch)
 	for {
+		if *parallel > 1 {
+			rbuf = <-free
+		}
 		n, rerr := stream.ReadBatch(src, rbuf)
-		if n > 0 {
-			be := rbuf[:n]
-			if skip > 0 {
-				// Durable from the previous run: recovery already folded
-				// these into the sketches. They still count toward the
-				// vertex universe and the profile, but are not re-ingested
-				// or re-logged.
-				d := len(be)
-				if uint64(d) > skip {
-					d = int(skip)
-				}
-				for _, e := range be[:d] {
-					if mon != nil {
-						mon.ProcessEdge(e)
-					}
-					note(e.U)
-					note(e.V)
-				}
-				skip -= uint64(d)
-				be = be[d:]
+		// Every input edge counts toward the vertex universe and the
+		// profile, including the prefix the previous run made durable:
+		// recovery already folded that prefix into the sketches, so it
+		// is neither re-ingested nor re-logged.
+		for _, e := range rbuf[:n] {
+			if mon != nil {
+				mon.ProcessEdge(e)
 			}
-			if len(be) > 0 {
-				if durable != nil {
-					// Log before apply: an acknowledged batch is exactly one
-					// that recovery can reproduce.
-					if _, aerr := durable.WAL().Append(walKind, be); aerr != nil {
-						if *parallel > 1 {
-							close(work)
-							wg.Wait()
-						}
-						return fmt.Errorf("wal append: %w", aerr)
+			note(e.U)
+			note(e.V)
+		}
+		be := rbuf[:n]
+		if skip > 0 {
+			d := int(min(uint64(n), skip))
+			skip -= uint64(d)
+			// Keep the rest at the buffer's start so it recycles whole.
+			be = be[:copy(be, be[d:])]
+		}
+		if len(be) > 0 {
+			if durable != nil {
+				// Log before apply: an acknowledged batch is exactly one
+				// that recovery can reproduce.
+				if _, aerr := durable.WAL().Append(walKind, be); aerr != nil {
+					if *parallel > 1 {
+						close(work)
+						wg.Wait()
 					}
-				}
-				b := inline[:0]
-				if *parallel > 1 {
-					b = <-free
-				}
-				for _, e := range be {
-					if mon != nil {
-						mon.ProcessEdge(e)
-					}
-					note(e.U)
-					note(e.V)
-					b = append(b, linkpred.Edge{U: e.U, V: e.V, T: e.T})
-				}
-				edges += len(be)
-				if *parallel > 1 {
-					work <- b
-				} else {
-					observe(b)
+					return fmt.Errorf("wal append: %w", aerr)
 				}
 			}
+			edges += len(be)
+			if *parallel > 1 {
+				work <- be
+			} else {
+				observe(be)
+			}
+		} else if *parallel > 1 {
+			free <- rbuf
 		}
 		if rerr != nil || n < *batch {
 			if *parallel > 1 {
@@ -419,7 +403,6 @@ func run(args []string, stdout io.Writer, queries io.Reader) error {
 		}
 		requested, applied := 0, 0
 		dbuf := make([]stream.Edge, *batch)
-		lbuf := make([]linkpred.Edge, 0, *batch)
 		for {
 			n, rerr := stream.ReadBatch(dsrc, dbuf)
 			if n > 0 {
@@ -441,12 +424,8 @@ func run(args []string, stdout io.Writer, queries io.Reader) error {
 							return fmt.Errorf("wal append (delete): %w", aerr)
 						}
 					}
-					b := lbuf[:0]
-					for _, e := range be {
-						b = append(b, linkpred.Edge{U: e.U, V: e.V, T: e.T})
-					}
 					requested += len(be)
-					applied += del.DeleteEdges(b)
+					applied += del.DeleteEdges(be)
 				}
 			}
 			if rerr != nil || n < *batch {

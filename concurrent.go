@@ -97,9 +97,7 @@ func (c *sharded[S]) IngestPipelineStats() (PipelineStats, bool) { return c.stor
 // barrier. Without a pipeline it behaves exactly like ObserveEdges.
 // Used by batched WAL replay.
 func (c *sharded[S]) ObserveEdgesAsync(edges []Edge) {
-	buf := toStreamEdges(edges)
-	c.store.IngestBatchAsync(*buf)
-	putStreamEdges(buf)
+	c.store.IngestBatchAsync(edges)
 }
 
 // FlushIngest blocks until every ObserveEdgesAsync batch has been fully

@@ -132,10 +132,8 @@ func (f *facade[S]) TopKCtx(ctx context.Context, m Measure, u uint64, candidates
 // ctx.Err() is returned; once ingestion starts the batch completes and
 // nil is returned.
 func (f *facade[S]) ObserveEdgesCtx(ctx context.Context, edges []Edge) error {
-	buf := toStreamEdges(edges)
-	defer putStreamEdges(buf)
 	if ci, ok := any(f.store).(core.CancelBatchIngester); ok {
-		if err := ci.IngestBatchCancel(*buf, ctx.Done()); err != nil {
+		if err := ci.IngestBatchCancel(edges, ctx.Done()); err != nil {
 			return ctxErrFrom(ctx, err)
 		}
 		return nil
@@ -143,13 +141,7 @@ func (f *facade[S]) ObserveEdgesCtx(ctx context.Context, edges []Edge) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if bi, ok := any(f.store).(core.BatchIngester); ok {
-		bi.IngestBatch(*buf)
-	} else {
-		for _, e := range *buf {
-			f.store.Ingest(e)
-		}
-	}
+	f.ObserveEdges(edges)
 	return nil
 }
 

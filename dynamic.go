@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"linkpred/internal/core"
-	"linkpred/internal/stream"
 )
 
 // Dynamic is the fully-dynamic streaming link predictor: the only mode
@@ -55,16 +54,13 @@ func LoadDynamic(r io.Reader) (*Dynamic, error) {
 // never-observed (or already fully retracted) edges are exact no-ops
 // returning false.
 func (d *Dynamic) DeleteEdge(e Edge) bool {
-	return d.store.DeleteEdge(stream.Edge{U: e.U, V: e.V, T: e.T})
+	return d.store.DeleteEdge(e)
 }
 
 // DeleteEdges retracts a batch of edges in order, returning how many
 // were applied.
 func (d *Dynamic) DeleteEdges(edges []Edge) int {
-	buf := toStreamEdges(edges)
-	n := d.store.DeleteEdges(*buf)
-	putStreamEdges(buf)
-	return n
+	return d.store.DeleteEdges(edges)
 }
 
 // DegradedRegisters returns the number of registers whose recovery

@@ -69,7 +69,7 @@ func main() {
 	}
 	for _, e := range all {
 		full.Observe(e.U, e.V)
-		windowed.ObserveEdge(linkpred.Edge{U: e.U, V: e.V, T: e.T})
+		windowed.ObserveEdge(e)
 	}
 
 	// Ground truth: the current-phase graph only.

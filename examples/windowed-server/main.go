@@ -67,11 +67,7 @@ func boot(dir string) (*node, error) {
 		eng = loaded
 		return nil
 	}, func(rec wal.Record) error {
-		edges := make([]linkpred.Edge, len(rec.Edges))
-		for i, e := range rec.Edges {
-			edges[i] = linkpred.Edge{U: e.U, V: e.V, T: e.T}
-		}
-		eng.ObserveEdges(edges)
+		eng.ObserveEdges(rec.Edges)
 		return nil
 	})
 	if err != nil {

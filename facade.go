@@ -6,7 +6,6 @@ import (
 
 	"linkpred/internal/core"
 	"linkpred/internal/hashing"
-	"linkpred/internal/stream"
 )
 
 // facade is the shared engine core behind every public predictor type.
@@ -76,7 +75,7 @@ func (f *facade[S]) Config() Config { return f.cfg }
 // ObserveEdge folds a timestamped edge (arc, on directed predictors)
 // into the sketches.
 func (f *facade[S]) ObserveEdge(e Edge) {
-	f.store.Ingest(stream.Edge{U: e.U, V: e.V, T: e.T})
+	f.store.Ingest(e)
 }
 
 // ObserveEdges folds a batch of edges into the sketches, equivalent to
@@ -88,15 +87,13 @@ func (f *facade[S]) ObserveEdge(e Edge) {
 // register updates are pointwise minima, which commute and are
 // idempotent).
 func (f *facade[S]) ObserveEdges(edges []Edge) {
-	buf := toStreamEdges(edges)
 	if bi, ok := any(f.store).(core.BatchIngester); ok {
-		bi.IngestBatch(*buf)
+		bi.IngestBatch(edges)
 	} else {
-		for _, e := range *buf {
+		for _, e := range edges {
 			f.store.Ingest(e)
 		}
 	}
-	putStreamEdges(buf)
 }
 
 // Jaccard returns the estimated Jaccard coefficient of (u, v) in

@@ -99,16 +99,8 @@ func runE23(cfg RunConfig) (*Table, error) {
 	tiered.Reserve(len(arrivals))
 	ingest := func(p *linkpred.Concurrent) {
 		batch := cfg.batch()
-		buf := make([]linkpred.Edge, 0, batch)
-		for _, e := range raw {
-			buf = append(buf, linkpred.Edge{U: e.U, V: e.V, T: e.T})
-			if len(buf) == batch {
-				p.ObserveEdges(buf)
-				buf = buf[:0]
-			}
-		}
-		if len(buf) > 0 {
-			p.ObserveEdges(buf)
+		for lo := 0; lo < len(raw); lo += batch {
+			p.ObserveEdges(raw[lo:min(lo+batch, len(raw))])
 		}
 	}
 	ingest(tiered)

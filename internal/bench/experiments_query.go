@@ -46,23 +46,14 @@ func runE21(cfg RunConfig) (*Table, error) {
 		return nil, err
 	}
 	batch := cfg.batch()
-	buf := make([]linkpred.Edge, 0, batch)
-	flush := func() {
-		if len(buf) > 0 {
-			pred.ObserveEdges(buf)
-			buf = buf[:0]
-		}
+	for lo := 0; lo < len(edges); lo += batch {
+		pred.ObserveEdges(edges[lo:min(lo+batch, len(edges))])
 	}
 	deg := make(map[uint64]int)
 	for _, e := range edges {
-		buf = append(buf, linkpred.Edge{U: e.U, V: e.V, T: e.T})
-		if len(buf) == batch {
-			flush()
-		}
 		deg[e.U]++
 		deg[e.V]++
 	}
-	flush()
 
 	verts := make([]uint64, 0, len(deg))
 	var u uint64

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	linkpred "linkpred"
+	"linkpred/internal/stream"
+	"linkpred/internal/wal"
 )
 
 // blockingEngine wraps a real engine but parks every ScoreBatch on a
@@ -48,6 +50,18 @@ func (b *ctxBlockingEngine) ScoreBatchCtx(ctx context.Context, m linkpred.Measur
 func (b *ctxBlockingEngine) TopKCtx(ctx context.Context, m linkpred.Measure, u uint64, cands []uint64, k int) ([]linkpred.Candidate, error) {
 	<-ctx.Done()
 	return nil, ctx.Err()
+}
+
+// ctxBlockingIngestEngine parks ObserveEdgesCtx until the request
+// context is done, so a batch applied under the request context never
+// commits; its plain ObserveEdges still applies.
+type ctxBlockingIngestEngine struct {
+	linkpred.Engine
+}
+
+func (b *ctxBlockingIngestEngine) ObserveEdgesCtx(ctx context.Context, edges []linkpred.Edge) error {
+	<-ctx.Done()
+	return ctx.Err()
 }
 
 func newBaseEngine(t *testing.T) linkpred.Engine {
@@ -232,6 +246,47 @@ func TestDeadlineExpiresMidRequest504(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < 250*time.Millisecond {
 		t.Fatalf("override request finished in %v; X-Deadline-Ms=300 should have governed", elapsed)
+	}
+}
+
+// TestIngestDeadlineExpiresMidRequest504: without a WAL, /ingest applies
+// both body formats under the request context, so a deadline that fires
+// while the engine holds the batch is a 504 that reports and applies
+// nothing — for one binary frame exactly as for a text body.
+func TestIngestDeadlineExpiresMidRequest504(t *testing.T) {
+	base := newBaseEngine(t)
+	srv := NewWithOptions(&ctxBlockingIngestEngine{Engine: base},
+		Options{Admission: AdmissionConfig{DefaultDeadline: 50 * time.Millisecond}})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	frame, err := wal.EncodeFrame(nil, wal.KindEdge, []stream.Edge{{U: 1, V: 2}, {U: 3, V: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, contentType, body string }{
+		{"text", "text/plain", "1 2\n3 4\n"},
+		{"binary", wal.FrameContentType, string(frame)},
+	} {
+		resp, err := http.Post(ts.URL+"/ingest", tc.contentType, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out map[string]any
+		derr := json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if derr != nil {
+			t.Fatalf("%s: decode: %v", tc.name, derr)
+		}
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Errorf("%s: status = %d, want 504 (body %v)", tc.name, resp.StatusCode, out)
+		}
+		if out["ingested"] != float64(0) {
+			t.Errorf("%s: ingested = %v, want 0", tc.name, out["ingested"])
+		}
+	}
+	if n := base.NumEdges(); n != 0 {
+		t.Errorf("engine holds %d edges; an expired ingest must apply nothing", n)
 	}
 }
 

@@ -211,6 +211,10 @@ func TestBinaryIngestWALFailureIs503(t *testing.T) {
 	if out["error"] == nil {
 		t.Error("503 body should carry the WAL error")
 	}
+	if _, h := ingestHeaders(t, ts, http.MethodPost, wal.FrameContentType,
+		encodeFrames(t, wal.KindEdge, fixtureEdges()[1:3]), http.StatusServiceUnavailable); h.Get("Retry-After") == "" {
+		t.Error("503 response missing Retry-After")
+	}
 	if pred.NumEdges() != 1 {
 		t.Errorf("predictor has %d edges after failed append, want 1", pred.NumEdges())
 	}

@@ -249,6 +249,25 @@ func TestDeleteWALFailureIs503(t *testing.T) {
 	if eng.NumEdges() != 40 {
 		t.Errorf("unlogged delete was applied: %d edges, want 40", eng.NumEdges())
 	}
+	// Both body formats: 503 with Retry-After, and nothing applied.
+	for _, tc := range []struct {
+		contentType string
+		body        []byte
+	}{
+		{"text/plain", []byte("1 10\n")},
+		{wal.FrameContentType, encodeFrames(t, wal.KindDelete, fixtureEdges()[:2])},
+	} {
+		out, h := ingestHeaders(t, ts, http.MethodDelete, tc.contentType, tc.body, http.StatusServiceUnavailable)
+		if h.Get("Retry-After") == "" {
+			t.Errorf("%s: 503 response missing Retry-After", tc.contentType)
+		}
+		if out["deleted"] != float64(0) || out["applied"] != float64(0) {
+			t.Errorf("%s: deleted/applied = %v/%v, want 0/0", tc.contentType, out["deleted"], out["applied"])
+		}
+	}
+	if eng.NumEdges() != 40 {
+		t.Errorf("unlogged deletes were applied: %d edges, want 40", eng.NumEdges())
+	}
 	fs.SetWriteError(nil)
 	out := sendDelete(t, ts, "text/plain", []byte("1 10\n"), http.StatusOK)
 	if out["applied"].(float64) != 1 {
@@ -256,5 +275,14 @@ func TestDeleteWALFailureIs503(t *testing.T) {
 	}
 	if eng.NumEdges() != 39 {
 		t.Errorf("engine has %d edges, want 39", eng.NumEdges())
+	}
+	// A malformed line ends a text DELETE with 400; the lines before it
+	// were logged and deleted, and the counts say so.
+	out = sendDelete(t, ts, "text/plain", []byte("1 11\n1 12\nnot an edge\n1 13\n"), http.StatusBadRequest)
+	if out["deleted"] != float64(2) || out["applied"] != float64(2) {
+		t.Errorf("deleted/applied = %v/%v before the malformed line, want 2/2", out["deleted"], out["applied"])
+	}
+	if eng.NumEdges() != 37 {
+		t.Errorf("engine has %d edges, want 37", eng.NumEdges())
 	}
 }

@@ -64,6 +64,10 @@ func TestIngestWALFailureIs503(t *testing.T) {
 	if out["error"] == nil {
 		t.Error("503 body should carry the WAL error")
 	}
+	// Every ingest 503 tells the client when to retry.
+	if _, h := ingestHeaders(t, ts, http.MethodPost, "text/plain", []byte("3 4\n"), http.StatusServiceUnavailable); h.Get("Retry-After") == "" {
+		t.Error("503 response missing Retry-After")
+	}
 	// WAL-before-apply: the un-logged batch must not have been applied.
 	if pred.NumEdges() != 1 {
 		t.Errorf("predictor has %d edges after failed append, want 1", pred.NumEdges())

@@ -8,14 +8,13 @@
 //	POST /ingest          body: edge list, "u v [t]" per line → {"ingested": n};
 //	                      with Content-Type application/x-lp-edges the body is
 //	                      binary crc/len-framed edge records (the WAL record
-//	                      layout), applied batch-per-frame with no text parsing —
-//	                      and, under -wal-dir, logged by appending the frame
-//	                      bytes directly; KindDelete frames interleaved in the
-//	                      stream are routed to the store's delete path
+//	                      layout), one batch per frame with no text parsing;
+//	                      KindDelete frames in the stream retract edges on
+//	                      engines that can delete (-mode=dynamic)
 //	DELETE /ingest        same body formats, but every edge is a retraction:
 //	                      {"deleted": n, "applied": a} where a counts deletions
-//	                      the store accepted. 400 unless the engine can delete
-//	                      (-mode=dynamic); binary frames must be KindDelete
+//	                      the store accepted. 400 unless the engine can delete;
+//	                      binary frames must be KindDelete
 //	GET  /pair?u=&v=      all measure estimates for one pair
 //	GET  /score?u=&v=&measure=jaccard|common-neighbors|adamic-adar|resource-allocation|preferential-attachment|cosine
 //	GET  /topk?u=&candidates=1,2,3&measure=&k=   ranked candidates (candidates optional with a tracker)
@@ -37,11 +36,20 @@
 // a checkpoint of *any* mode (the image's magic header selects the
 // store) and swaps the engine atomically; in-flight requests finish
 // against the old state.
-// Request bodies on POST endpoints are capped by Options.MaxBodyBytes
-// (oversized uploads get 413), and every endpoint is instrumented:
-// counts, error counts, and latency histograms are served back on
-// /metrics (/scorebatch additionally keeps a per-measure latency
-// breakdown).
+//
+// Both /ingest verbs and both body formats run one loop over the body's
+// batches (4096 text lines, or one frame): check the deadline and the
+// batch's kind, then, under Options.Durability, append the batch to the
+// write-ahead log (a frame's bytes as received) and apply it, or,
+// without a WAL, apply it, inserts under the request context; applied
+// inserts feed the stream monitor and candidate tracker. The response
+// reports the batches applied before any failure.
+//
+// Request bodies on /ingest (POST and DELETE), /scorebatch and
+// /restore are capped by Options.MaxBodyBytes (oversized uploads get
+// 413), and every endpoint is instrumented: counts, error counts, and
+// latency histograms are served back on /metrics (/scorebatch
+// additionally keeps a per-measure latency breakdown).
 package server
 
 import (
@@ -67,9 +75,9 @@ import (
 // Options configures the optional hardening knobs of a Server. The zero
 // value keeps the historical behavior: no body limit, no stream profile.
 type Options struct {
-	// MaxBodyBytes caps the request body accepted on POST /ingest and
-	// POST /restore; oversized uploads are rejected with 413. Zero means
-	// unlimited.
+	// MaxBodyBytes caps the request body accepted on POST and DELETE
+	// /ingest, POST /scorebatch and POST /restore; oversized uploads are
+	// rejected with 413. Zero means unlimited.
 	MaxBodyBytes int64
 	// Monitor, when non-nil, receives every ingested edge and its
 	// constant-space stream profile (distinct edges/vertices, duplicate
@@ -132,7 +140,7 @@ func NewWithOptions(eng linkpred.Engine, opts Options) *Server {
 		h             http.HandlerFunc
 	}{
 		{"POST /ingest", "ingest", s.handleIngest},
-		{"DELETE /ingest", "delete", s.handleDelete},
+		{"DELETE /ingest", "delete", s.handleIngest},
 		{"GET /pair", "pair", s.handlePair},
 		{"GET /score", "score", s.handleScore},
 		{"GET /topk", "topk", s.handleTopK},
@@ -285,10 +293,11 @@ func uploadStatus(err error, body *cappedBody) int {
 	return http.StatusBadRequest
 }
 
-// ingestBatchSize is the edge count per /ingest apply batch: large
-// enough to amortize hashing and shard locking (and, with Durability,
-// one WAL record and fsync per batch), small enough that the durable
-// prefix reported after a mid-request failure is fine-grained.
+// ingestBatchSize is the edge count per text /ingest batch (a binary
+// frame is one batch whatever its size): large enough to amortize
+// hashing and shard locking (and, with Durability, one WAL record and
+// fsync per batch), small enough that the durable prefix reported after
+// a mid-request failure is fine-grained.
 const ingestBatchSize = 4096
 
 // feedMonitors folds an applied batch into the optional stream monitor
@@ -310,339 +319,134 @@ func (s *Server) feedMonitors(batch []stream.Edge) {
 	}
 }
 
-// applyFunc builds the per-batch apply closure shared by the text and
-// binary ingest paths: fold the batch into the engine and feed the
-// optional monitor and candidate tracker. This variant never cancels —
-// it is the one handed to the durability layer, whose log-before-apply
-// contract requires a logged batch to be applied unconditionally.
-func (s *Server) applyFunc(eng linkpred.Engine) func([]stream.Edge) {
-	buf := make([]linkpred.Edge, 0, ingestBatchSize)
-	return func(batch []stream.Edge) {
-		buf = buf[:0]
-		for _, e := range batch {
-			buf = append(buf, linkpred.Edge{U: e.U, V: e.V, T: e.T})
+// textBatches cuts a text body into batches of at most ingestBatchSize
+// edges of one kind, in FrameReader.Next's shape: a malformed line ends
+// the source after the batch that holds the lines before it.
+func textBatches(body io.Reader, kind wal.Kind) func() (wal.Kind, []byte, []stream.Edge, error) {
+	src, buf := stream.NewTextReader(body), make([]stream.Edge, ingestBatchSize)
+	var pending error
+	return func() (wal.Kind, []byte, []stream.Edge, error) {
+		if pending != nil {
+			return 0, nil, nil, pending
 		}
-		eng.ObserveEdges(buf)
-		s.feedMonitors(batch)
+		n, err := stream.ReadBatch(src, buf)
+		if n == 0 {
+			return 0, nil, nil, err
+		}
+		pending = err
+		return kind, nil, buf[:n], nil
 	}
 }
 
-// applyCtxFunc builds the per-batch apply closure for the NON-durable
-// ingest path: pre-commit cancellation is propagated into the engine
-// (a cancelled batch is not applied at all and the request's context
-// error comes back), and the producer backpressure wait on a full
-// pipeline ring is abortable. Monitors are fed only for applied
-// batches.
-func (s *Server) applyCtxFunc(ctx context.Context, eng linkpred.Engine) func([]stream.Edge) error {
-	ci, ok := linkpred.CtxIngesterOf(eng)
-	if !ok {
-		plain := s.applyFunc(eng)
-		return func(batch []stream.Edge) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			plain(batch)
-			return nil
-		}
-	}
-	buf := make([]linkpred.Edge, 0, ingestBatchSize)
-	return func(batch []stream.Edge) error {
-		buf = buf[:0]
-		for _, e := range batch {
-			buf = append(buf, linkpred.Edge{U: e.U, V: e.V, T: e.T})
-		}
-		if err := ci.ObserveEdgesCtx(ctx, buf); err != nil {
-			return err
-		}
-		s.feedMonitors(batch)
-		return nil
-	}
-}
+// cannotDelete is the 400 message for deletes sent to a mode without a
+// delete path.
+const cannotDelete = "mode %q cannot delete edges (run the server with -mode=dynamic)"
 
-// deleteApplyFunc builds the per-batch apply closure for the deletion
-// paths: retract the batch through the engine's deleter, accumulating
-// into applied the count of deletions the store accepted (a delete of
-// an edge it never saw is a refused no-op, not an error). Deletions do
-// not feed the monitor or candidate tracker — both model the arrival
-// stream.
-func (s *Server) deleteApplyFunc(del linkpred.EdgeDeleter, applied *int) func([]stream.Edge) {
-	buf := make([]linkpred.Edge, 0, ingestBatchSize)
-	return func(batch []stream.Edge) {
-		buf = buf[:0]
-		for _, e := range batch {
-			buf = append(buf, linkpred.Edge{U: e.U, V: e.V, T: e.T})
-		}
-		*applied += del.DeleteEdges(buf)
-	}
-}
-
-// handleDelete is DELETE /ingest: the same two body formats as POST,
-// but every edge is a retraction. Requires an engine with a deletion
-// capability (-mode=dynamic); under Durability each batch is logged as
-// a KindDelete record before it is applied.
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	defer r.Body.Close()
-	body := s.limitBody(w, r)
-	eng := s.engine()
-	del, ok := linkpred.DeleterOf(eng)
-	if !ok {
-		writeError(w, http.StatusBadRequest,
-			"mode %q cannot delete edges (run the server with -mode=dynamic)", linkpred.ModeOf(eng))
-		return
-	}
-	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, wal.FrameContentType) {
-		s.deleteFrames(w, r, body, del)
-		return
-	}
-	reader := stream.NewTextReader(r.Body)
-	n, applied := 0, 0
-	apply := s.deleteApplyFunc(del, &applied)
-	var walErr, ctxErr error
-	err := stream.ForEachBatch(reader, ingestBatchSize, func(batch []stream.Edge) error {
-		// Deadline checked at batch boundaries only: a logged batch must
-		// be applied (log-before-apply), so expiry cannot cancel it.
-		if cerr := r.Context().Err(); cerr != nil {
-			ctxErr = cerr
-			return cerr
-		}
-		if s.opts.Durability != nil {
-			if werr := s.opts.Durability.IngestDelete(batch, apply); werr != nil {
-				walErr = werr
-				return werr
-			}
-		} else {
-			apply(batch)
-		}
-		n += len(batch)
-		return nil
-	})
-	s.metrics.edgesDeleted.Add(int64(applied))
-	if walErr != nil {
-		s.retryAfter(w)
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"error": walErr.Error(), "deleted": n, "applied": applied,
-		})
-		return
-	}
-	if ctxErr != nil {
-		s.writeCancel(w, ctxErr, map[string]any{"deleted": n, "applied": applied})
-		return
-	}
-	if err != nil {
-		writeJSON(w, uploadStatus(err, body), map[string]any{
-			"error": err.Error(), "deleted": n, "applied": applied,
-		})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"deleted": n, "applied": applied})
-}
-
-// deleteFrames is the binary DELETE /ingest path: every frame must be
-// KindDelete — an insert frame on the delete endpoint is a client bug,
-// rejected at the frame where it appears.
-func (s *Server) deleteFrames(w http.ResponseWriter, r *http.Request, body *cappedBody, del linkpred.EdgeDeleter) {
-	fr := wal.NewFrameReader(r.Body)
-	n, applied := 0, 0
-	apply := s.deleteApplyFunc(del, &applied)
-	fail := func(status int, msg string) {
-		s.metrics.edgesDeleted.Add(int64(applied))
-		if status == http.StatusServiceUnavailable {
-			s.retryAfter(w)
-		}
-		writeJSON(w, status, map[string]any{"error": msg, "deleted": n, "applied": applied})
-	}
-	for {
-		if cerr := r.Context().Err(); cerr != nil {
-			s.metrics.edgesDeleted.Add(int64(applied))
-			s.writeCancel(w, cerr, map[string]any{"deleted": n, "applied": applied})
-			return
-		}
-		kind, frame, edges, err := fr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			fail(uploadStatus(err, body), err.Error())
-			return
-		}
-		if kind != wal.KindDelete {
-			fail(http.StatusBadRequest,
-				fmt.Sprintf("DELETE /ingest accepts only delete frames (kind %d), got kind %d", wal.KindDelete, kind))
-			return
-		}
-		if s.opts.Durability != nil {
-			if werr := s.opts.Durability.IngestFrame(frame, edges, apply); werr != nil {
-				fail(http.StatusServiceUnavailable, werr.Error())
-				return
-			}
-		} else {
-			apply(edges)
-		}
-		n += len(edges)
-	}
-	s.metrics.edgesDeleted.Add(int64(applied))
-	writeJSON(w, http.StatusOK, map[string]any{"deleted": n, "applied": applied})
-}
-
+// handleIngest is POST and DELETE /ingest: the body is a batch source,
+// binary frames or text lines (of the store's insert kind, KindDelete on
+// DELETE), and every batch runs the loop the package comment describes.
+// The deadline is checked only before a batch is logged: once a batch is
+// in the WAL it must be applied (log-before-apply). A request that stops
+// early — deadline, malformed line or frame, wrong kind, WAL failure —
+// reports the batches before it, which stay applied: the sketch has no
+// rollback and needs none (ingest is idempotent for registers and
+// monotone for counters).
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	defer r.Body.Close()
 	body := s.limitBody(w, r)
-	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, wal.FrameContentType) {
-		s.ingestFrames(w, r, body)
-		return
-	}
 	eng := s.engine()
-	reader := stream.NewTextReader(r.Body)
-	n := 0
-	apply := s.applyFunc(eng)
-	applyCtx := s.applyCtxFunc(r.Context(), eng)
-	var walErr, ctxErr error
-	err := stream.ForEachBatch(reader, ingestBatchSize, func(batch []stream.Edge) error {
-		if s.opts.Durability != nil {
-			// The deadline is checked only at batch boundaries, before the
-			// batch is logged: once a batch is in the WAL it must be applied
-			// (log-before-apply), so a mid-batch expiry cannot cancel it.
-			if cerr := r.Context().Err(); cerr != nil {
-				ctxErr = cerr
-				return cerr
-			}
-			if werr := s.opts.Durability.Ingest(batch, apply); werr != nil {
-				walErr = werr
-				return werr
-			}
-		} else if cerr := applyCtx(batch); cerr != nil {
-			ctxErr = cerr
-			return cerr
-		}
-		n += len(batch)
-		return nil
-	})
-	s.metrics.edgesIngested.Add(int64(n))
-	if walErr != nil {
-		// The log refused the batch, so it was not applied: everything
-		// up to n is durable, nothing beyond it exists. 503 — durability
-		// is down, the client may retry the tail.
-		s.retryAfter(w)
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"error":    walErr.Error(),
-			"ingested": n,
-		})
+	isDelete := r.Method == http.MethodDelete
+	del, canDelete := linkpred.DeleterOf(eng)
+	if isDelete && !canDelete {
+		writeError(w, http.StatusBadRequest, cannotDelete, linkpred.ModeOf(eng))
 		return
 	}
-	if ctxErr != nil {
-		// Deadline or disconnect mid-stream: everything up to n was
-		// applied (and logged, under Durability), the rest never entered
-		// the store.
-		s.writeCancel(w, ctxErr, map[string]any{"ingested": n})
+	insertKind := wal.KindEdge
+	if linkpred.DirectedEngine(eng) {
+		insertKind = wal.KindArc
+	}
+	var next func() (wal.Kind, []byte, []stream.Edge, error)
+	switch {
+	case strings.HasPrefix(r.Header.Get("Content-Type"), wal.FrameContentType):
+		next = wal.NewFrameReader(r.Body).Next
+	case isDelete:
+		next = textBatches(r.Body, wal.KindDelete)
+	default:
+		next = textBatches(r.Body, insertKind)
+	}
+	ci, hasCtx := linkpred.CtxIngesterOf(eng)
+	ingested, deleted, applied, sawDelete := 0, 0, 0, false
+	observe := eng.ObserveEdges
+	retract := func(edges []stream.Edge) { applied += del.DeleteEdges(edges) }
+	status, err := func() (int, error) {
+		for {
+			if err := r.Context().Err(); err != nil {
+				return cancelStatus(err), err
+			}
+			kind, frame, edges, err := next()
+			if err == io.EOF {
+				return http.StatusOK, nil
+			}
+			if err != nil {
+				return uploadStatus(err, body), err
+			}
+			isDel := kind == wal.KindDelete
+			switch {
+			case isDel && !canDelete:
+				return http.StatusBadRequest, fmt.Errorf(cannotDelete, linkpred.ModeOf(eng))
+			case !isDel && isDelete:
+				return http.StatusBadRequest, fmt.Errorf(
+					"DELETE /ingest accepts only delete frames (kind %d), got kind %d", wal.KindDelete, kind)
+			case !isDel && kind != insertKind:
+				return http.StatusBadRequest, fmt.Errorf("frame kind %d does not match the store's orientation", kind)
+			}
+			sawDelete = sawDelete || isDel
+			apply := observe
+			if isDel {
+				apply = retract
+			}
+			switch {
+			case s.opts.Durability != nil:
+				if err := s.opts.Durability.IngestRecord(kind, frame, edges, apply); err != nil {
+					return http.StatusServiceUnavailable, err
+				}
+			case !isDel && hasCtx:
+				if err := ci.ObserveEdgesCtx(r.Context(), edges); err != nil {
+					return cancelStatus(err), err
+				}
+			default:
+				apply(edges)
+			}
+			if isDel {
+				deleted += len(edges)
+			} else {
+				ingested += len(edges)
+				s.feedMonitors(edges)
+			}
+		}
+	}()
+	s.metrics.edgesIngested.Add(int64(ingested))
+	s.metrics.edgesDeleted.Add(int64(applied))
+	resp := map[string]any{}
+	if !isDelete {
+		resp["ingested"] = ingested
+	}
+	if isDelete || sawDelete {
+		resp["deleted"], resp["applied"] = deleted, applied
+	}
+	switch status {
+	case http.StatusGatewayTimeout, StatusClientClosedRequest:
+		s.writeCancel(w, err, resp)
 		return
+	case http.StatusServiceUnavailable:
+		// Durability is down: nothing past the reported counts was
+		// logged or applied, and the client may retry the tail.
+		s.retryAfter(w)
 	}
 	if err != nil {
-		// Report how much was ingested before the malformed line: the
-		// sketch has no rollback (and needs none — ingest is idempotent
-		// for registers and monotone for counters).
-		writeJSON(w, uploadStatus(err, body), map[string]any{
-			"error":    err.Error(),
-			"ingested": n,
-		})
-		return
+		resp["error"] = err.Error()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ingested": n})
-}
-
-// ingestFrames is the binary /ingest path (Content-Type
-// application/x-lp-edges): the body is a sequence of crc/len-framed
-// edge records in the WAL's on-disk layout. Each frame is validated
-// (CRC, length/count consistency) and applied as one batch; with
-// Durability the frame's bytes are appended to the log directly — seq
-// patched in place, CRC recomputed — so the durable hot path never
-// re-encodes the edges. Malformed frames end the request with 400 (413
-// when the body cap cut the stream); the edges of the preceding valid
-// frames are already ingested and reported, exactly like a malformed
-// text line.
-func (s *Server) ingestFrames(w http.ResponseWriter, r *http.Request, body *cappedBody) {
-	eng := s.engine()
-	directed := linkpred.DirectedEngine(eng)
-	apply := s.applyFunc(eng)
-	fr := wal.NewFrameReader(r.Body)
-	n, deleted, applied := 0, 0, 0
-	var delApply func([]stream.Edge) // built on the first KindDelete frame
-	finish := func(status int, errMsg string) {
-		s.metrics.edgesIngested.Add(int64(n))
-		s.metrics.edgesDeleted.Add(int64(applied))
-		if status == http.StatusServiceUnavailable {
-			s.retryAfter(w)
-		}
-		resp := map[string]any{"ingested": n}
-		if errMsg != "" {
-			resp["error"] = errMsg
-		}
-		if delApply != nil {
-			resp["deleted"] = deleted
-			resp["applied"] = applied
-		}
-		writeJSON(w, status, resp)
-	}
-	for {
-		// Deadline checked per frame, before it is logged: a logged frame
-		// must be applied (log-before-apply).
-		if cerr := r.Context().Err(); cerr != nil {
-			s.metrics.edgesIngested.Add(int64(n))
-			s.metrics.edgesDeleted.Add(int64(applied))
-			extra := map[string]any{"ingested": n}
-			if delApply != nil {
-				extra["deleted"] = deleted
-				extra["applied"] = applied
-			}
-			s.writeCancel(w, cerr, extra)
-			return
-		}
-		kind, frame, edges, err := fr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			finish(uploadStatus(err, body), err.Error())
-			return
-		}
-		if kind == wal.KindDelete {
-			// A retraction interleaved with the arrivals: route it to the
-			// store's delete path, same WAL record either way.
-			if delApply == nil {
-				del, ok := linkpred.DeleterOf(eng)
-				if !ok {
-					finish(http.StatusBadRequest, fmt.Sprintf(
-						"mode %q cannot delete edges (run the server with -mode=dynamic)", linkpred.ModeOf(eng)))
-					return
-				}
-				delApply = s.deleteApplyFunc(del, &applied)
-			}
-			if s.opts.Durability != nil {
-				if werr := s.opts.Durability.IngestFrame(frame, edges, delApply); werr != nil {
-					finish(http.StatusServiceUnavailable, werr.Error())
-					return
-				}
-			} else {
-				delApply(edges)
-			}
-			deleted += len(edges)
-			continue
-		}
-		if (kind == wal.KindArc) != directed {
-			finish(http.StatusBadRequest,
-				fmt.Sprintf("frame kind %d does not match the store's orientation", kind))
-			return
-		}
-		if s.opts.Durability != nil {
-			if werr := s.opts.Durability.IngestFrame(frame, edges, apply); werr != nil {
-				finish(http.StatusServiceUnavailable, werr.Error())
-				return
-			}
-		} else {
-			apply(edges)
-		}
-		n += len(edges)
-	}
-	finish(http.StatusOK, "")
+	writeJSON(w, status, resp)
 }
 
 // queryPair parses the u and v query parameters.

@@ -62,6 +62,31 @@ func ingest(t *testing.T, ts *httptest.Server, body string, wantStatus int) map[
 	return out
 }
 
+// ingestHeaders sends body to /ingest with the given method and content
+// type, and returns the decoded JSON response with its headers.
+func ingestHeaders(t *testing.T, ts *httptest.Server, method, contentType string, body []byte, wantStatus int) (map[string]any, http.Header) {
+	t.Helper()
+	req, err := http.NewRequest(method, ts.URL+"/ingest", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", contentType)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != wantStatus {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("%s /ingest (%s): status %d, want %d; body: %s", method, contentType, resp.StatusCode, wantStatus, b)
+	}
+	var out map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out, resp.Header
+}
+
 // sharedFixture ingests a shared neighborhood {10..29} for vertices 1, 2.
 func sharedFixture() string {
 	var b strings.Builder
@@ -473,6 +498,18 @@ func TestBodyLimit(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized ingest status = %d, want 413 (%v)", resp.StatusCode, out)
 	}
+
+	// DELETE /ingest over the cap: also 413 (on a dynamic engine, so the
+	// delete route reads the body).
+	dyn, err := linkpred.NewEngine(linkpred.EngineSpec{
+		Mode: linkpred.ModeDynamic, Config: linkpred.Config{K: 16, Seed: 1}, RecoverDepth: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsDyn := httptest.NewServer(NewWithOptions(dyn, Options{MaxBodyBytes: 64}))
+	t.Cleanup(tsDyn.Close)
+	sendDelete(t, tsDyn, "text/plain", []byte(big.String()), http.StatusRequestEntityTooLarge)
 
 	// /restore over the cap: also 413.
 	resp, err = http.Post(ts.URL+"/restore", "application/octet-stream", strings.NewReader(strings.Repeat("x", 200)))

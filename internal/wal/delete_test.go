@@ -107,13 +107,13 @@ func TestIngestFrameDeleteKinds(t *testing.T) {
 	edgeFrame, _ := EncodeFrame(nil, KindEdge, testEdges(1, 2))
 	delFrame, _ := EncodeFrame(nil, KindDelete, testEdges(2, 3))
 	arcFrame, _ := EncodeFrame(nil, KindArc, testEdges(3, 4))
-	if err := d.IngestFrame(edgeFrame, testEdges(1, 2), apply); err != nil {
+	if err := d.IngestRecord(KindEdge, edgeFrame, testEdges(1, 2), apply); err != nil {
 		t.Fatalf("edge frame rejected: %v", err)
 	}
-	if err := d.IngestFrame(delFrame, testEdges(2, 3), apply); err != nil {
+	if err := d.IngestRecord(KindDelete, delFrame, testEdges(2, 3), apply); err != nil {
 		t.Fatalf("delete frame rejected: %v", err)
 	}
-	if err := d.IngestFrame(arcFrame, testEdges(3, 4), apply); err == nil {
+	if err := d.IngestRecord(KindArc, arcFrame, testEdges(3, 4), apply); err == nil {
 		t.Fatal("arc frame accepted by an undirected log")
 	}
 	if applied != 5 {
@@ -176,8 +176,8 @@ func TestReplayMixedKinds(t *testing.T) {
 	}
 }
 
-// TestIngestDeleteLogBeforeApply: IngestDelete must not apply a batch
-// the log refused.
+// TestIngestDeleteLogBeforeApply: IngestRecord must not apply a delete
+// batch the log refused.
 func TestIngestDeleteLogBeforeApply(t *testing.T) {
 	fs := NewFaultFS()
 	w, err := Open("/wal", Options{FS: fs, Fsync: FsyncAlways})
@@ -191,60 +191,19 @@ func TestIngestDeleteLogBeforeApply(t *testing.T) {
 	}
 	fs.FailWritesAfter(fs.TotalWritten()) // every further write fails
 	applied := false
-	if err := d.IngestDelete(edges[:2], func([]stream.Edge) { applied = true }); err == nil {
-		t.Fatal("IngestDelete acknowledged a batch the log could not append")
+	if err := d.IngestRecord(KindDelete, nil, edges[:2], func([]stream.Edge) { applied = true }); err == nil {
+		t.Fatal("IngestRecord acknowledged a delete batch the log could not append")
 	}
 	if applied {
-		t.Fatal("IngestDelete applied a batch that was never logged")
+		t.Fatal("IngestRecord applied a delete batch that was never logged")
 	}
-}
-
-// FuzzDeleteFrame: the delete-frame corpus for the frame parser — the
-// same never-panic contract as FuzzFrameReader, seeded with the
-// adversarial shapes specific to deletion (delete kind with torn
-// payload, corrupt kind bytes adjacent to KindDelete, insert/delete
-// mixed streams torn at the kind boundary).
-func FuzzDeleteFrame(f *testing.F) {
-	del, _ := EncodeFrame(nil, KindDelete, testEdges(4, 6))
-	f.Add(del)
-	f.Add(del[:recHeaderSize+1]) // torn right after the kind byte
-	f.Add(del[:len(del)-3])      // torn payload
-	kind3 := append([]byte(nil), del...)
-	kind3[recHeaderSize] = 3 // first illegal kind
-	f.Add(reframe(kind3))
-	kindFF := append([]byte(nil), del...)
-	kindFF[recHeaderSize] = 0xff
-	f.Add(reframe(kindFF))
-	ins, _ := EncodeFrame(nil, KindEdge, testEdges(5, 2))
-	mixed := append(append([]byte(nil), ins...), del...)
-	f.Add(mixed)
-	f.Add(mixed[:len(ins)+recHeaderSize]) // second frame torn at its kind byte
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fr := NewFrameReader(bytes.NewReader(data))
-		for {
-			kind, frame, edges, err := fr.Next()
-			if err != nil {
-				return // io.EOF or a validation error; both fine
-			}
-			if kind > KindDelete {
-				t.Fatalf("parser accepted kind %d", kind)
-			}
-			if len(edges) == 0 {
-				t.Fatal("valid frame with zero edges")
-			}
-			if len(frame) != recHeaderSize+5+edgeSize*len(edges) {
-				t.Fatalf("frame of %d bytes claims %d edges", len(frame), len(edges))
-			}
-		}
-	})
 }
 
 // ---- Crash-recovery with deletions ----
 //
 // The dynamic-store variant of the crash property: a mixed
 // insert/delete workload driven through Durable (inserts via Ingest,
-// deletes via IngestDelete, checkpoints interleaved) and crashed at
+// deletes via IngestRecord, checkpoints interleaved) and crashed at
 // every acknowledged-batch boundary must recover a store byte-identical
 // to a fresh store fed exactly the recovered operation prefix.
 
@@ -310,7 +269,7 @@ func dynDrive(t *testing.T, fs *FaultFS, ops []dynOp) (acked int, boundaries []i
 			batch = append(batch, op.edge)
 		}
 		if ops[i].del {
-			err = d.IngestDelete(batch, func(b []stream.Edge) { store.DeleteEdges(b) })
+			err = d.IngestRecord(KindDelete, nil, batch, func(b []stream.Edge) { store.DeleteEdges(b) })
 		} else {
 			err = d.Ingest(batch, func(b []stream.Edge) { store.ProcessEdges(b) })
 		}

@@ -52,35 +52,39 @@ func NewDurable(w *WAL, dir string, kind Kind, snapshot func(io.Writer) error) *
 // WAL returns the underlying log (for metrics).
 func (d *Durable) WAL() *WAL { return d.w }
 
-// Ingest logs edges and then applies them to the store via apply. The
-// batch is acknowledged (nil error) only after the WAL append
-// succeeded under the configured fsync policy; on append failure the
-// batch is *not* applied, keeping the store at the durable prefix.
+// Ingest logs edges as a record of the log's insert kind and then
+// applies them: IngestRecord(kind, nil, edges, apply) with the kind
+// NewDurable was given.
 func (d *Durable) Ingest(edges []stream.Edge, apply func([]stream.Edge)) error {
-	if len(edges) == 0 {
-		return nil
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if _, err := d.w.Append(d.kind, edges); err != nil {
-		return err
-	}
-	apply(edges)
-	return nil
+	return d.IngestRecord(d.kind, nil, edges, apply)
 }
 
-// IngestDelete logs a batch of edge deletions (a KindDelete record,
-// whatever the log's insert kind) and then applies them via apply. The
-// same log-before-apply discipline as Ingest: on append failure the
-// deletes are not applied, so the store never runs ahead of the
-// durable prefix.
-func (d *Durable) IngestDelete(edges []stream.Edge, apply func([]stream.Edge)) error {
+// IngestRecord logs one batch and then applies it to the store via
+// apply. kind is the log's insert kind or KindDelete, which any log may
+// interleave with its inserts (apply then routes the batch to the
+// store's delete path). frame, when non-nil, is the batch as a client
+// sent it — the validated frame FrameReader.Next returned with kind and
+// edges — and is appended as received (seq and crc patched in place, no
+// re-encode); otherwise edges are encoded. The batch is acknowledged
+// (nil error) only after the WAL append succeeded under the configured
+// fsync policy; on append failure the batch is *not* applied, keeping
+// the store at the durable prefix.
+func (d *Durable) IngestRecord(kind Kind, frame []byte, edges []stream.Edge, apply func([]stream.Edge)) error {
 	if len(edges) == 0 {
 		return nil
 	}
+	if kind != d.kind && kind != KindDelete {
+		return fmt.Errorf("wal: record kind %d does not match the log's kind %d", kind, d.kind)
+	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if _, err := d.w.Append(KindDelete, edges); err != nil {
+	var err error
+	if frame != nil {
+		_, err = d.w.AppendFrame(frame)
+	} else {
+		_, err = d.w.Append(kind, edges)
+	}
+	if err != nil {
 		return err
 	}
 	apply(edges)

@@ -24,7 +24,7 @@ import (
 // rest. Because the layouts coincide, a durable server ingests a frame
 // by patching the 8 seq bytes, recomputing the CRC, and appending the
 // request bytes to the log as-is: no per-edge decode → re-encode on the
-// hot write path. See (*WAL).AppendFrame and (*Durable).IngestFrame.
+// hot write path. See (*WAL).AppendFrame and (*Durable).IngestRecord.
 //
 // FrameReader validates with the same checks replay applies to records
 // (scanSegment): bounded length field before any allocation, CRC over
@@ -51,27 +51,10 @@ func EncodeFrame(dst []byte, kind Kind, edges []stream.Edge) ([]byte, error) {
 	if len(edges) > MaxFrameEdges {
 		return dst, fmt.Errorf("wal: frame of %d edges exceeds the %d-edge bound", len(edges), MaxFrameEdges)
 	}
-	payloadLen := 5 + edgeSize*len(edges)
-	total := recHeaderSize + payloadLen
 	base := len(dst)
-	if cap(dst)-base < total {
-		dst = append(dst, make([]byte, total)...)
-	} else {
-		dst = dst[:base+total]
-	}
-	buf := dst[base:]
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(payloadLen))
-	binary.LittleEndian.PutUint64(buf[8:16], 0) // seq: assigned by the log
-	buf[16] = byte(kind)
-	binary.LittleEndian.PutUint32(buf[17:21], uint32(len(edges)))
-	off := 21
-	for _, e := range edges {
-		binary.LittleEndian.PutUint64(buf[off:], e.U)
-		binary.LittleEndian.PutUint64(buf[off+8:], e.V)
-		binary.LittleEndian.PutUint64(buf[off+16:], uint64(e.T))
-		off += edgeSize
-	}
-	binary.LittleEndian.PutUint32(buf[0:4], crc32.Checksum(buf[4:], castagnoli))
+	dst = encodeRecord(dst, kind, edges)
+	frame := dst[base:]
+	binary.LittleEndian.PutUint32(frame[0:4], crc32.Checksum(frame[4:], castagnoli))
 	return dst, nil
 }
 
@@ -91,7 +74,7 @@ func NewFrameReader(r io.Reader) *FrameReader {
 }
 
 // Next reads one frame. It returns the frame's kind, its raw validated
-// bytes (for (*Durable).IngestFrame), and the decoded edges. At a clean
+// bytes (for (*Durable).IngestRecord), and the decoded edges. At a clean
 // end of stream — EOF exactly on a frame boundary — it returns io.EOF;
 // a stream that ends inside a frame is a torn-frame error, and a frame
 // failing any structural check (length bounds, CRC, count consistency,
@@ -170,73 +153,5 @@ func (w *WAL) AppendFrame(frame []byte) (lastSeq uint64, err error) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return 0, errors.New("wal: append after close")
-	}
-	if w.degraded {
-		return 0, w.degradedErrLocked()
-	}
-	if w.failed {
-		if err := w.reopenSegmentLocked(); err != nil {
-			return 0, err
-		}
-	}
-	total := len(frame)
-	if w.segSize > segHeaderSize && w.segSize+int64(total) > w.opts.SegmentBytes {
-		if err := w.rotateLocked(); err != nil {
-			return 0, err
-		}
-	}
-	binary.LittleEndian.PutUint64(frame[8:16], w.nextSeq)
-	binary.LittleEndian.PutUint32(frame[0:4], crc32.Checksum(frame[4:], castagnoli))
-	if _, err := w.bw.Write(frame); err != nil {
-		w.failed = true
-		w.enterDegradedLocked(err)
-		return 0, fmt.Errorf("wal: append frame: %w", err)
-	}
-	w.segSize += int64(total)
-	w.nextSeq += uint64(count)
-	w.dirty = true
-	w.stats.Records++
-	w.stats.Edges += int64(count)
-	w.stats.Bytes += int64(total)
-	if err := w.bw.Flush(); err != nil {
-		w.failed = true
-		w.enterDegradedLocked(err)
-		return 0, fmt.Errorf("wal: flush: %w", err)
-	}
-	if w.opts.Fsync == FsyncAlways {
-		if err := w.syncLocked(); err != nil {
-			return 0, err
-		}
-	}
-	w.acked = w.segSize
-	w.stats.Appends++
-	w.stats.LastSeq = w.nextSeq - 1
-	return w.nextSeq - 1, nil
-}
-
-// IngestFrame is Ingest for a validated binary frame: the frame bytes
-// are appended to the log (seq patched in place, no re-encode), and
-// only then are the decoded edges applied. frame and edges must be the
-// matching pair returned by one FrameReader.Next call; the frame's kind
-// byte must match the Durable's kind — or be KindDelete, which any log
-// may interleave with its insert kind (the caller routes the apply to
-// the store's delete path; see the server's /ingest handlers).
-func (d *Durable) IngestFrame(frame []byte, edges []stream.Edge, apply func([]stream.Edge)) error {
-	if len(edges) == 0 {
-		return nil
-	}
-	if len(frame) > recHeaderSize {
-		if k := frame[recHeaderSize]; k != byte(d.kind) && k != byte(KindDelete) {
-			return fmt.Errorf("wal: frame kind %d does not match the log's kind %d", k, d.kind)
-		}
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if _, err := d.w.AppendFrame(frame); err != nil {
-		return err
-	}
-	apply(edges)
-	return nil
+	return w.appendLocked(frame, 0, nil)
 }

@@ -211,10 +211,16 @@ func TestAppendFrameRejectsMalformed(t *testing.T) {
 }
 
 // FuzzFrameReader: whatever the body bytes, the parser returns an error
-// or a valid frame — it never panics and never claims more edges than
-// the payload holds. Seeds cover the adversarial shapes the HTTP layer
-// must 400 on: torn frames (header and payload), bad CRC, oversized and
-// inconsistent length fields, unknown kind.
+// or a valid frame — it never panics, never accepts a kind beyond
+// KindDelete, and an accepted frame is exactly what EncodeFrame writes
+// for its kind and edges, apart from the crc and seq fields (a client's
+// seq is not checked, and the crc covers it). Seeds cover the
+// adversarial shapes the HTTP layer must 400 on: torn frames (header
+// and payload), bad CRC, oversized and inconsistent length fields,
+// unknown kind — and the ones specific to deletion: a delete frame torn
+// after its kind byte or in its payload, corrupt kind bytes next to
+// KindDelete with a valid CRC, and insert/delete streams torn at the
+// second frame's kind byte.
 func FuzzFrameReader(f *testing.F) {
 	good, _ := EncodeFrame(nil, KindEdge, testEdges(9, 4))
 	f.Add(good)
@@ -237,19 +243,43 @@ func FuzzFrameReader(f *testing.F) {
 	f.Add(mismatch)
 	two := append(append([]byte(nil), good...), good...)
 	f.Add(two)
+	del, _ := EncodeFrame(nil, KindDelete, testEdges(4, 6))
+	f.Add(del)
+	f.Add(del[:recHeaderSize+1]) // torn right after the kind byte
+	f.Add(del[:len(del)-3])      // torn payload
+	kind3 := append([]byte(nil), del...)
+	kind3[recHeaderSize] = 3 // first illegal kind
+	f.Add(reframe(kind3))
+	kindFF := append([]byte(nil), del...)
+	kindFF[recHeaderSize] = 0xff
+	f.Add(reframe(kindFF))
+	ins, _ := EncodeFrame(nil, KindEdge, testEdges(5, 2))
+	mixed := append(append([]byte(nil), ins...), del...)
+	f.Add(mixed)
+	f.Add(mixed[:len(ins)+recHeaderSize]) // second frame torn at its kind byte
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := NewFrameReader(bytes.NewReader(data))
 		for {
-			_, frame, edges, err := fr.Next()
+			kind, frame, edges, err := fr.Next()
 			if err != nil {
 				return // io.EOF or a validation error; both fine
+			}
+			if kind > KindDelete {
+				t.Fatalf("parser accepted kind %d", kind)
 			}
 			if len(edges) == 0 {
 				t.Fatal("valid frame with zero edges")
 			}
 			if len(frame) != recHeaderSize+5+edgeSize*len(edges) {
 				t.Fatalf("frame of %d bytes claims %d edges", len(frame), len(edges))
+			}
+			want, err := EncodeFrame(nil, kind, edges)
+			if err != nil {
+				t.Fatalf("accepted frame does not re-encode: %v", err)
+			}
+			if !bytes.Equal(frame[4:8], want[4:8]) || !bytes.Equal(frame[16:], want[16:]) {
+				t.Fatalf("accepted frame %x differs from its re-encoding %x outside crc and seq", frame, want)
 			}
 		}
 	})

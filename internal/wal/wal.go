@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -425,6 +426,17 @@ func (w *WAL) Append(kind Kind, edges []stream.Edge) (lastSeq uint64, err error)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.appendLocked(nil, kind, edges)
+}
+
+// appendLocked is the one record writer behind Append and AppendFrame.
+// It writes frame as one record or, when frame is nil, encodes edges
+// into records of at most maxRecordEdges. Each record rotates the
+// segment when it would overflow it, is stamped with the next sequence
+// number and its CRC, and is written; then the records are flushed,
+// the fsync policy applies, and the append is acknowledged. Caller
+// holds mu.
+func (w *WAL) appendLocked(frame []byte, kind Kind, edges []stream.Edge) (lastSeq uint64, err error) {
 	if w.closed {
 		return 0, errors.New("wal: append after close")
 	}
@@ -436,15 +448,35 @@ func (w *WAL) Append(kind Kind, edges []stream.Edge) (lastSeq uint64, err error)
 			return 0, err
 		}
 	}
-	for len(edges) > 0 {
-		n := len(edges)
-		if n > maxRecordEdges {
-			n = maxRecordEdges
+	for {
+		rec := frame
+		if rec == nil {
+			n := min(len(edges), maxRecordEdges)
+			w.scratch = encodeRecord(w.scratch[:0], kind, edges[:n])
+			rec, edges = w.scratch, edges[n:]
 		}
-		if err := w.appendRecordLocked(kind, edges[:n]); err != nil {
-			return 0, err
+		if w.segSize > segHeaderSize && w.segSize+int64(len(rec)) > w.opts.SegmentBytes {
+			if err := w.rotateLocked(); err != nil {
+				return 0, err
+			}
 		}
-		edges = edges[n:]
+		count := binary.LittleEndian.Uint32(rec[recHeaderSize+1:])
+		binary.LittleEndian.PutUint64(rec[8:16], w.nextSeq)
+		binary.LittleEndian.PutUint32(rec[0:4], crc32.Checksum(rec[4:], castagnoli))
+		if _, err := w.bw.Write(rec); err != nil {
+			w.failed = true
+			w.enterDegradedLocked(err)
+			return 0, fmt.Errorf("wal: append record: %w", err)
+		}
+		w.segSize += int64(len(rec))
+		w.nextSeq += uint64(count)
+		w.dirty = true
+		w.stats.Records++
+		w.stats.Edges += int64(count)
+		w.stats.Bytes += int64(len(rec))
+		if frame != nil || len(edges) == 0 {
+			break
+		}
 	}
 	if err := w.bw.Flush(); err != nil {
 		w.failed = true
@@ -462,21 +494,16 @@ func (w *WAL) Append(kind Kind, edges []stream.Edge) (lastSeq uint64, err error)
 	return w.nextSeq - 1, nil
 }
 
-// appendRecordLocked encodes and writes one record. Caller holds mu.
-func (w *WAL) appendRecordLocked(kind Kind, edges []stream.Edge) error {
+// encodeRecord appends one record holding edges to dst, with seq 0 and
+// the crc left for the caller to fill in: EncodeFrame checksums it as
+// a wire frame, appendLocked stamps the log's sequence number first.
+func encodeRecord(dst []byte, kind Kind, edges []stream.Edge) []byte {
 	payloadLen := 5 + edgeSize*len(edges)
-	total := recHeaderSize + payloadLen
-	if w.segSize > segHeaderSize && w.segSize+int64(total) > w.opts.SegmentBytes {
-		if err := w.rotateLocked(); err != nil {
-			return err
-		}
-	}
-	if cap(w.scratch) < total {
-		w.scratch = make([]byte, total)
-	}
-	buf := w.scratch[:total]
+	base := len(dst)
+	dst = slices.Grow(dst, recHeaderSize+payloadLen)[:base+recHeaderSize+payloadLen]
+	buf := dst[base:]
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(payloadLen))
-	binary.LittleEndian.PutUint64(buf[8:16], w.nextSeq)
+	binary.LittleEndian.PutUint64(buf[8:16], 0)
 	buf[16] = byte(kind)
 	binary.LittleEndian.PutUint32(buf[17:21], uint32(len(edges)))
 	off := 21
@@ -486,19 +513,7 @@ func (w *WAL) appendRecordLocked(kind Kind, edges []stream.Edge) error {
 		binary.LittleEndian.PutUint64(buf[off+16:], uint64(e.T))
 		off += edgeSize
 	}
-	binary.LittleEndian.PutUint32(buf[0:4], crc32.Checksum(buf[4:], castagnoli))
-	if _, err := w.bw.Write(buf); err != nil {
-		w.failed = true
-		w.enterDegradedLocked(err)
-		return fmt.Errorf("wal: append record: %w", err)
-	}
-	w.segSize += int64(total)
-	w.nextSeq += uint64(len(edges))
-	w.dirty = true
-	w.stats.Records++
-	w.stats.Edges += int64(len(edges))
-	w.stats.Bytes += int64(total)
-	return nil
+	return dst
 }
 
 // reopenSegmentLocked recovers the current segment after a failed

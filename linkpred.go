@@ -41,19 +41,19 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"linkpred/internal/core"
 	"linkpred/internal/stream"
 )
 
-// Edge is one element of a graph stream: an undirected edge {U, V}
-// observed at logical time T (T is informational; estimators do not use
-// it).
-type Edge struct {
-	U, V uint64
-	T    int64
-}
+// Edge is one element of a graph stream, with fields U, V uint64 and
+// T int64: the undirected edge {U, V} (the arc U → V on directed
+// predictors) observed at logical time T. Estimators ignore T, but a
+// Windowed predictor places each edge in the generation covering its T
+// and expires generations as T advances. Edge is the stream type the
+// stores and the write-ahead log use, so batches pass through without a
+// copy.
+type Edge = stream.Edge
 
 // Config parameterises a Predictor.
 type Config struct {
@@ -253,29 +253,6 @@ func New(cfg Config) (*Predictor, error) {
 func (p *Predictor) Observe(u, v uint64) {
 	p.store.ProcessEdge(stream.Edge{U: u, V: v})
 }
-
-// streamEdgePool recycles the []stream.Edge conversion buffers behind
-// the batch Observe methods, so steady-state batched ingest through the
-// public facades allocates nothing per batch.
-var streamEdgePool = sync.Pool{New: func() any { return new([]stream.Edge) }}
-
-// toStreamEdges copies edges into a pooled []stream.Edge. Callers must
-// return the buffer with putStreamEdges once the store call returns.
-func toStreamEdges(edges []Edge) *[]stream.Edge {
-	bp := streamEdgePool.Get().(*[]stream.Edge)
-	buf := *bp
-	if cap(buf) < len(edges) {
-		buf = make([]stream.Edge, len(edges))
-	}
-	buf = buf[:len(edges)]
-	for i, e := range edges {
-		buf[i] = stream.Edge{U: e.U, V: e.V, T: e.T}
-	}
-	*bp = buf
-	return bp
-}
-
-func putStreamEdges(bp *[]stream.Edge) { streamEdgePool.Put(bp) }
 
 // AdamicAdarBiased returns the vertex-biased sampling estimate of the
 // Adamic–Adar index. It returns NaN unless the Predictor was built with
