@@ -73,11 +73,11 @@ func TestRunIngestScalingWithJSON(t *testing.T) {
 	if err := json.Unmarshal(js, &doc); err != nil {
 		t.Fatalf("e20.json invalid: %v", err)
 	}
-	// -parallel 2 sweeps goroutines 1 and 2 with three modes each
-	// (per-edge, batched, pipelined), then the pipelined-auto row and
-	// the two live-server wire-format rows (text vs binary frames).
-	if len(doc.Rows) != 9 {
-		t.Errorf("e20.json has %d rows, want 9:\n%s", len(doc.Rows), js)
+	// -parallel 2 sweeps goroutines 1 and 2 with two modes each
+	// (per-edge, batched), then the two live-server wire-format rows
+	// (text vs binary frames).
+	if len(doc.Rows) != 6 {
+		t.Errorf("e20.json has %d rows, want 6:\n%s", len(doc.Rows), js)
 	}
 	if len(doc.Columns) == 0 || doc.Columns[0] != "mode" {
 		t.Errorf("unexpected columns: %v", doc.Columns)

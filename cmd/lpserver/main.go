@@ -131,8 +131,6 @@ func build(args []string, stdout io.Writer) (*app, error) {
 		candRecent = fs.Int("candidates-recent", 8, "recent neighbors remembered per vertex by -candidates")
 		candPool   = fs.Int("candidates-pool", 64, "frequent-vertex pool size shared by -candidates")
 		candMaxV   = fs.Int("candidates-max-vertices", 1<<20, "vertex cap for -candidates: tracking a new vertex past the cap evicts the oldest (0 = unbounded)")
-		ingestWork = fs.Int("ingest-workers", 0, "shard-owner ingest pipeline workers on the concurrent modes: 0 = one per processor (synchronous on a single-proc host), > 0 forces that many, < 0 disables the pipeline")
-		ingestRing = fs.Int("ingest-ring", 0, "ingest pipeline per-owner queue capacity in batches (0 = default 256)")
 		walDir     = fs.String("wal-dir", "", "write-ahead log directory: log every /ingest batch before applying, checkpoint periodically, and recover snapshot+log on start")
 		walFsync   = fs.String("wal-fsync", "interval", "WAL fsync policy: always (fsync per batch) | interval (background fsync) | never (crash loses OS-buffered tail)")
 		ckptEvery  = fs.Duration("checkpoint-interval", 5*time.Minute, "with -wal-dir, how often the background checkpointer snapshots the predictor and prunes the log")
@@ -156,8 +154,6 @@ func build(args []string, stdout io.Writer) (*app, error) {
 		Window:           *window,
 		Gens:             *gens,
 		RecoverDepth:     *recDepth,
-		IngestWorkers:    *ingestWork,
-		IngestRing:       *ingestRing,
 		ExpectedVertices: *expectedV,
 	})
 	if err != nil {
@@ -171,7 +167,6 @@ func build(args []string, stdout io.Writer) (*app, error) {
 		}
 		if restored != nil {
 			pred = restored
-			startIngestPipeline(pred, *ingestWork, *ingestRing)
 			fmt.Fprintf(stdout, "restored checkpoint %s (mode %s, %d vertices, %d edges)\n",
 				*checkpoint, linkpred.ModeOf(pred), pred.NumVertices(), pred.NumEdges())
 		}
@@ -202,18 +197,13 @@ func build(args []string, stdout io.Writer) (*app, error) {
 			return nil, err
 		}
 		// Batched replay: the WAL reader coalesces consecutive same-kind
-		// records into large batches, and on pipeline-capable engines
-		// each batch is published asynchronously so the reader decodes
-		// the next segment while the shard owners apply the previous
-		// batch. The snapshot loader restarts the pipeline on whatever
-		// engine the image selects, so replay rides it too.
+		// records into large batches, each applied with one call.
 		res, err := wal.RecoverBatched(nil, *walDir, func(r io.Reader) error {
 			loaded, err := linkpred.LoadAnyEngine(r)
 			if err != nil {
 				return err
 			}
 			pred = loaded
-			startIngestPipeline(pred, *ingestWork, *ingestRing)
 			return nil
 		}, func(kind wal.Kind, edges []stream.Edge) error {
 			if kind == wal.KindDelete {
@@ -221,17 +211,7 @@ func build(args []string, stdout io.Writer) (*app, error) {
 				if !ok {
 					return fmt.Errorf("log holds delete records but mode %q cannot delete (use -mode=dynamic)", linkpred.ModeOf(pred))
 				}
-				// Ordering barrier: a delete must observe every insert
-				// logged before it. (Deletion-capable modes are currently
-				// single-writer, so this is a no-op safety net.)
-				if ai, ok := linkpred.AsyncIngesterOf(pred); ok {
-					ai.FlushIngest()
-				}
 				del.DeleteEdges(edges)
-				return nil
-			}
-			if ai, ok := linkpred.AsyncIngesterOf(pred); ok {
-				ai.ObserveEdgesAsync(edges)
 				return nil
 			}
 			pred.ObserveEdges(edges)
@@ -239,11 +219,6 @@ func build(args []string, stdout io.Writer) (*app, error) {
 		}, wal.BatchedReplayOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("wal recovery: %w", err)
-		}
-		// Replay published asynchronously; wait for the owners to finish
-		// before reading stats or serving traffic.
-		if ai, ok := linkpred.AsyncIngesterOf(pred); ok {
-			ai.FlushIngest()
 		}
 		recovered = res.SnapshotLoaded || res.Replay.Records > 0
 		if recovered {
@@ -351,18 +326,6 @@ func build(args []string, stdout io.Writer) (*app, error) {
 	}, nil
 }
 
-// startIngestPipeline starts the shard-owner ingest pipeline on engines
-// that support it, honoring the -ingest-workers policy (< 0 disables).
-// No-op on single-writer modes.
-func startIngestPipeline(e linkpred.Engine, workers, ring int) {
-	if workers < 0 {
-		return
-	}
-	if pl, ok := linkpred.PipelinerOf(e); ok {
-		pl.StartIngestPipeline(workers, ring)
-	}
-}
-
 // run serves until the context is cancelled (signal) or the listener
 // fails, then drains in-flight requests and checkpoints the predictor.
 func run(ctx context.Context, a *app, stdout io.Writer) error {
@@ -390,20 +353,6 @@ func run(ctx context.Context, a *app, stdout io.Writer) error {
 		// predictor (ingest is monotone, a partial request loses only
 		// its own tail).
 		fmt.Fprintln(stdout, "shutdown:", err)
-	}
-	// Quiesce the ingest pipeline before anything snapshots the store:
-	// HTTP is drained, but asynchronously published batches may still be
-	// in flight on the shard owners. Flush is the completion barrier;
-	// stopping the pipeline then makes the store fully quiescent, so the
-	// final WAL checkpoint and -checkpoint image capture every
-	// acknowledged edge. The engine is re-read from the server because
-	// POST /restore may have swapped it.
-	eng := a.srv.Engine()
-	if ai, ok := linkpred.AsyncIngesterOf(eng); ok {
-		ai.FlushIngest()
-	}
-	if pl, ok := linkpred.PipelinerOf(eng); ok {
-		pl.StopIngestPipeline()
 	}
 	if a.durable != nil {
 		// Final checkpoint: snapshot the predictor and prune the log, so

@@ -91,8 +91,6 @@ func run(args []string, stdout io.Writer, queries io.Reader) error {
 		batch    = fs.Int("batch", 4096, "edges per ingest batch")
 		deletes  = fs.String("deletes", "", "edge file to retract after ingest (uses the dynamic engine; same text/-binary format as -in)")
 		recDepth = fs.Int("recover-depth", 0, "with -deletes: smallest hashes kept per register for deletion recovery (0 = default)")
-		ingWork  = fs.Int("ingest-workers", 0, "shard-owner ingest pipeline workers with -parallel > 1: 0 = one per processor (synchronous on a single-proc host), > 0 forces that many, < 0 disables the pipeline")
-		ingRing  = fs.Int("ingest-ring", 0, "ingest pipeline per-owner queue capacity in batches (0 = default)")
 		walDir   = fs.String("wal-dir", "", "write-ahead log directory: log batches before applying, snapshot on completion, and resume a crashed ingest of the same input")
 		walFsync = fs.String("wal-fsync", "interval", "WAL fsync policy: always | interval | never")
 		post     = fs.String("post", "", "POST the stream to this lpserver base URL as binary frames (application/x-lp-edges) instead of ingesting locally")
@@ -138,7 +136,7 @@ func run(args []string, stdout io.Writer, queries io.Reader) error {
 	}
 	eng, err := linkpred.NewEngine(linkpred.EngineSpec{
 		Mode: mode, Config: cfg, Shards: 4 * *parallel, RecoverDepth: *recDepth,
-		IngestWorkers: *ingWork, IngestRing: *ingRing, ExpectedVertices: *expV,
+		ExpectedVertices: *expV,
 	})
 	if err != nil {
 		return err
@@ -161,11 +159,6 @@ func run(args []string, stdout io.Writer, queries io.Reader) error {
 			return fmt.Errorf("snapshot was built in %s mode, this run is %s; rerun with the matching -directed/-parallel flags", got, mode)
 		}
 		eng = loaded
-		if *ingWork >= 0 {
-			if pl, ok := linkpred.PipelinerOf(eng); ok {
-				pl.StartIngestPipeline(*ingWork, *ingRing)
-			}
-		}
 		return nil
 	}
 	var mon *monitor.StreamMonitor
@@ -237,9 +230,7 @@ func run(args []string, stdout io.Writer, queries io.Reader) error {
 			return perr
 		}
 		// Batched replay: consecutive same-kind records are coalesced into
-		// large batches, and on pipeline-capable engines each batch is
-		// published asynchronously so the log reader overlaps decode with
-		// the shard owners' applies.
+		// large batches, each applied with one call.
 		res, rerr := wal.RecoverBatched(nil, *walDir, load, func(kind wal.Kind, b []stream.Edge) error {
 			if kind == wal.KindDelete {
 				del, ok := linkpred.DeleterOf(eng)
@@ -253,18 +244,11 @@ func run(args []string, stdout io.Writer, queries io.Reader) error {
 				return fmt.Errorf("log holds %s records; rerun with the matching -directed setting",
 					map[wal.Kind]string{wal.KindEdge: "undirected edge", wal.KindArc: "directed arc"}[kind])
 			}
-			if ai, ok := linkpred.AsyncIngesterOf(eng); ok {
-				ai.ObserveEdgesAsync(b)
-				return nil
-			}
 			observe(b)
 			return nil
 		}, wal.BatchedReplayOptions{})
 		if rerr != nil {
 			return fmt.Errorf("wal recovery: %w", rerr)
-		}
-		if ai, ok := linkpred.AsyncIngesterOf(eng); ok {
-			ai.FlushIngest()
 		}
 		skip = res.LastSeq()
 		if skip > 0 {
@@ -365,12 +349,6 @@ func run(args []string, stdout io.Writer, queries io.Reader) error {
 	}
 	elapsed := time.Since(start)
 	rate := float64(edges) / elapsed.Seconds()
-	// Ingest is done; only queries follow. Stop the shard-owner
-	// pipeline so its ring/batch scratch is released before the memory
-	// summary — the reported figure must match a sequential run's.
-	if pl, ok := linkpred.PipelinerOf(eng); ok {
-		pl.StopIngestPipeline()
-	}
 	if *directed {
 		fmt.Fprintf(stdout, "ingested %d arcs, %d vertices; sketch memory %.1f MiB (k=%d, directed)\n",
 			edges, eng.NumVertices(), float64(eng.MemoryBytes())/(1<<20), *k)

@@ -35,14 +35,12 @@ type Concurrent struct {
 // shardedStore is the store surface the concurrent predictors share.
 type shardedStore interface {
 	core.Store
-	core.AsyncBatchIngester
-	core.Pipeliner
 	NumShards() int
 }
 
 // sharded is the facade core of the two concurrent predictors,
-// Concurrent and ConcurrentDirected: the facade plus per-edge Observe,
-// the shard count, and the ingest pipeline.
+// Concurrent and ConcurrentDirected: the facade plus per-edge Observe
+// and the shard count.
 type sharded[S shardedStore] struct {
 	facade[S]
 }
@@ -69,40 +67,6 @@ func (c *sharded[S]) NumShards() int { return c.store.NumShards() }
 func (c *sharded[S]) Observe(u, v uint64) {
 	c.store.Ingest(stream.Edge{U: u, V: v})
 }
-
-// StartIngestPipeline starts the shard-owner ingest pipeline: batched
-// ingest (ObserveEdges) stops contending on shard locks and instead
-// routes prepared batches to dedicated per-shard apply goroutines.
-// workers = 0 means auto — one owner per processor, or stay on the
-// synchronous path (returning false) on a single-proc host; workers > 0
-// forces that many owners; ringSize is the per-owner queue capacity in
-// batches (0 for the default). Queries, per-edge Observe, and Save all
-// keep working while the pipeline runs; ObserveEdges still returns only
-// after its batch is fully applied, so caller-visible semantics are
-// unchanged. Returns whether a pipeline is now running.
-func (c *sharded[S]) StartIngestPipeline(workers, ringSize int) bool {
-	return c.store.StartPipeline(workers, ringSize)
-}
-
-// StopIngestPipeline drains and stops the ingest pipeline; batched
-// ingest reverts to the lock-handoff fan-out. No-op if none is running.
-func (c *sharded[S]) StopIngestPipeline() { c.store.StopPipeline() }
-
-// IngestPipelineStats snapshots the running pipeline's backpressure
-// gauges; ok is false when no pipeline is running.
-func (c *sharded[S]) IngestPipelineStats() (PipelineStats, bool) { return c.store.PipelineStats() }
-
-// ObserveEdgesAsync publishes a batch to the running ingest pipeline
-// without waiting for the applies; FlushIngest is the completion
-// barrier. Without a pipeline it behaves exactly like ObserveEdges.
-// Used by batched WAL replay.
-func (c *sharded[S]) ObserveEdgesAsync(edges []Edge) {
-	c.store.IngestBatchAsync(edges)
-}
-
-// FlushIngest blocks until every ObserveEdgesAsync batch has been fully
-// applied. No-op without a running pipeline.
-func (c *sharded[S]) FlushIngest() { c.store.FlushIngest() }
 
 // LoadConcurrent restores a predictor saved with (*Concurrent).Save.
 func LoadConcurrent(r io.Reader) (*Concurrent, error) {

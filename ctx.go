@@ -10,8 +10,8 @@ import (
 // Context-aware serving surface (DESIGN.md §2.12). The HTTP server
 // attaches per-request deadlines; these methods propagate them into
 // the store's batched hot paths as a done channel so an expired or
-// abandoned request stops consuming query workers and pipeline ring
-// slots instead of running to completion.
+// abandoned request stops consuming query workers instead of running
+// to completion.
 //
 // Cancellation granularity follows the core contract:
 //
@@ -127,10 +127,9 @@ func (f *facade[S]) TopKCtx(ctx context.Context, m Measure, u uint64, candidates
 }
 
 // ObserveEdgesCtx is ObserveEdges with pre-commit cancellation: if ctx
-// is done before the batch is handed to the store (including while the
-// pipeline producer waits on a full ring), nothing is applied and
-// ctx.Err() is returned; once ingestion starts the batch completes and
-// nil is returned.
+// is done before the batch is handed to the store, nothing is applied
+// and ctx.Err() is returned; once ingestion starts the batch completes
+// and nil is returned.
 func (f *facade[S]) ObserveEdgesCtx(ctx context.Context, edges []Edge) error {
 	if ci, ok := any(f.store).(core.CancelBatchIngester); ok {
 		if err := ci.IngestBatchCancel(edges, ctx.Done()); err != nil {

@@ -191,16 +191,6 @@ type EngineSpec struct {
 	// RecoverDepth is the dynamic mode's per-register recovery-buffer
 	// depth (0 selects the default; see NewDynamic).
 	RecoverDepth int
-	// IngestWorkers configures the shard-owner ingest pipeline on the
-	// concurrent modes: 0 (the default) starts it with one apply
-	// goroutine per processor — degrading to the classic synchronous
-	// path on a single-proc host; > 0 forces that many owners; < 0
-	// disables the pipeline. Ignored by the single-writer modes.
-	IngestWorkers int
-	// IngestRing is the pipeline's per-owner queue capacity in batches
-	// (0 selects the default, 256; other sizes round up to a power of
-	// two, at least 2). Ignored without a pipeline.
-	IngestRing int
 	// ExpectedVertices, when > 0, pre-sizes the store's vertex maps and
 	// register arenas for that many vertices before any ingest — the
 	// bulk-load hint that avoids incremental arena grow copies. Purely
@@ -208,31 +198,37 @@ type EngineSpec struct {
 	ExpectedVertices int
 }
 
-// PipelineStats is the ingest pipeline's observability snapshot; see
-// core.PipelineStats for the field meanings.
-type PipelineStats = core.PipelineStats
+// PipelineStats, Pipeliner and AsyncIngester describe a shard-owner
+// ingest pipeline that no engine in this module runs: batched ingest
+// always applies through the lock-handoff fan-out before ObserveEdges
+// returns. They remain so that callers written against them still
+// compile; PipelinerOf and AsyncIngesterOf report false for every
+// engine NewEngine or LoadAnyEngine returns.
+type PipelineStats struct {
+	// Stalls counts producer waits on a full queue.
+	Stalls int64
+	// OwnerParks counts apply goroutines going idle.
+	OwnerParks int64
+}
 
-// Pipeliner is the capability of engines that can run the shard-owner
-// ingest pipeline (the concurrent modes). Use PipelinerOf to extract it
-// through Synchronized wrappers.
+// Pipeliner is the capability of an engine with a shard-owner ingest
+// pipeline. No engine in this module implements it.
 type Pipeliner interface {
 	StartIngestPipeline(workers, ringSize int) bool
 	StopIngestPipeline()
 	IngestPipelineStats() (PipelineStats, bool)
 }
 
-// AsyncIngester is the capability of engines whose batched ingest can
-// be published to a running pipeline without waiting for the applies:
-// ObserveEdgesAsync enqueues, FlushIngest is the completion barrier.
-// Both degrade to synchronous ingest when no pipeline is running, so
-// replay loops can use them unconditionally.
+// AsyncIngester is the capability of an engine whose batched ingest can
+// return before the batch is applied, with FlushIngest as the barrier.
+// No engine in this module implements it.
 type AsyncIngester interface {
 	ObserveEdgesAsync(edges []Edge)
 	FlushIngest()
 }
 
 // PipelinerOf returns e's pipeline capability, seeing through
-// Synchronized wrappers; ok is false for modes without one.
+// Synchronized wrappers; ok is false for every engine in this module.
 func PipelinerOf(e Engine) (Pipeliner, bool) {
 	if s, ok := e.(*Synchronized); ok {
 		e = s.Unwrap()
@@ -242,7 +238,7 @@ func PipelinerOf(e Engine) (Pipeliner, bool) {
 }
 
 // AsyncIngesterOf returns e's async-ingest capability, seeing through
-// Synchronized wrappers; ok is false for modes without one.
+// Synchronized wrappers; ok is false for every engine in this module.
 func AsyncIngesterOf(e Engine) (AsyncIngester, bool) {
 	if s, ok := e.(*Synchronized); ok {
 		e = s.Unwrap()
@@ -275,9 +271,6 @@ func NewEngine(spec EngineSpec) (Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		if spec.IngestWorkers >= 0 {
-			c.StartIngestPipeline(spec.IngestWorkers, spec.IngestRing)
-		}
 		eng = c
 	case ModeDirected:
 		d, err := NewDirected(spec.Config)
@@ -289,9 +282,6 @@ func NewEngine(spec EngineSpec) (Engine, error) {
 		c, err := NewConcurrentDirected(spec.Config, shards)
 		if err != nil {
 			return nil, err
-		}
-		if spec.IngestWorkers >= 0 {
-			c.StartIngestPipeline(spec.IngestWorkers, spec.IngestRing)
 		}
 		eng = c
 	case ModeWindowed:

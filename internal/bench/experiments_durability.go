@@ -48,7 +48,7 @@ func runE22(cfg RunConfig) (*Table, error) {
 	}
 
 	// ingestOnce runs one full parallel ingest into a fresh store; with
-	// d != nil each batch goes through the durable pipeline.
+	// d != nil each batch is logged before it is applied.
 	ingestOnce := func(s *core.Sharded, d *wal.Durable) time.Duration {
 		per := len(edges) / g
 		start := time.Now()
@@ -194,42 +194,36 @@ func runE22(cfg RunConfig) (*Table, error) {
 	ns := float64(el.Nanoseconds()) / float64(len(edges))
 	t.AddRow("recover (snapshot+replay)", ns, 1e9/ns, ns/base)
 
-	// Batched replay over the same crashed log: consecutive same-kind
-	// records are coalesced into large apply batches, and with the
-	// shard-owner pipeline running each batch is published
-	// asynchronously, so the log reader decodes the next segment while
-	// the owners apply the previous batch.
+	// Batched replay over the same crashed log, the replay lpserver and
+	// lpstream boot through: consecutive same-kind records are coalesced
+	// into large apply batches.
 	start = time.Now()
 	recB, err := core.NewSharded(core.Config{K: k, Seed: cfg.Seed}, nShards)
 	if err != nil {
 		return nil, err
 	}
-	recB.StartPipeline(0, 0)
 	resB, err := wal.RecoverBatched(nil, dir, func(r io.Reader) error {
 		loaded, err := core.LoadSharded(r)
 		if err != nil {
 			return err
 		}
-		loaded.StartPipeline(0, 0)
 		recB = loaded
 		return nil
 	}, func(_ wal.Kind, batch []stream.Edge) error {
-		recB.ProcessEdgesAsync(batch)
+		recB.ProcessEdges(batch)
 		return nil
 	}, wal.BatchedReplayOptions{})
 	if err != nil {
 		return nil, err
 	}
-	recB.FlushIngest()
 	elB := time.Since(start)
-	recB.StopPipeline()
 	if got := resB.LastSeq(); got != uint64(len(edges)) {
 		return nil, fmt.Errorf("e22: batched replay recovered %d of %d edges", got, len(edges))
 	}
 	nsB := float64(elB.Nanoseconds()) / float64(len(edges))
-	t.AddRow("recover-batched (pipeline)", nsB, 1e9/nsB, nsB/base)
+	t.AddRow("recover-batched", nsB, 1e9/nsB, nsB/base)
 	t.Notes = append(t.Notes,
-		"recover-batched coalesces the log's records into large batches and publishes them asynchronously to the shard-owner pipeline (auto-sized; synchronous coalesced replay at GOMAXPROCS=1)",
+		"recover-batched coalesces the log's records into batches of at least 16384 edges and applies each with one batched ingest call",
 		"the log uses 1 MiB segments so both recovery rows replay a multi-segment tail")
 	return t, nil
 }

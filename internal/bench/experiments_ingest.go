@@ -59,14 +59,6 @@ func runE20(cfg RunConfig) (*Table, error) {
 		if err != nil {
 			return 0, err
 		}
-		switch mode {
-		case "pipelined": // forced: g shard owners even on a single-proc host
-			s.StartPipeline(g, 0)
-			defer s.StopPipeline()
-		case "pipelined-auto": // one owner per processor; synchronous fallback at GOMAXPROCS=1
-			s.StartPipeline(0, 0)
-			defer s.StopPipeline()
-		}
 		per := len(edges) / g
 		start := time.Now()
 		var wg sync.WaitGroup
@@ -110,33 +102,18 @@ func runE20(cfg RunConfig) (*Table, error) {
 		}
 		return best, nil
 	}
-	lastBase := 0.0
 	for g := 1; g <= cfg.parallel(); g *= 2 {
 		base, err := measure("per-edge", g)
 		if err != nil {
 			return nil, err
 		}
-		lastBase = base
 		bat, err := measure("batched", g)
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow("per-edge", g, base, 1e9/base, 1.0)
 		t.AddRow("batched", g, bat, 1e9/bat, base/bat)
-		pipe, err := measure("pipelined", g)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow("pipelined", g, pipe, 1e9/pipe, base/pipe)
 	}
-	auto, err := measure("pipelined-auto", cfg.parallel())
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("pipelined-auto", cfg.parallel(), auto, 1e9/auto, lastBase/auto)
-	t.Notes = append(t.Notes,
-		"pipelined rows force one shard-owner apply goroutine per producer (StartIngestPipeline(g)); producers only parse+hash+group and publish to per-owner rings",
-		"pipelined-auto sizes owners to GOMAXPROCS and degrades to the synchronous batched path on a single-proc host, so its row should match batched there")
 
 	// The server's two /ingest wire formats head-to-head, end to end over
 	// a local socket: text lines parsed per edge vs binary crc/len frames

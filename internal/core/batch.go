@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"linkpred/internal/hashing"
 	"linkpred/internal/rng"
@@ -101,46 +100,13 @@ type batchScratch struct {
 	vertShard  []int32
 	vertGroup  grouping
 	ownerGroup grouping
-
-	// Pipeline completion state (see pipeline.go). refs counts the owner
-	// goroutines still holding this published batch; done (capacity 1,
-	// allocated once per scratch) delivers the sync-publish completion;
-	// async marks batches the last owner recycles itself; pubOwners is
-	// the reused owner fan-out list; footprint caches memoryFootprint()
-	// at publish time so the in-flight gauge adds and removes the same
-	// figure even if a slice grows in between.
-	refs      atomic.Int32
-	done      chan struct{}
-	async     bool
-	footprint int64
-	pubOwners []int32
-}
-
-// pipeSlotBytes is the ring-slot size used by the pipeline memory gauge.
-const pipeSlotBytes = int64(unsafe.Sizeof(pipeSlot{}))
-
-func sliceBytes[T any](s []T) int64 {
-	var z T
-	return int64(cap(s)) * int64(unsafe.Sizeof(z))
-}
-
-// memoryFootprint is the scratch's owned buffer memory: what a batch
-// pins while queued on pipeline rings. Counted into the owning store's
-// MemoryBytes while in flight.
-func (sc *batchScratch) memoryFootprint() int64 {
-	return sliceBytes(sc.halves) + sliceBytes(sc.distinct) + sliceBytes(sc.hashes) +
-		sliceBytes(sc.memoKeys) + sliceBytes(sc.memoIdx) + sliceBytes(sc.memoEpoch) +
-		sliceBytes(sc.pairKeys) + sliceBytes(sc.pairIdx) + sliceBytes(sc.pairEpoch) +
-		sliceBytes(sc.vertShard) + sliceBytes(sc.pubOwners) +
-		sliceBytes(sc.vertGroup.starts) + sliceBytes(sc.vertGroup.order) + sliceBytes(sc.vertGroup.fill) +
-		sliceBytes(sc.ownerGroup.starts) + sliceBytes(sc.ownerGroup.order) + sliceBytes(sc.ownerGroup.fill)
 }
 
 // prefetchSink receives the XOR of the apply loops' lookahead loads so
 // the compiler cannot discard them (see the loops for why they exist).
 // It is a package-level atomic, not a scratch field: apply runs on
-// several goroutines at once (forEachShard workers, pipeline owners),
-// and a plain shared field would be a write-write race.
+// several goroutines at once (the forEachShard workers), and a plain
+// shared field would be a write-write race.
 var prefetchSink atomic.Uint64
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -307,10 +273,6 @@ func (sc *batchScratch) prepare(edges []stream.Edge, k, nShards int, family *has
 
 // applyShardBatch applies shard's slice of the prepared batch sc under
 // the shard's write lock: stage 4 of the batch pipeline for one shard.
-// Called by the lock-handoff fan-out (forEachShard) and by the pipeline
-// owner loop — the two paths share every instruction, which is what
-// makes the pipeline's byte-identical-to-sequential guarantee a
-// property of this one function.
 func (s *shardSet[T]) applyShardBatch(sc *batchScratch, shard int) {
 	s.mus[shard].Lock()
 	s.shards[shard].applyBatch(sc, sc.vertGroup.starts[shard], sc.vertGroup.starts[shard+1])
@@ -332,12 +294,8 @@ func (s *shardSet[T]) prepare(sc *batchScratch, edges []stream.Edge) int {
 // once per batch instead of twice per edge. Self-loops are skipped. The
 // resulting register state is identical to calling Ingest on each edge
 // in any order. Safe for concurrent use, including concurrently with
-// Ingest and all estimators.
-//
-// When the store's ingest pipeline is running (StartPipeline) the
-// prepared batch is published to the shard owners and the call blocks
-// until they finish, so the post-return contract — batch fully applied,
-// gauges refreshed — is identical on both paths.
+// Ingest and all estimators. On return the batch is fully applied and
+// the gauges refreshed.
 //
 // For meaningful amortization pass batches of a few hundred edges or
 // more; Ingest remains the better call for single edges.
@@ -346,22 +304,17 @@ func (s *shardSet[T]) IngestBatch(edges []stream.Edge) {
 }
 
 // IngestBatchCancel is IngestBatch with pre-commit cancellation: done
-// is polled before the batch is handed to the store (and while the
-// producer spins on a full pipeline ring — see publishBatch). A fired
-// done returns ErrCanceled with nothing applied; once any shard owner
-// holds the batch it always completes, because a half-applied batch
-// would desynchronize the store from the WAL's acked prefix.
+// is polled before the batch is prepared and again before the first
+// shard lock is taken. A fired done returns ErrCanceled with nothing
+// applied; once the apply has started the batch always completes,
+// because a half-applied batch would desynchronize the store from the
+// WAL's acked prefix.
 func (s *shardSet[T]) IngestBatchCancel(edges []stream.Edge, done <-chan struct{}) error {
 	if len(edges) == 0 {
 		return nil
 	}
 	if canceled(done) {
 		return ErrCanceled
-	}
-	if p := s.pipe.Load(); p != nil && p.enter() {
-		err := s.ingestVia(p, edges, true, done)
-		p.exit()
-		return err
 	}
 	sc := batchPool.Get().(*batchScratch)
 	if n := s.prepare(sc, edges); n > 0 {
@@ -373,46 +326,6 @@ func (s *shardSet[T]) IngestBatchCancel(edges []stream.Edge, done <-chan struct{
 		s.edges.Add(int64(n))
 	}
 	batchPool.Put(sc)
-	return nil
-}
-
-// IngestBatchAsync publishes a batch to the running ingest pipeline
-// without waiting for the applies to complete; FlushIngest is the
-// barrier. With no pipeline running it degrades to the synchronous
-// IngestBatch. Used by batched WAL replay, where the reader goroutine
-// should decode the next record while the owners apply this one.
-func (s *shardSet[T]) IngestBatchAsync(edges []stream.Edge) {
-	if len(edges) == 0 {
-		return
-	}
-	if p := s.pipe.Load(); p != nil && p.enter() {
-		s.ingestVia(p, edges, false, nil)
-		p.exit()
-		return
-	}
-	s.IngestBatch(edges)
-}
-
-// ingestVia runs stages 1–3 on the caller's goroutine and publishes the
-// prepared batch to the pipeline owners. With wait the scratch comes
-// back to the pool here; async batches are recycled by the last owner
-// out. A done that fires before the batch reaches any owner withdraws
-// the publish: ErrCanceled, nothing applied.
-func (s *shardSet[T]) ingestVia(p *pipeline, edges []stream.Edge, wait bool, done <-chan struct{}) error {
-	sc := batchPool.Get().(*batchScratch)
-	n := s.prepare(sc, edges)
-	if n == 0 {
-		batchPool.Put(sc)
-		return nil
-	}
-	if !p.publishBatch(sc, wait, done) {
-		batchPool.Put(sc)
-		return ErrCanceled
-	}
-	if wait {
-		batchPool.Put(sc)
-	}
-	s.edges.Add(int64(n))
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
@@ -258,15 +259,18 @@ func TestProcessEdgesConcurrentWriters(t *testing.T) {
 	shardedRegistersEqual(t, s, plain)
 }
 
-// TestShardedBatchRaceStress mixes concurrent batch writers, weighted
-// estimators, and accounting reads; under -race this validates the whole
-// pipeline's locking discipline. Guarded by -short so CI stays fast.
+// TestShardedBatchRaceStress mixes concurrent batch writers, a per-edge
+// writer, weighted estimators, accounting reads and a mid-ingest Save;
+// under -race this validates the whole pipeline's locking discipline,
+// and the final image must equal sequential ingest of the same edge
+// multiset byte for byte. Guarded by -short so CI stays fast.
 func TestShardedBatchRaceStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test skipped in -short mode")
 	}
 	edges := randomEdges(150, 12000, 20297)
-	s, err := NewSharded(Config{K: 32, Seed: 20323}, 6)
+	cfg := Config{K: 32, Seed: 20323}
+	s, err := NewSharded(cfg, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +316,7 @@ func TestShardedBatchRaceStress(t *testing.T) {
 			}
 		}(uint64(q) + 20333)
 	}
-	// Accounting readers.
+	// Accounting readers, and one Save mid-ingest: the image must load.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -321,11 +325,32 @@ func TestShardedBatchRaceStress(t *testing.T) {
 				t.Error("accounting went negative mid-ingest")
 				return
 			}
+			if i == 250 {
+				var buf bytes.Buffer
+				if err := s.Save(&buf); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := LoadSharded(&buf); err != nil {
+					t.Errorf("mid-ingest image does not load: %v", err)
+					return
+				}
+			}
 		}
 	}()
 	wg.Wait()
 	if s.NumEdges() != int64(len(edges)+2000) {
 		t.Fatalf("NumEdges = %d, want %d", s.NumEdges(), len(edges)+2000)
+	}
+	ref, err := NewSharded(cfg, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range append(edges, edges[:2000]...) {
+		ref.ProcessEdge(e)
+	}
+	if !bytes.Equal(saveBytes(t, s.Save), saveBytes(t, ref.Save)) {
+		t.Fatal("concurrent ingest diverged from sequential ingest of the same edges")
 	}
 }
 

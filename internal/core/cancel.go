@@ -17,15 +17,11 @@ import (
 //     stop claiming shards once done fires, in-flight shards finish
 //     under their RLock, and the call reports ErrCanceled with the
 //     output unspecified.
-//   - Ingest (IngestBatchCancel) cancels only BEFORE the
-//     batch is handed to the store. Once the pipeline has enqueued the
-//     batch to any shard owner — or the synchronous path has started
-//     applying — it always completes: a half-applied batch would
-//     desynchronize the store from the WAL's acked prefix, which the
-//     durability layer's log-before-apply contract forbids. The spin
-//     loop a producer runs against a full ring polls done while nothing
-//     is enqueued yet, so an expired request stops burning CPU on
-//     backpressure instead of spinning to delivery.
+//   - Ingest (IngestBatchCancel) cancels only BEFORE the batch is
+//     applied. Once the first shard lock is taken it always completes:
+//     a half-applied batch would desynchronize the store from the WAL's
+//     acked prefix, which the durability layer's log-before-apply
+//     contract forbids.
 
 // ErrCanceled is returned by the *Cancel variants when done fired
 // before the operation committed. For queries the output is

@@ -197,16 +197,6 @@ func TestKMVCacheInvariant(t *testing.T) {
 			inChunks(edges, 256, s.ProcessEdges)
 			return s
 		}},
-		{"sharded/pipelined", func(t *testing.T, cfg Config) Store {
-			s := must(NewSharded(cfg, 4))
-			if !s.StartPipeline(2, 0) {
-				t.Fatal("StartPipeline(2) refused")
-			}
-			inChunks(edges, 97, s.ProcessEdgesAsync)
-			s.FlushIngest()
-			s.StopPipeline()
-			return s
-		}},
 		{"sharded/wal-replay", func(t *testing.T, cfg Config) Store {
 			s := must(NewSharded(cfg, 4))
 			walReplay(t, wal.KindEdge, edges, s.ProcessEdges)
@@ -238,16 +228,6 @@ func TestKMVCacheInvariant(t *testing.T) {
 			s := must(NewShardedDirected(cfg, 4))
 			s.Reserve(300)
 			inChunks(edges, 256, s.ProcessArcs)
-			return s
-		}},
-		{"sharded-directed/pipelined", func(t *testing.T, cfg Config) Store {
-			s := must(NewShardedDirected(cfg, 4))
-			if !s.StartPipeline(2, 0) {
-				t.Fatal("StartPipeline(2) refused")
-			}
-			inChunks(edges, 97, s.ProcessArcsAsync)
-			s.FlushIngest()
-			s.StopPipeline()
 			return s
 		}},
 		{"sharded-directed/wal-replay", func(t *testing.T, cfg Config) Store {

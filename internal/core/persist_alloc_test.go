@@ -86,13 +86,13 @@ func TestSnapshotLoadSaveAllocBounds(t *testing.T) {
 	}
 	dir := t.TempDir()
 	for name, want := range snapshotStores(t, dir) {
-		img := pipelineSaveBytes(t, want.Save)
+		img := saveBytes(t, want.Save)
 		for _, procs := range []int{1, 2} {
 			withGOMAXPROCS(procs, func() {
 				var st Store
 				var size int64
 				load := allocated(func() { st, size = loadSnapshot(t, filepath.Join(dir, name)) })
-				if got, _ := st.(*Sharded); got == nil || !bytes.Equal(pipelineSaveBytes(t, got.Save), img) {
+				if got, _ := st.(*Sharded); got == nil || !bytes.Equal(saveBytes(t, got.Save), img) {
 					t.Fatalf("%s, GOMAXPROCS=%d: the loaded store does not re-save to its image", name, procs)
 				}
 				save := allocated(func() {

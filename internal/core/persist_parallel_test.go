@@ -29,8 +29,8 @@ func TestParallelSaveByteIdentical(t *testing.T) {
 	}
 	s.ProcessEdges(edges)
 	var seq, par []byte
-	withGOMAXPROCS(1, func() { seq = pipelineSaveBytes(t, s.Save) })
-	withGOMAXPROCS(4, func() { par = pipelineSaveBytes(t, s.Save) })
+	withGOMAXPROCS(1, func() { seq = saveBytes(t, s.Save) })
+	withGOMAXPROCS(4, func() { par = saveBytes(t, s.Save) })
 	if !bytes.Equal(seq, par) {
 		t.Fatal("parallel Sharded.Save differs from sequential bytes")
 	}
@@ -41,8 +41,8 @@ func TestParallelSaveByteIdentical(t *testing.T) {
 	}
 	d.ProcessArcs(edges)
 	var dseq, dpar []byte
-	withGOMAXPROCS(1, func() { dseq = pipelineSaveBytes(t, d.Save) })
-	withGOMAXPROCS(4, func() { dpar = pipelineSaveBytes(t, d.Save) })
+	withGOMAXPROCS(1, func() { dseq = saveBytes(t, d.Save) })
+	withGOMAXPROCS(4, func() { dpar = saveBytes(t, d.Save) })
 	if !bytes.Equal(dseq, dpar) {
 		t.Fatal("parallel ShardedDirected.Save differs from sequential bytes")
 	}
@@ -59,7 +59,7 @@ func TestParallelLoadMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.ProcessEdges(edges)
-	img := pipelineSaveBytes(t, s.Save)
+	img := saveBytes(t, s.Save)
 
 	var fromSeq, fromPar *Sharded
 	withGOMAXPROCS(1, func() {
@@ -77,7 +77,7 @@ func TestParallelLoadMatchesSequential(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	if !bytes.Equal(pipelineSaveBytes(t, fromSeq.Save), pipelineSaveBytes(t, fromPar.Save)) {
+	if !bytes.Equal(saveBytes(t, fromSeq.Save), saveBytes(t, fromPar.Save)) {
 		t.Fatal("parallel LoadSharded restored a different store than sequential")
 	}
 	if fromSeq.NumVertices() != fromPar.NumVertices() || fromSeq.NumEdges() != fromPar.NumEdges() ||
@@ -92,7 +92,7 @@ func TestParallelLoadMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.ProcessArcs(edges)
-	dimg := pipelineSaveBytes(t, d.Save)
+	dimg := saveBytes(t, d.Save)
 	var dSeq, dPar *ShardedDirected
 	withGOMAXPROCS(1, func() {
 		var lerr error
@@ -109,7 +109,7 @@ func TestParallelLoadMatchesSequential(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	if !bytes.Equal(pipelineSaveBytes(t, dSeq.Save), pipelineSaveBytes(t, dPar.Save)) {
+	if !bytes.Equal(saveBytes(t, dSeq.Save), saveBytes(t, dPar.Save)) {
 		t.Fatal("parallel LoadShardedDirected restored a different store than sequential")
 	}
 }
@@ -123,7 +123,7 @@ func TestParallelLoadCorruptImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.ProcessEdges(randomEdges(100, 1500, 40169))
-	img := pipelineSaveBytes(t, s.Save)
+	img := saveBytes(t, s.Save)
 	withGOMAXPROCS(4, func() {
 		for cut := 0; cut < len(img); cut += 97 {
 			if _, err := LoadSharded(bytes.NewReader(img[:cut])); err == nil {
@@ -158,7 +158,7 @@ func TestInPlaceLoadMatchesStream(t *testing.T) {
 		s.ProcessEdges(edges)
 		d := must(NewShardedDirected(cfg, 3))
 		d.ProcessArcs(edges)
-		imgs = append(imgs, pipelineSaveBytes(t, s.Save), pipelineSaveBytes(t, d.Save))
+		imgs = append(imgs, saveBytes(t, s.Save), saveBytes(t, d.Save))
 	}
 	check := func(in []byte) {
 		s, err := LoadAny(bytes.NewReader(in))
@@ -166,7 +166,7 @@ func TestInPlaceLoadMatchesStream(t *testing.T) {
 		if fmt.Sprint(err) != fmt.Sprint(serr) {
 			t.Fatalf("in place: %v; streamed: %v", err, serr)
 		}
-		if err == nil && !bytes.Equal(pipelineSaveBytes(t, s.Save), pipelineSaveBytes(t, streamed.Save)) {
+		if err == nil && !bytes.Equal(saveBytes(t, s.Save), saveBytes(t, streamed.Save)) {
 			t.Fatal("in-place and streamed loads restore different stores")
 		}
 	}

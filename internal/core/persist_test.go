@@ -202,7 +202,7 @@ func TestSaveReportsWriteErrors(t *testing.T) {
 		for _, e := range edges {
 			s.Ingest(e)
 		}
-		img := pipelineSaveBytes(t, s.Save)
+		img := saveBytes(t, s.Save)
 		for _, n := range []int{0, 100, len(img) / 2, len(img) - 1} {
 			if err := s.Save(&failAfter{n}); err == nil {
 				t.Errorf("%T.Save succeeded on a writer failing after %d of %d bytes", s, n, len(img))

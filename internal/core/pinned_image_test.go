@@ -53,7 +53,7 @@ func TestImageBytesPinned(t *testing.T) {
 				d.DeleteEdge(e)
 			}
 		}
-		sum := sha256.Sum256(pipelineSaveBytes(t, s.Save))
+		sum := sha256.Sum256(saveBytes(t, s.Save))
 		if got := hex.EncodeToString(sum[:]); got != pinned[name] {
 			t.Errorf("%s image sha256 %s, pinned %s", name, got, pinned[name])
 		}

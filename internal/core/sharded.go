@@ -7,8 +7,8 @@ import (
 )
 
 // Sharded is a thread-safe sketch store for concurrent ingest: a shard
-// set (shardset.go) of SketchStores. Ingest, queries, the pipeline,
-// ScoreBatch and persistence are the set's; Sharded adds only the
+// set (shardset.go) of SketchStores. Ingest, queries, ScoreBatch and
+// persistence are the set's; Sharded adds only the
 // undirected ingest vocabulary.
 //
 // The vertex-biased sketches are not supported in sharded mode (their
@@ -51,10 +51,6 @@ func (s *Sharded) ProcessEdge(e stream.Edge) { s.Ingest(e) }
 // ProcessEdges folds a batch of edges (alias of IngestBatch). Safe for
 // concurrent use.
 func (s *Sharded) ProcessEdges(edges []stream.Edge) { s.IngestBatch(edges) }
-
-// ProcessEdgesAsync publishes a batch to the ingest pipeline without
-// waiting (alias of IngestBatchAsync). Safe for concurrent use.
-func (s *Sharded) ProcessEdgesAsync(edges []stream.Edge) { s.IngestBatchAsync(edges) }
 
 // foldHalf folds neighbor nbr, whose precomputed hash vector is h, into
 // owner's sketch (shard-set hook; an undirected vertex has one sketch,

@@ -8,7 +8,7 @@ import (
 // of follow/citation streams: a shard set (shardset.go) of
 // DirectedStores. An arc u → v updates u's out-sketch and v's
 // in-sketch, and a candidate arc u → v scores u's out-sketch against
-// v's in-sketch; everything else — locking, the pipeline, ScoreBatch,
+// v's in-sketch; everything else — locking, batched ingest, ScoreBatch,
 // persistence — is the set's. ShardedDirected adds only the arc
 // vocabulary and the two side-degree views.
 type ShardedDirected struct {
@@ -42,10 +42,6 @@ func (s *ShardedDirected) ProcessArc(e stream.Edge) { s.Ingest(e) }
 // ProcessArcs folds a batch of arcs (alias of IngestBatch). Safe for
 // concurrent use.
 func (s *ShardedDirected) ProcessArcs(arcs []stream.Edge) { s.IngestBatch(arcs) }
-
-// ProcessArcsAsync publishes a batch of arcs to the ingest pipeline
-// without waiting (alias of IngestBatchAsync). Safe for concurrent use.
-func (s *ShardedDirected) ProcessArcsAsync(arcs []stream.Edge) { s.IngestBatchAsync(arcs) }
 
 // OutDegree returns the out-degree estimate of u. Safe for concurrent
 // use.

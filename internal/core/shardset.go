@@ -19,8 +19,8 @@ import (
 //
 // The set owns everything that does not depend on what a shard stores:
 // the locks and the shard map, the edge counter and per-shard gauges,
-// the ingest pipeline's lifecycle (pipeline.go), per-edge and batched
-// ingest (batch.go), the pair snapshot behind Estimate, ScoreBatch
+// per-edge and batched ingest (batch.go), the pair snapshot behind
+// Estimate, ScoreBatch
 // (querybatch.go), and the LPSH/LPDH container framing
 // (sharded_persist.go). A shard store contributes the shardStore hooks:
 // which register bank each side of an edge folds into, and which bank
@@ -106,11 +106,6 @@ type shardSet[T shardStore] struct {
 	// per call.
 	vertGauge []atomic.Int64
 	memGauge  []atomic.Int64
-
-	// pipe is the optional shard-owner ingest pipeline (pipeline.go);
-	// nil means batched ingest uses the lock-handoff fan-out. Swapped
-	// atomically so batched ingest can check it without a lock.
-	pipe atomic.Pointer[pipeline]
 }
 
 // init builds an empty set of nShards stores, all configured by cfg.
@@ -380,79 +375,11 @@ func (s *shardSet[T]) NumEdges() int64 { return s.edges.Load() }
 
 // MemoryBytes returns the total payload memory across shards. Safe for
 // concurrent use; like NumVertices it reads the apply-maintained
-// per-shard gauges, so metrics scrapes stay lock-free. While the ingest
-// pipeline runs, its ring arrays and in-flight batch scratch are
-// included — queued-but-unapplied batches are real memory the process
-// holds on the store's behalf.
+// per-shard gauges, so metrics scrapes stay lock-free.
 func (s *shardSet[T]) MemoryBytes() int {
 	total := int64(0)
 	for i := range s.memGauge {
 		total += s.memGauge[i].Load()
 	}
-	if p := s.pipe.Load(); p != nil {
-		total += p.memoryBytes()
-	}
 	return int(total)
-}
-
-// StartPipeline starts the shard-owner ingest pipeline (pipeline.go):
-// batched ingest stops contending on shard locks and instead publishes
-// prepared batches to dedicated per-shard apply goroutines. workers = 0
-// means auto — GOMAXPROCS owners, or stay synchronous (return false)
-// when that is 1; workers > 0 forces that many owners even on a
-// single-proc host; workers < 0 disables. ringSize is the per-owner
-// ring capacity in batches (<= 0 selects the default, 256; at least
-// 2). Returns
-// whether a pipeline is now running; false with a pipeline already
-// running leaves it untouched.
-func (s *shardSet[T]) StartPipeline(workers, ringSize int) bool {
-	n := resolvePipelineWorkers(workers, len(s.shards))
-	if n == 0 {
-		return false
-	}
-	if s.pipe.Load() != nil {
-		return false
-	}
-	p := newPipeline(len(s.shards), n, ringSize, func(sc *batchScratch, owner, nOwners int) {
-		for shard := owner; shard < len(s.shards); shard += nOwners {
-			if sc.vertGroup.starts[shard+1] > sc.vertGroup.starts[shard] {
-				s.applyShardBatch(sc, shard)
-			}
-		}
-	})
-	if !s.pipe.CompareAndSwap(nil, p) {
-		p.stop() // lost an install race; discard the idle pipeline
-		return false
-	}
-	return true
-}
-
-// StopPipeline stops the ingest pipeline and blocks until every
-// published batch, sync or async, has been applied; subsequent batched
-// ingest uses the lock-handoff fan-out again. No-op without a running
-// pipeline. Safe for concurrent use with ingest: producers mid-publish
-// finish first, producers arriving later fall back to the synchronous
-// path.
-func (s *shardSet[T]) StopPipeline() {
-	if p := s.pipe.Swap(nil); p != nil {
-		p.stop()
-	}
-}
-
-// FlushIngest blocks until every batch published with IngestBatchAsync
-// has been fully applied. Synchronous ingest needs no barrier; without
-// a running pipeline this is a no-op.
-func (s *shardSet[T]) FlushIngest() {
-	if p := s.pipe.Load(); p != nil {
-		p.flush()
-	}
-}
-
-// PipelineStats snapshots the running pipeline's gauges; ok is false
-// when no pipeline is running.
-func (s *shardSet[T]) PipelineStats() (st PipelineStats, ok bool) {
-	if p := s.pipe.Load(); p != nil {
-		return p.stats(), true
-	}
-	return PipelineStats{}, false
 }

@@ -54,7 +54,7 @@ type Tier struct {
 	// this tier. Tier 0 must have PromoteAt == 0; later tiers must be
 	// strictly increasing in both K and PromoteAt. Promotion depends only
 	// on the vertex's own monotone counter, so it is deterministic under
-	// any apply order (pipeline, batch, WAL replay).
+	// any apply order (per-edge, batched, WAL replay).
 	PromoteAt int64
 }
 
@@ -300,9 +300,9 @@ func (s *SketchStore) ProcessEdge(e stream.Edge) {
 		// Tiered order per endpoint: count the arrival, promote if the
 		// count crossed a threshold, then fold the neighbor — so the
 		// arrival that earns a tier is the first one folded into the new
-		// registers. Every apply path (sequential, batched, pipelined, WAL
-		// replay) uses this same per-half-edge order, which is what keeps
-		// tiered stores byte-identical across them.
+		// registers. Every apply path (sequential, batched, WAL replay)
+		// uses this same per-half-edge order, which is what keeps tiered
+		// stores byte-identical across them.
 		s.hashBuf = s.family.get().HashAll(e.V, s.hashBuf)
 		su.arrivals++
 		s.promoteIfDue(su)

@@ -81,29 +81,6 @@ type BatchIngester interface {
 	IngestBatch(edges []stream.Edge)
 }
 
-// AsyncBatchIngester is the capability of stores whose batched ingest
-// can be published to a running shard-owner pipeline without waiting
-// for the applies (see pipeline.go): IngestBatchAsync enqueues,
-// FlushIngest is the completion barrier. Both degrade to the
-// synchronous path when no pipeline is running, so callers need no
-// mode check. Batched WAL replay drives recovery through this.
-type AsyncBatchIngester interface {
-	BatchIngester
-	IngestBatchAsync(edges []stream.Edge)
-	FlushIngest()
-}
-
-// Pipeliner is the capability of stores that can run the shard-owner
-// ingest pipeline. StartPipeline reports whether a pipeline is now
-// running (false when workers resolve to synchronous, or one is
-// already up); StopPipeline drains and stops it; PipelineStats
-// snapshots the backpressure gauges.
-type Pipeliner interface {
-	StartPipeline(workers, ringSize int) bool
-	StopPipeline()
-	PipelineStats() (PipelineStats, bool)
-}
-
 // BatchScorer is the capability of stores with a batched
 // one-source/many-candidates query path (see querybatch.go). out is
 // grown as needed and returned aligned with candidates; scores are
@@ -150,12 +127,6 @@ var (
 	_ BatchScorer = (*ShardedDirected)(nil)
 	_ BatchScorer = (*Windowed)(nil)
 	_ BatchScorer = (*DynamicStore)(nil)
-
-	_ AsyncBatchIngester = (*Sharded)(nil)
-	_ AsyncBatchIngester = (*ShardedDirected)(nil)
-
-	_ Pipeliner = (*Sharded)(nil)
-	_ Pipeliner = (*ShardedDirected)(nil)
 
 	_ Windower      = (*Windowed)(nil)
 	_ DirectedViews = (*DirectedStore)(nil)

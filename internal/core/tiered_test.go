@@ -424,10 +424,10 @@ func TestTieredResumeStream(t *testing.T) {
 }
 
 // TestTieredPipelineMatchesSequential is the promotion order-independence
-// contract, acceptance-grade: across a workers × batch grid, pipelined
-// tiered ingest must be register- and Save-byte-identical to sequential
-// ingest, promotions included. Duplicate edges stay in the stream —
-// tiered stores count every arrival, on every path.
+// contract, acceptance-grade: across a grid of batch sizes, tiered ingest
+// through the batch pipeline must be register- and Save-byte-identical
+// to sequential ingest, promotions included. Duplicate edges stay in the
+// stream — tiered stores count every arrival, on every path.
 func TestTieredPipelineMatchesSequential(t *testing.T) {
 	edges := skewedEdges(150, 5000, 467)
 	edges = append(edges, edges[:200]...) // duplicates re-count arrivals identically everywhere
@@ -447,27 +447,21 @@ func TestTieredPipelineMatchesSequential(t *testing.T) {
 	shardedRegistersEqual(t, seqStore, plain)
 	want := saveBytes(t, seqStore.Save)
 
-	for _, workers := range []int{1, 2, 5} {
-		for _, batch := range []int{7, 256, len(edges)} {
-			s, err := NewSharded(cfg, 8)
-			if err != nil {
-				t.Fatal(err)
+	for _, batch := range []int{7, 256, len(edges)} {
+		s, err := NewSharded(cfg, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < len(edges); lo += batch {
+			hi := lo + batch
+			if hi > len(edges) {
+				hi = len(edges)
 			}
-			if !s.StartPipeline(workers, 0) {
-				t.Fatalf("StartPipeline(%d) refused", workers)
-			}
-			for lo := 0; lo < len(edges); lo += batch {
-				hi := lo + batch
-				if hi > len(edges) {
-					hi = len(edges)
-				}
-				s.ProcessEdges(edges[lo:hi])
-			}
-			s.StopPipeline()
-			shardedRegistersEqual(t, s, plain)
-			if got := saveBytes(t, s.Save); !bytes.Equal(got, want) {
-				t.Fatalf("workers=%d batch=%d: tiered pipeline Save differs from sequential", workers, batch)
-			}
+			s.ProcessEdges(edges[lo:hi])
+		}
+		shardedRegistersEqual(t, s, plain)
+		if got := saveBytes(t, s.Save); !bytes.Equal(got, want) {
+			t.Fatalf("batch=%d: tiered batched Save differs from sequential", batch)
 		}
 	}
 }
@@ -485,26 +479,20 @@ func TestTieredDirectedPipelineMatchesSequential(t *testing.T) {
 	seqStore.ProcessArcs(arcs)
 	want := saveBytes(t, seqStore.Save)
 
-	for _, workers := range []int{1, 3} {
-		for _, batch := range []int{13, 512} {
-			s, err := NewShardedDirected(cfg, 6)
-			if err != nil {
-				t.Fatal(err)
+	for _, batch := range []int{13, 512} {
+		s, err := NewShardedDirected(cfg, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < len(arcs); lo += batch {
+			hi := lo + batch
+			if hi > len(arcs) {
+				hi = len(arcs)
 			}
-			if !s.StartPipeline(workers, 0) {
-				t.Fatalf("StartPipeline(%d) refused", workers)
-			}
-			for lo := 0; lo < len(arcs); lo += batch {
-				hi := lo + batch
-				if hi > len(arcs) {
-					hi = len(arcs)
-				}
-				s.ProcessArcs(arcs[lo:hi])
-			}
-			s.StopPipeline()
-			if got := saveBytes(t, s.Save); !bytes.Equal(got, want) {
-				t.Fatalf("workers=%d batch=%d: tiered directed pipeline Save differs from sequential", workers, batch)
-			}
+			s.ProcessArcs(arcs[lo:hi])
+		}
+		if got := saveBytes(t, s.Save); !bytes.Equal(got, want) {
+			t.Fatalf("batch=%d: tiered directed batched Save differs from sequential", batch)
 		}
 	}
 }

@@ -23,10 +23,9 @@ import (
 // applies to every admitted request, an X-Deadline-Ms header overrides
 // it per request, and the handlers propagate the context into the
 // engine's cancellable paths (ScoreBatchCtx, ObserveEdgesCtx) so an
-// expired request stops consuming query workers and pipeline ring
-// slots. A deadline that fires while the request is still queued for
-// admission is shed with 429 (it never ran); one that fires while
-// executing surfaces as 504.
+// expired request stops consuming query workers. A deadline that fires
+// while the request is still queued for admission is shed with 429 (it
+// never ran); one that fires while executing surfaces as 504.
 
 // AdmissionConfig tunes overload shedding and default deadlines. The
 // zero value disables both: no limiter, no server-assigned deadline.

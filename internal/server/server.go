@@ -34,8 +34,9 @@
 // and scores each group in one batch. On directed engines /ingest reads
 // arcs u → v and pair queries score the candidate arc. Restore accepts
 // a checkpoint of *any* mode (the image's magic header selects the
-// store) and swaps the engine atomically; in-flight requests finish
-// against the old state.
+// store) and swaps the engine atomically; in-flight queries finish
+// against the old state, and ingest batches applied after the swap go
+// to the new engine.
 //
 // Both /ingest verbs and both body formats run one loop over the body's
 // batches (4096 text lines, or one frame): check the deadline and the
@@ -94,9 +95,13 @@ type Options struct {
 	// append failure aborts the request with 503 (the durable prefix is
 	// reported, nothing beyond it was applied). /metrics gains a "wal"
 	// section and /healthz degrades — still 200, with a reason — when
-	// the last fsync or checkpoint failed. Note that POST /restore swaps
-	// the predictor the checkpointer snapshots, so the next checkpoint
-	// captures the restored state and the log continues from there.
+	// the last fsync or checkpoint failed. POST /restore writes the
+	// uploaded image as the snapshot at the log's last sequence number
+	// before it swaps the predictor (Durable.Restore), so a crash
+	// recovers the restored state plus the batches logged after it; a
+	// failed snapshot is 503 and swaps nothing, and an image whose
+	// orientation differs from the served predictor's is 400, because
+	// the log's record kind is fixed when it is opened.
 	Durability *wal.Durable
 	// Recovery, when non-nil, is the boot-time recovery summary (which
 	// snapshot seeded the store, how much WAL tail was replayed),
@@ -356,7 +361,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	body := s.limitBody(w, r)
 	eng := s.engine()
 	isDelete := r.Method == http.MethodDelete
-	del, canDelete := linkpred.DeleterOf(eng)
+	_, canDelete := linkpred.DeleterOf(eng)
 	if isDelete && !canDelete {
 		writeError(w, http.StatusBadRequest, cannotDelete, linkpred.ModeOf(eng))
 		return
@@ -376,8 +381,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	ci, hasCtx := linkpred.CtxIngesterOf(eng)
 	ingested, deleted, applied, sawDelete := 0, 0, 0, false
-	observe := eng.ObserveEdges
-	retract := func(edges []stream.Edge) { applied += del.DeleteEdges(edges) }
+	// A batch applies to the engine served when it is applied: under
+	// Durability, batches logged after a /restore belong to the restored
+	// engine's log tail.
+	observe := func(edges []stream.Edge) { s.engine().ObserveEdges(edges) }
+	retract := func(edges []stream.Edge) {
+		if del, ok := linkpred.DeleterOf(s.engine()); ok {
+			applied += del.DeleteEdges(edges)
+		}
+	}
 	status, err := func() (int, error) {
 		for {
 			if err := r.Context().Err(); err != nil {
@@ -706,23 +718,6 @@ func engineGauges(eng linkpred.Engine) map[string]any {
 	if rd, ok := inner.(interface{ RecoveryDepth() int }); ok {
 		g["recovery_depth"] = rd.RecoveryDepth()
 	}
-	if pl, ok := linkpred.PipelinerOf(eng); ok {
-		if st, running := pl.IngestPipelineStats(); running {
-			// Backpressure gauges for the shard-owner ingest pipeline:
-			// ring depths say where queued work sits, stalls count
-			// producer spins on full rings, parks count owners going
-			// idle. All lock-free snapshots.
-			g["pipeline"] = map[string]any{
-				"workers":       st.Workers,
-				"ring_capacity": st.RingCapacity,
-				"ring_depths":   st.RingDepths,
-				"stalls":        st.Stalls,
-				"owner_parks":   st.OwnerParks,
-				"outstanding":   st.Outstanding,
-				"memory_bytes":  st.MemoryBytes,
-			}
-		}
-	}
 	return g
 }
 
@@ -833,14 +828,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp["reason"] = reasons[0]["detail"]
 		resp["reasons"] = reasons
 	}
-	// Informational (never degrades): backpressure visible at the
-	// ingest pipeline, so a probe can see queue buildup before it
-	// becomes shed load.
-	if pl, ok := linkpred.PipelinerOf(eng); ok {
-		if st, running := pl.IngestPipelineStats(); running && st.Outstanding > 0 {
-			resp["pipeline_outstanding"] = st.Outstanding
-		}
-	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -866,7 +853,18 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, uploadStatus(err, body), "restore: %v", err)
 		return
 	}
-	s.eng.Store(&engineBox{e: loaded})
+	swap := func() { s.eng.Store(&engineBox{e: loaded}) }
+	if d := s.opts.Durability; d == nil {
+		swap()
+	} else if linkpred.DirectedEngine(loaded) != linkpred.DirectedEngine(s.engine()) {
+		writeError(w, http.StatusBadRequest, "restore: a %s image cannot replace a %s predictor under a write-ahead log, whose record kind is fixed",
+			linkpred.ModeOf(loaded), linkpred.ModeOf(s.engine()))
+		return
+	} else if err := d.Restore(loaded.Save, swap); err != nil {
+		s.retryAfter(w)
+		writeError(w, http.StatusServiceUnavailable, "restore: %v", err)
+		return
+	}
 	s.metrics.restores.Add(1)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"restored_mode":     linkpred.ModeOf(loaded),

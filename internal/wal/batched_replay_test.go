@@ -10,35 +10,29 @@ import (
 )
 
 // recoverStoreBatched rebuilds a sharded store from the (restarted) fs
-// through the batched replay path: records coalesced into batches,
-// each batch published asynchronously to a forced two-owner ingest
-// pipeline, one flush at the end. The small BatchEdges threshold makes
-// even short logs span several flushes.
+// through the batched replay path: records coalesced into batches, each
+// applied with one ProcessEdges call. The small BatchEdges threshold
+// makes even short logs span several flushes.
 func recoverStoreBatched(t *testing.T, fs *FaultFS) (*core.Sharded, RecoverResult) {
 	t.Helper()
 	store, err := core.NewSharded(recoveryCfg, recoveryShards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.StartPipeline(2, 0)
 	res, err := RecoverBatched(fs, "/wal", func(r io.Reader) error {
 		s, lerr := core.LoadSharded(r)
 		if lerr != nil {
 			return lerr
 		}
-		store.StopPipeline()
-		s.StartPipeline(2, 0)
 		store = s
 		return nil
 	}, func(_ Kind, edges []stream.Edge) error {
-		store.ProcessEdgesAsync(edges)
+		store.ProcessEdges(edges)
 		return nil
 	}, BatchedReplayOptions{BatchEdges: 200})
 	if err != nil {
 		t.Fatalf("recover batched: %v\n%s", err, fs.Dump())
 	}
-	store.FlushIngest()
-	store.StopPipeline()
 	return store, res
 }
 
@@ -147,10 +141,9 @@ func TestRecoverBatchedKindBarrier(t *testing.T) {
 
 // TestCrashRecoveryEveryBoundaryBatched re-runs the crash-at-every-byte
 // property through batched replay: for any fail-stop point, the
-// pipeline-recovered store must be bit-identical to a sequential store
+// batch-recovered store must be bit-identical to a sequential store
 // fed exactly the recovered prefix, and acknowledged edges are never
-// lost. Same axis as TestCrashRecoveryEveryBoundary, coarser stride —
-// per point this variant also spins a pipeline up and down.
+// lost. Same axis as TestCrashRecoveryEveryBoundary, coarser stride.
 func TestCrashRecoveryEveryBoundaryBatched(t *testing.T) {
 	nEdges, batch, ckptEvery := 6000, 64, 32
 	stride := 2

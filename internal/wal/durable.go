@@ -99,12 +99,7 @@ func (d *Durable) Checkpoint() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	err := d.checkpointLocked()
-	d.ckptMu.Lock()
-	d.lastCkptErr = err
-	if err != nil {
-		d.ckptErrs++
-	}
-	d.ckptMu.Unlock()
+	d.recordCheckpoint(err)
 	return err
 }
 
@@ -122,6 +117,12 @@ func (d *Durable) checkpointLocked() error {
 	if err := WriteSnapshot(d.fsys, d.dir, seq, d.snapshot); err != nil {
 		return err
 	}
+	return d.pruneLocked(seq)
+}
+
+// pruneLocked drops the log segments and older snapshots that the
+// snapshot at seq covers and records it as the latest checkpoint.
+func (d *Durable) pruneLocked(seq uint64) error {
 	if _, err := d.w.Prune(seq); err != nil {
 		return err
 	}
@@ -132,6 +133,38 @@ func (d *Durable) checkpointLocked() error {
 	d.checkpoints++
 	d.lastCkptSeq = seq
 	d.ckptMu.Unlock()
+	return nil
+}
+
+// recordCheckpoint keeps a checkpoint's outcome for Healthy and Stats.
+func (d *Durable) recordCheckpoint(err error) {
+	d.ckptMu.Lock()
+	d.lastCkptErr = err
+	if err != nil {
+		d.ckptErrs++
+	}
+	d.ckptMu.Unlock()
+}
+
+// Restore replaces the store the log continues from. With ingest
+// quiesced it writes save's image as the snapshot at the log's last
+// sequence number, even when nothing was logged since the last
+// checkpoint, and only once that snapshot is durable calls swap, which
+// must install the replacement as the store that later batches apply
+// to and that the checkpoint snapshot function saves. Recovery then
+// starts from the replacement and replays only the batches logged after
+// it. On error swap is not called and nothing changed. A failure to
+// prune what the new snapshot covers is kept as a checkpoint error: the
+// replacement is already in place.
+func (d *Durable) Restore(save func(io.Writer) error, swap func()) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	seq := d.w.LastSeq()
+	if err := WriteSnapshot(d.fsys, d.dir, seq, save); err != nil {
+		return err
+	}
+	swap()
+	d.recordCheckpoint(d.pruneLocked(seq))
 	return nil
 }
 
@@ -239,9 +272,8 @@ type BatchedReplayOptions struct {
 	// BatchEdges is the flush threshold: consecutive same-kind records
 	// accumulate until the batch holds at least this many edges (or the
 	// kind changes, or the log ends). <= 0 selects the default, 16384 —
-	// large enough that a shard-owner pipeline amortizes its publish
-	// overhead, small enough to keep a few batches in flight per
-	// segment.
+	// large enough that one batched ingest call amortizes its hashing
+	// and shard locking over many records.
 	BatchEdges int
 }
 
@@ -249,16 +281,13 @@ type BatchedReplayOptions struct {
 // BatchedReplayOptions.BatchEdges is unset.
 const defaultReplayBatchEdges = 16384
 
-// RecoverBatched is Recover with record coalescing for parallel replay:
+// RecoverBatched is Recover with record coalescing for batched replay:
 // consecutive records of the same kind accumulate into one large batch
-// that is handed to applyBatch, which may fan it out across a running
-// ingest pipeline (batches are applied in call order, so pass each one
-// to an async ingest and flush once at the end). A kind change flushes
-// first — the ordering barrier that keeps every register's op sequence
-// in log order when KindDelete records interleave with inserts; stores
-// without deletions never hit it. The edges slice passed to applyBatch
-// is reused between calls: applyBatch must not retain it after an
-// asynchronous apply has completed.
+// that is handed to applyBatch. A kind change flushes first — the
+// ordering barrier that keeps every register's op sequence in log order
+// when KindDelete records interleave with inserts; stores without
+// deletions never hit it. The edges slice passed to applyBatch is
+// reused between calls: applyBatch must not retain it after it returns.
 //
 // Snapshot fallback and torn-tail handling are exactly Recover's.
 func RecoverBatched(fsys FS, dir string, load func(io.Reader) error, applyBatch func(Kind, []stream.Edge) error, opts BatchedReplayOptions) (RecoverResult, error) {
