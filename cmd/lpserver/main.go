@@ -134,7 +134,7 @@ func build(args []string, stdout io.Writer) (*app, error) {
 		walDir     = fs.String("wal-dir", "", "write-ahead log directory: log every /ingest batch before applying, checkpoint periodically, and recover snapshot+log on start")
 		walFsync   = fs.String("wal-fsync", "interval", "WAL fsync policy: always (fsync per batch) | interval (background fsync) | never (crash loses OS-buffered tail)")
 		ckptEvery  = fs.Duration("checkpoint-interval", 5*time.Minute, "with -wal-dir, how often the background checkpointer snapshots the predictor and prunes the log")
-		healBack   = fs.Duration("heal-backoff", 250*time.Millisecond, "with -wal-dir, first-probe backoff of the WAL self-healer (0 disables healing: write failures stay sticky until the next append)")
+		healBack   = fs.Duration("heal-backoff", 250*time.Millisecond, "with -wal-dir, first-probe backoff of the WAL self-healer (0 repairs inline on the next write)")
 		maxInflt   = fs.Int("max-inflight", 0, "per-endpoint concurrently executing request cap; excess waits in a bounded queue, overflow is shed with 429 (0 = unlimited)")
 		queueDepth = fs.Int("queue-depth", 64, "with -max-inflight, requests allowed to wait for an execution slot before shedding")
 		defaultDL  = fs.Duration("default-deadline", 0, "server-assigned deadline per request, overridable via the X-Deadline-Ms header (0 = none)")
@@ -230,10 +230,10 @@ func build(args []string, stdout io.Writer) (*app, error) {
 		}
 		var heal *wal.HealOptions
 		if *healBack > 0 {
-			// Self-healing: on a write/sync failure the log degrades
-			// (ingest sheds with 503 + Retry-After, queries keep serving)
-			// and a background healer repairs the segment with jittered
-			// exponential backoff — no restart required.
+			// A background healer repairs the log after a write/sync
+			// failure with jittered exponential backoff, while ingest
+			// sheds with 503 + Retry-After and queries keep serving —
+			// no restart required.
 			heal = &wal.HealOptions{Backoff: *healBack}
 		}
 		w, err := wal.Open(*walDir, wal.Options{Fsync: policy, NextSeq: res.LastSeq() + 1, Heal: heal})

@@ -801,8 +801,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		if ok, reason := s.opts.Durability.Healthy(); !ok {
 			entry := map[string]any{"kind": "durability", "detail": reason}
 			if hs := s.opts.Durability.WAL().HealState(); hs.Degraded {
-				// Self-healing is on the case: report the probe cadence so
-				// an operator can tell "recovering" from "stuck".
+				// A repair is pending: report its attempts and the
+				// healer's next probe so an operator can tell
+				// "recovering" from "stuck".
 				entry["kind"] = "wal_degraded"
 				entry["heal_attempts"] = hs.Attempts
 				entry["degraded_for_seconds"] = time.Since(hs.Since).Seconds()

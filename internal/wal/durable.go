@@ -214,9 +214,10 @@ func (d *Durable) Close() error {
 	return err
 }
 
-// Healthy reports whether the durability pipeline is intact: the last
-// WAL fsync and the last checkpoint both succeeded. When not, reason
-// says which failed — the store still serves, but /healthz degrades.
+// Healthy reports whether the durability pipeline is intact: the WAL is
+// out of a degraded episode and the last checkpoint succeeded. When
+// not, reason says which failed — the store still serves, but /healthz
+// degrades.
 func (d *Durable) Healthy() (ok bool, reason string) {
 	if ok, reason = d.w.Healthy(); !ok {
 		return false, reason
