@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	iofs "io/fs"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -287,7 +288,7 @@ func (fs *FaultFS) OpenAppend(name string) (File, error) {
 		return nil, ErrCrashed
 	}
 	if _, ok := fs.files[name]; !ok {
-		return nil, fmt.Errorf("faultfs: open %s: file does not exist", name)
+		return nil, fmt.Errorf("faultfs: open %s: %w", name, iofs.ErrNotExist)
 	}
 	return &faultFile{fs: fs, name: name}, nil
 }
@@ -310,7 +311,7 @@ func (fs *FaultFS) ReadFile(name string) ([]byte, error) {
 	}
 	mf, ok := fs.files[name]
 	if !ok {
-		return nil, fmt.Errorf("faultfs: read %s: file does not exist", name)
+		return nil, fmt.Errorf("faultfs: read %s: %w", name, iofs.ErrNotExist)
 	}
 	return mf.contents(), nil
 }
@@ -344,7 +345,7 @@ func (fs *FaultFS) Stat(name string) (int64, error) {
 	}
 	mf, ok := fs.files[name]
 	if !ok {
-		return 0, fmt.Errorf("faultfs: stat %s: file does not exist", name)
+		return 0, fmt.Errorf("faultfs: stat %s: %w", name, iofs.ErrNotExist)
 	}
 	return mf.size(), nil
 }
@@ -359,7 +360,7 @@ func (fs *FaultFS) Rename(oldname, newname string) error {
 	}
 	mf, ok := fs.files[oldname]
 	if !ok {
-		return fmt.Errorf("faultfs: rename %s: file does not exist", oldname)
+		return fmt.Errorf("faultfs: rename %s: %w", oldname, iofs.ErrNotExist)
 	}
 	fs.pendingRenames = append(fs.pendingRenames, pendingRename{
 		oldName:     oldname,
@@ -384,7 +385,7 @@ func (fs *FaultFS) Remove(name string) error {
 		return ErrCrashed
 	}
 	if _, ok := fs.files[name]; !ok {
-		return fmt.Errorf("faultfs: remove %s: file does not exist", name)
+		return fmt.Errorf("faultfs: remove %s: %w", name, iofs.ErrNotExist)
 	}
 	delete(fs.files, name)
 	delete(fs.pendingCreates, name)
@@ -400,7 +401,7 @@ func (fs *FaultFS) Truncate(name string, size int64) error {
 	}
 	mf, ok := fs.files[name]
 	if !ok {
-		return fmt.Errorf("faultfs: truncate %s: file does not exist", name)
+		return fmt.Errorf("faultfs: truncate %s: %w", name, iofs.ErrNotExist)
 	}
 	data := mf.contents()
 	if size > int64(len(data)) {
