@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	linkpred "linkpred"
@@ -139,6 +140,64 @@ func TestBinaryIngestMalformed(t *testing.T) {
 				t.Errorf("predictor has %d edges, want 4", pred.NumEdges())
 			}
 		})
+	}
+}
+
+// TestBinaryIngestConcurrentPooledReaders: requests decoding at once,
+// through pooled frame readers that earlier requests left with buffers
+// larger or smaller than the next frame, ingest exactly their own edges:
+// the store ends as a reference fed every edge directly.
+func TestBinaryIngestConcurrentPooledReaders(t *testing.T) {
+	ts, pred := newTestServer(t)
+	ref, err := linkpred.NewConcurrent(linkpred.Config{K: 64, Seed: 1}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, rounds = 4, 12
+	source := func(w, r int) uint64 { return uint64(w*1000 + r) }
+	bodies := make([][][]byte, workers)
+	for w := range bodies {
+		for r := 0; r < rounds; r++ {
+			// Frame sizes rise and fall from request to request.
+			n := 1 + (w*7+r*13)%40
+			batch := make([]stream.Edge, n)
+			for i := range batch {
+				batch[i] = stream.Edge{U: source(w, r), V: uint64(10 + i)}
+			}
+			bodies[w] = append(bodies[w], encodeFrames(t, wal.KindEdge, batch, batch[:1+n/2]))
+			ref.ObserveEdges(batch)
+			ref.ObserveEdges(batch[:1+n/2])
+		}
+	}
+	var wg sync.WaitGroup
+	for w := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r, body := range bodies[w] {
+				resp, err := http.Post(ts.URL+"/ingest", wal.FrameContentType, bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("worker %d round %d: status %d", w, r, resp.StatusCode)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := pred.NumEdges(), ref.NumEdges(); got != want {
+		t.Fatalf("store has %d edges, want %d", got, want)
+	}
+	for w := 0; w < workers; w++ {
+		for r := 0; r+1 < rounds; r++ {
+			u, v := source(w, r), source((w+1)%workers, r+1)
+			if got, want := pred.Jaccard(u, v), ref.Jaccard(u, v); got != want {
+				t.Errorf("Jaccard(%d,%d) = %v, want %v", u, v, got, want)
+			}
+		}
 	}
 }
 

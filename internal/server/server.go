@@ -65,6 +65,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	linkpred "linkpred"
 	"linkpred/internal/candidates"
@@ -324,11 +325,11 @@ func (s *Server) feedMonitors(batch []stream.Edge) {
 	}
 }
 
-// textBatches cuts a text body into batches of at most ingestBatchSize
-// edges of one kind, in FrameReader.Next's shape: a malformed line ends
-// the source after the batch that holds the lines before it.
-func textBatches(body io.Reader, kind wal.Kind) func() (wal.Kind, []byte, []stream.Edge, error) {
-	src, buf := stream.NewTextReader(body), make([]stream.Edge, ingestBatchSize)
+// textBatches cuts a text body into batches of at most len(buf) edges
+// of one kind, read into buf, in FrameReader.Next's shape: a malformed
+// line ends the source after the batch that holds the lines before it.
+func textBatches(body io.Reader, kind wal.Kind, buf []stream.Edge) func() (wal.Kind, []byte, []stream.Edge, error) {
+	src := stream.NewTextReader(body)
 	var pending error
 	return func() (wal.Kind, []byte, []stream.Edge, error) {
 		if pending != nil {
@@ -341,6 +342,49 @@ func textBatches(body io.Reader, kind wal.Kind) func() (wal.Kind, []byte, []stre
 		pending = err
 		return kind, nil, buf[:n], nil
 	}
+}
+
+// maxPooled bounds the buffers a pooled request scratch may hold when it
+// goes back to its pool: a request that grew one past it leaves it to
+// the garbage collector, so a rare huge body does not stay pinned.
+const maxPooled = 1 << 20
+
+// An /ingest request reads its batches into buffers that outlive it:
+// a pooled FrameReader for binary bodies, a pooled ingestBatchSize edge
+// buffer for text. Every batch is logged, applied and fed to the
+// monitors before the next is read, and AppendFrame lets its caller
+// reuse the frame once it returns, so nothing holds a batch past its
+// request.
+var (
+	frameReaders = sync.Pool{New: func() any { return wal.NewFrameReader(nil) }}
+	textBuffers  = sync.Pool{New: func() any {
+		buf := make([]stream.Edge, ingestBatchSize)
+		return &buf
+	}}
+)
+
+// pooledFrames returns a batch source over body's frames, read by a
+// pooled FrameReader, and the release that pools the reader again. A
+// reader whose frame and edge buffers grew past maxPooled is dropped;
+// so is one whose Next failed, because a failed Next may have grown its
+// frame buffer without returning it.
+func pooledFrames(body io.Reader) (next func() (wal.Kind, []byte, []stream.Edge, error), release func()) {
+	fr := frameReaders.Get().(*wal.FrameReader)
+	fr.Reset(body)
+	keep := true
+	next = func() (wal.Kind, []byte, []stream.Edge, error) {
+		kind, frame, edges, err := fr.Next()
+		keep = keep && (err == nil || err == io.EOF) &&
+			cap(frame)+cap(edges)*int(unsafe.Sizeof(stream.Edge{})) <= maxPooled
+		return kind, frame, edges, err
+	}
+	release = func() {
+		fr.Reset(nil)
+		if keep {
+			frameReaders.Put(fr)
+		}
+	}
+	return next, release
 }
 
 // cannotDelete is the 400 message for deletes sent to a mode without a
@@ -371,13 +415,18 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		insertKind = wal.KindArc
 	}
 	var next func() (wal.Kind, []byte, []stream.Edge, error)
-	switch {
-	case strings.HasPrefix(r.Header.Get("Content-Type"), wal.FrameContentType):
-		next = wal.NewFrameReader(r.Body).Next
-	case isDelete:
-		next = textBatches(r.Body, wal.KindDelete)
-	default:
-		next = textBatches(r.Body, insertKind)
+	if strings.HasPrefix(r.Header.Get("Content-Type"), wal.FrameContentType) {
+		var release func()
+		next, release = pooledFrames(r.Body)
+		defer release()
+	} else {
+		buf := textBuffers.Get().(*[]stream.Edge)
+		defer textBuffers.Put(buf)
+		kind := insertKind
+		if isDelete {
+			kind = wal.KindDelete
+		}
+		next = textBatches(r.Body, kind, *buf)
 	}
 	ci, hasCtx := linkpred.CtxIngesterOf(eng)
 	ingested, deleted, applied, sawDelete := 0, 0, 0, false
@@ -602,80 +651,6 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"u": u, "measure": measure, "candidates": out,
-	})
-}
-
-// scoreBatchRequest is the POST /scorebatch body: one measure, many
-// pairs.
-type scoreBatchRequest struct {
-	Measure string `json:"measure"`
-	Pairs   []struct {
-		U uint64 `json:"u"`
-		V uint64 `json:"v"`
-	} `json:"pairs"`
-}
-
-func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
-	defer r.Body.Close()
-	body := s.limitBody(w, r)
-	var req scoreBatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, uploadStatus(err, body), "bad scorebatch body: %v", err)
-		return
-	}
-	measure := req.Measure
-	if measure == "" {
-		measure = "adamic-adar"
-	}
-	m, err := linkpred.ParseMeasure(measure)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "unknown measure %q", measure)
-		return
-	}
-	eng := s.engine()
-	start := time.Now()
-	// Group the pair list by source vertex so each distinct source costs
-	// one batched ScoreBatch call (one source pin + one snapshot read per
-	// shard), then scatter the group's scores back to the request order.
-	scores := make([]float64, len(req.Pairs))
-	groups := make(map[uint64][]int)
-	order := make([]uint64, 0, 8)
-	for i, p := range req.Pairs {
-		if _, ok := groups[p.U]; !ok {
-			order = append(order, p.U)
-		}
-		groups[p.U] = append(groups[p.U], i)
-	}
-	cq, hasCtx := linkpred.CtxQuerierOf(eng)
-	for _, u := range order {
-		idxs := groups[u]
-		cands := make([]uint64, len(idxs))
-		for j, i := range idxs {
-			cands[j] = req.Pairs[i].V
-		}
-		var got []float64
-		if hasCtx {
-			got, err = cq.ScoreBatchCtx(r.Context(), m, u, cands)
-		} else {
-			got, err = eng.ScoreBatch(m, u, cands)
-		}
-		if err != nil {
-			if cancelStatus(err) != 0 {
-				s.writeCancel(w, err, nil)
-				return
-			}
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		for j, i := range idxs {
-			scores[i] = got[j]
-		}
-	}
-	s.metrics.measure(measure).observe(time.Since(start), http.StatusOK)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"measure": measure,
-		"pairs":   len(req.Pairs),
-		"scores":  scores,
 	})
 }
 

@@ -73,6 +73,10 @@ func NewFrameReader(r io.Reader) *FrameReader {
 	return &FrameReader{r: r}
 }
 
+// Reset makes fr read frames from r, keeping the buffers it has grown,
+// so one reader can serve request after request.
+func (fr *FrameReader) Reset(r io.Reader) { fr.r = r }
+
 // Next reads one frame. It returns the frame's kind, its raw validated
 // bytes (for (*Durable).IngestRecord), and the decoded edges. At a clean
 // end of stream — EOF exactly on a frame boundary — it returns io.EOF;

@@ -54,6 +54,46 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameReaderReset: a reset reader reads its new stream from the
+// start, whatever it left unread in the old one, and reuses the buffers
+// it grew: reading a frame no larger than one it read before allocates
+// nothing.
+func TestFrameReaderReset(t *testing.T) {
+	big, err := EncodeFrame(nil, KindEdge, testEdges(1, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := testEdges(2, 200)
+	small, err := EncodeFrame(nil, KindDelete, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr := NewFrameReader(bytes.NewReader(append(append([]byte(nil), big...), big...)))
+	if _, _, _, err := fr.Next(); err != nil {
+		t.Fatal(err)
+	}
+	var src bytes.Reader
+	allocs := testing.AllocsPerRun(10, func() {
+		src.Reset(small)
+		fr.Reset(&src)
+		kind, frame, edges, err := fr.Next()
+		if err != nil || kind != KindDelete || !bytes.Equal(frame, small) || len(edges) != len(want) {
+			t.Fatalf("after Reset: kind %d, %d frame bytes, %d edges, err %v", kind, len(frame), len(edges), err)
+		}
+		for i := range edges {
+			if edges[i] != want[i] {
+				t.Fatalf("after Reset: edge %d = %+v, want %+v", i, edges[i], want[i])
+			}
+		}
+		if _, _, _, err := fr.Next(); err != io.EOF {
+			t.Fatalf("after the reset stream's frame: err = %v, want io.EOF", err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Reset and Next allocated %v times per run, want 0", allocs)
+	}
+}
+
 // TestFrameEncodeBounds: empty and oversized batches are rejected at
 // encode time.
 func TestFrameEncodeBounds(t *testing.T) {
