@@ -172,10 +172,9 @@ func BenchmarkTopK(b *testing.B) {
 	}
 }
 
-func BenchmarkE11HashAblation(b *testing.B)      { runExperiment(b, "e11") }
-func BenchmarkE12DuplicateDegrees(b *testing.B)  { runExperiment(b, "e12") }
-func BenchmarkE13WindowDrift(b *testing.B)       { runExperiment(b, "e13") }
-func BenchmarkE14ConcurrentScaling(b *testing.B) { runExperiment(b, "e14") }
+func BenchmarkE11HashAblation(b *testing.B)     { runExperiment(b, "e11") }
+func BenchmarkE12DuplicateDegrees(b *testing.B) { runExperiment(b, "e12") }
+func BenchmarkE13WindowDrift(b *testing.B)      { runExperiment(b, "e13") }
 
 func BenchmarkE15RecommenderQuality(b *testing.B) { runExperiment(b, "e15") }
 

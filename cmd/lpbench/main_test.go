@@ -74,10 +74,10 @@ func TestRunIngestScalingWithJSON(t *testing.T) {
 		t.Fatalf("e20.json invalid: %v", err)
 	}
 	// -parallel 2 sweeps goroutines 1 and 2 with two modes each
-	// (per-edge, batched), then the two live-server wire-format rows
-	// (text vs binary frames).
-	if len(doc.Rows) != 6 {
-		t.Errorf("e20.json has %d rows, want 6:\n%s", len(doc.Rows), js)
+	// (per-edge, batched), plus the single-writer plain row at 1, then
+	// the two live-server wire-format rows (text vs binary frames).
+	if len(doc.Rows) != 7 {
+		t.Errorf("e20.json has %d rows, want 7:\n%s", len(doc.Rows), js)
 	}
 	if len(doc.Columns) == 0 || doc.Columns[0] != "mode" {
 		t.Errorf("unexpected columns: %v", doc.Columns)

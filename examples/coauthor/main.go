@@ -60,7 +60,7 @@ func main() {
 
 	fmt.Printf("%-22s %8s %14s %12s\n", "system", "AUC", "precision@N", "memory MiB")
 	for _, s := range systems {
-		res, err := eval.RunTemporal(task, s.sys, eval.ScoreAdamicAdar)
+		res, err := eval.RunTemporal(task, s.sys, baseline.System.EstimateAdamicAdar)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -61,7 +62,7 @@ func TestFormatFloat(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15", "e16", "e17", "e18", "e19", "e20", "e21", "e22", "e23"}
+	want := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e15", "e16", "e17", "e18", "e19", "e20", "e21", "e22", "e23"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(all), len(want))
@@ -79,9 +80,17 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// timedExperiments lists the experiments whose tables hold timing or
+// allocation columns, which vary from run to run.
+var timedExperiments = map[string]bool{
+	"e6": true, "e10": true, "e11": true, "e20": true, "e21": true, "e22": true, "e23": true,
+}
+
 // TestAllExperimentsRunQuick executes the entire suite in quick mode and
 // sanity-checks the output tables. This is the harness's own integration
-// test: every table/figure must be regenerable.
+// test: every table/figure must be regenerable, and every table without
+// a timing column must come out identical when run again at the same
+// seed.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick suite still takes a few seconds")
@@ -105,6 +114,21 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 					if cell == "NaN" || cell == "+Inf" || cell == "-Inf" {
 						t.Errorf("%s row %d col %s = %s", e.ID, i, tab.Columns[j], cell)
 					}
+				}
+			}
+			if timedExperiments[e.ID] {
+				return
+			}
+			again, err := e.Run(cfg)
+			if err != nil {
+				t.Fatalf("%s rerun: %v", e.ID, err)
+			}
+			if len(again.Rows) != len(tab.Rows) {
+				t.Fatalf("%s rerun has %d rows, first run %d", e.ID, len(again.Rows), len(tab.Rows))
+			}
+			for i := range tab.Rows {
+				if !slices.Equal(tab.Rows[i], again.Rows[i]) {
+					t.Errorf("%s is not reproducible at seed %d: row %d is %v, then %v", e.ID, cfg.Seed, i, tab.Rows[i], again.Rows[i])
 				}
 			}
 		})

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"linkpred/internal/core"
@@ -15,14 +13,13 @@ import (
 
 // Supplementary experiments beyond the paper's reconstructed suite:
 // ablations of this implementation's design choices (hash family, degree
-// maintenance) and evaluations of the two extensions (sliding window,
-// sharded concurrency). EXPERIMENTS.md reports them alongside E1–E10.
+// maintenance) and an evaluation of the sliding-window extension.
+// EXPERIMENTS.md reports them alongside E1–E10.
 
 func init() {
 	register(Experiment{ID: "e11", Title: "E11: hash-family ablation (mixed vs tabulation)", Kind: "figure", Run: runE11})
 	register(Experiment{ID: "e12", Title: "E12: duplicate-edge robustness (degree modes)", Kind: "figure", Run: runE12})
 	register(Experiment{ID: "e13", Title: "E13: sliding window under concept drift", Kind: "figure", Run: runE13})
-	register(Experiment{ID: "e14", Title: "E14: concurrent ingest scaling (sharded store)", Kind: "figure", Run: runE14})
 }
 
 // runE11 compares the two hash-family constructions on accuracy and
@@ -210,64 +207,5 @@ func runE13(cfg RunConfig) (*Table, error) {
 	}
 	t.AddRow("full-history", eval.MAE(fullJ.est, fullJ.truth), eval.MeanRelativeError(fullCN.est, fullCN.truth, relErrFloorCN))
 	t.AddRow("windowed", eval.MAE(winJ.est, winJ.truth), eval.MeanRelativeError(winCN.est, winCN.truth, relErrFloorCN))
-	return t, nil
-}
-
-// runE14 measures concurrent ingest scaling: wall-clock throughput of
-// the sharded store as writer goroutines increase, against the
-// single-threaded plain store.
-func runE14(cfg RunConfig) (*Table, error) {
-	k := 64
-	edges, err := perfStream(cfg)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title:   fmt.Sprintf("E14: concurrent ingest scaling over %d edges (k=%d, %d CPUs)", len(edges), k, runtime.NumCPU()),
-		Columns: []string{"system", "writers", "edges_per_sec"},
-		Notes:   []string{"expected shape: throughput grows with writers until lock/memory contention saturates"},
-	}
-	plain, err := core.NewSketchStore(core.Config{K: k, Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	for _, e := range edges {
-		plain.ProcessEdge(e)
-	}
-	t.AddRow("plain", 1, float64(len(edges))/time.Since(start).Seconds())
-
-	writerCounts := []int{1, 2, 4, 8}
-	if cfg.Quick {
-		writerCounts = []int{1, 4}
-	}
-	for _, writers := range writerCounts {
-		sharded, err := core.NewSharded(core.Config{K: k, Seed: cfg.Seed}, 4*writers)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		var wg sync.WaitGroup
-		chunk := (len(edges) + writers - 1) / writers
-		for w := 0; w < writers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > len(edges) {
-				hi = len(edges)
-			}
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(part []stream.Edge) {
-				defer wg.Done()
-				for _, e := range part {
-					sharded.ProcessEdge(e)
-				}
-			}(edges[lo:hi])
-		}
-		wg.Wait()
-		t.AddRow("sharded", writers, float64(len(edges))/time.Since(start).Seconds())
-	}
 	return t, nil
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"linkpred/internal/core"
 	"linkpred/internal/eval"
@@ -38,9 +39,10 @@ func runE16(cfg RunConfig) (*Table, error) {
 	for _, a := range arcs {
 		g.AddArc(a.U, a.V)
 	}
-	// Query arcs: sample a citing paper u, then a midpoint w ∈ N_out(u),
-	// then a target v ∈ N_out(w) — guaranteeing u → w → v two-paths —
-	// plus 20% uniform pairs for the zero-overlap regime.
+	// Query arcs: sample a citing paper u, then a uniform midpoint
+	// w ∈ N_out(u), then a uniform target v ∈ N_out(w) — guaranteeing
+	// u → w → v two-paths — plus 20% uniform pairs for the zero-overlap
+	// regime.
 	x := rng.NewXoshiro256(cfg.Seed + 42)
 	type qpair struct {
 		u, v      uint64
@@ -58,23 +60,11 @@ func runE16(cfg RunConfig) (*Table, error) {
 			v = uint64(x.Intn(n))
 		} else {
 			// Walk two hops along citations.
-			var mid uint64
-			found := false
-			g.OutNeighbors(u, func(w uint64) bool {
-				mid = w
-				found = true
-				return x.Float64() < 0.5 // keep walking with prob 1/2
-			})
-			if !found {
-				continue
+			mid, ok := randomOutNeighbor(g, u, x)
+			if ok {
+				v, ok = randomOutNeighbor(g, mid, x)
 			}
-			found = false
-			g.OutNeighbors(mid, func(w uint64) bool {
-				v = w
-				found = true
-				return x.Float64() < 0.5
-			})
-			if !found {
+			if !ok {
 				continue
 			}
 		}
@@ -121,4 +111,17 @@ func runE16(cfg RunConfig) (*Table, error) {
 			eval.MeanRelativeError(aa.est, aa.truth, relErrFloorAA))
 	}
 	return t, nil
+}
+
+// randomOutNeighbor returns an out-neighbor of u drawn uniformly with x,
+// or false if u cites nothing. The neighbors are sorted before the draw,
+// so the choice depends on x alone, not on map iteration order.
+func randomOutNeighbor(g *graph.DiGraph, u uint64, x *rng.Xoshiro256) (uint64, bool) {
+	var outs []uint64
+	g.OutNeighbors(u, func(v uint64) bool { outs = append(outs, v); return true })
+	if len(outs) == 0 {
+		return 0, false
+	}
+	slices.Sort(outs)
+	return outs[x.Intn(len(outs))], true
 }

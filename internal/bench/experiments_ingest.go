@@ -25,7 +25,8 @@ func init() {
 // runE20 measures the batched ingest pipeline against per-edge ingest on
 // the sharded store: edges/second at 1, 2, 4, … writer goroutines (up to
 // RunConfig.Parallel), per-edge vs batched (RunConfig.Batch edges per
-// ProcessEdges call). The workload is the raw duplicate-preserving
+// ProcessEdges call), plus the unsharded single-writer store as the
+// lock-free reference. The workload is the raw duplicate-preserving
 // coauthor stream — papers emit author-pair cliques and prolific pairs
 // recur, which is exactly the locality the batch pipeline exploits
 // (one hash vector and one vertex-map lookup per distinct endpoint per
@@ -48,6 +49,7 @@ func runE20(cfg RunConfig) (*Table, error) {
 		Columns: []string{"mode", "goroutines", "ns_per_edge", "edges_per_sec", "speedup_vs_per_edge"},
 		Notes: []string{
 			"speedup compares batched against this build's per-edge path at the same goroutine count; the per-edge path already hashes outside the lock",
+			"plain is a single-writer SketchStore (no shards, no locks) fed per edge from one goroutine; its speedup compares it against the per-edge row at 1 goroutine",
 			"expected shape: batched well ahead at every goroutine count on duplicate-heavy streams; both modes flat in goroutines on a single-core host",
 		},
 	}
@@ -55,6 +57,17 @@ func runE20(cfg RunConfig) (*Table, error) {
 	// passes is reported, which shakes out allocator warm-up and GC
 	// growth noise from the single-pass numbers.
 	measureOnce := func(mode string, g int) (float64, error) {
+		if mode == "plain" {
+			s, err := core.NewSketchStore(core.Config{K: k, Seed: cfg.Seed})
+			if err != nil {
+				return 0, err
+			}
+			start := time.Now()
+			for _, e := range edges {
+				s.ProcessEdge(e)
+			}
+			return float64(time.Since(start).Nanoseconds()) / float64(len(edges)), nil
+		}
 		s, err := core.NewSharded(core.Config{K: k, Seed: cfg.Seed}, nShards)
 		if err != nil {
 			return 0, err
@@ -113,6 +126,13 @@ func runE20(cfg RunConfig) (*Table, error) {
 		}
 		t.AddRow("per-edge", g, base, 1e9/base, 1.0)
 		t.AddRow("batched", g, bat, 1e9/bat, base/bat)
+		if g == 1 {
+			plain, err := measure("plain", 1)
+			if err != nil {
+				return nil, err
+			}
+			t.AddRow("plain", 1, plain, 1e9/plain, base/plain)
+		}
 	}
 
 	// The server's two /ingest wire formats head-to-head, end to end over

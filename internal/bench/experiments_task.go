@@ -62,7 +62,7 @@ func runE5(cfg RunConfig) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sketchRes, err := eval.RunTemporal(task, sketch, eval.ScoreAdamicAdar)
+		sketchRes, err := eval.RunTemporal(task, sketch, baseline.System.EstimateAdamicAdar)
 		if err != nil {
 			return nil, err
 		}
@@ -84,11 +84,11 @@ func runE5(cfg RunConfig) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		reservoirRes, err := eval.RunTemporal(task, reservoir, eval.ScoreAdamicAdar)
+		reservoirRes, err := eval.RunTemporal(task, reservoir, baseline.System.EstimateAdamicAdar)
 		if err != nil {
 			return nil, err
 		}
-		exactRes, err := eval.RunTemporal(task, baseline.NewExact(), eval.ScoreAdamicAdar)
+		exactRes, err := eval.RunTemporal(task, baseline.NewExact(), baseline.System.EstimateAdamicAdar)
 		if err != nil {
 			return nil, err
 		}

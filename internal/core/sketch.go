@@ -236,9 +236,6 @@ func (b *regBank) argmins(slot int32) []uint64 {
 	return tr.ids[o : o+tr.k : o+tr.k]
 }
 
-// kOf returns the register count of slot's tier.
-func (b *regBank) kOf(slot int32) int { return b.tiers[slot>>tierShift].k }
-
 // update folds neighbor w, whose hash values are hashes (at least as
 // many as the slot's register count — ingest always hashes the largest
 // tier's k), into slot's registers. Min is idempotent, so duplicate

@@ -9,76 +9,6 @@ import (
 	"linkpred/internal/stats"
 )
 
-// PRPoint is one operating point of a precision–recall curve.
-type PRPoint struct {
-	// Threshold is the score cutoff: items with score >= Threshold are
-	// predicted positive.
-	Threshold float64
-	// Precision and Recall at that cutoff.
-	Precision, Recall float64
-}
-
-// PrecisionRecallCurve returns the precision–recall curve of the scored,
-// labelled items: one point per distinct score value (descending), with
-// ties grouped. It returns an error if the lengths differ or there are
-// no positive labels.
-func PrecisionRecallCurve(scores []float64, labels []bool) ([]PRPoint, error) {
-	if len(scores) != len(labels) {
-		return nil, fmt.Errorf("eval: PR curve length mismatch: %d scores, %d labels", len(scores), len(labels))
-	}
-	totalPos := 0
-	for _, l := range labels {
-		if l {
-			totalPos++
-		}
-	}
-	if totalPos == 0 {
-		return nil, fmt.Errorf("eval: PR curve needs at least one positive")
-	}
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	var curve []PRPoint
-	tp, taken := 0, 0
-	for i := 0; i < len(idx); {
-		// Consume the whole tie group at this score.
-		j := i
-		for j < len(idx) && scores[idx[j]] == scores[idx[i]] {
-			if labels[idx[j]] {
-				tp++
-			}
-			taken++
-			j++
-		}
-		curve = append(curve, PRPoint{
-			Threshold: scores[idx[i]],
-			Precision: float64(tp) / float64(taken),
-			Recall:    float64(tp) / float64(totalPos),
-		})
-		i = j
-	}
-	return curve, nil
-}
-
-// AveragePrecision returns the area under the precision–recall curve
-// computed as Σ precision(k)·Δrecall(k) over the curve points — the
-// standard AP summary. Errors propagate from PrecisionRecallCurve.
-func AveragePrecision(scores []float64, labels []bool) (float64, error) {
-	curve, err := PrecisionRecallCurve(scores, labels)
-	if err != nil {
-		return 0, err
-	}
-	ap := 0.0
-	prevRecall := 0.0
-	for _, p := range curve {
-		ap += p.Precision * (p.Recall - prevRecall)
-		prevRecall = p.Recall
-	}
-	return ap, nil
-}
-
 // BootstrapAUC returns the AUC of the scored, labelled items together
 // with a percentile-bootstrap confidence interval at the given level
 // (e.g. 0.95), using trials resamples driven by the seed. It errors on

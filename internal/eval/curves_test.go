@@ -7,88 +7,6 @@ import (
 	"linkpred/internal/rng"
 )
 
-func TestPrecisionRecallCurvePerfect(t *testing.T) {
-	scores := []float64{0.9, 0.8, 0.2, 0.1}
-	labels := []bool{true, true, false, false}
-	curve, err := PrecisionRecallCurve(scores, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curve) != 4 {
-		t.Fatalf("curve has %d points, want 4", len(curve))
-	}
-	// First two points: precision 1, recall 0.5 then 1.
-	if curve[0].Precision != 1 || curve[0].Recall != 0.5 {
-		t.Errorf("point 0 = %+v", curve[0])
-	}
-	if curve[1].Precision != 1 || curve[1].Recall != 1 {
-		t.Errorf("point 1 = %+v", curve[1])
-	}
-	// Recall is non-decreasing along the curve.
-	for i := 1; i < len(curve); i++ {
-		if curve[i].Recall < curve[i-1].Recall {
-			t.Fatal("recall decreased along the curve")
-		}
-	}
-	// Final recall is 1.
-	if curve[len(curve)-1].Recall != 1 {
-		t.Error("final recall != 1")
-	}
-}
-
-func TestPrecisionRecallCurveTies(t *testing.T) {
-	// All scores tied: a single point at the base rate.
-	curve, err := PrecisionRecallCurve([]float64{1, 1, 1, 1}, []bool{true, false, true, false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curve) != 1 {
-		t.Fatalf("tied scores gave %d points, want 1", len(curve))
-	}
-	if curve[0].Precision != 0.5 || curve[0].Recall != 1 {
-		t.Errorf("tied point = %+v, want precision 0.5 recall 1", curve[0])
-	}
-}
-
-func TestPrecisionRecallCurveErrors(t *testing.T) {
-	if _, err := PrecisionRecallCurve([]float64{1}, []bool{true, false}); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, err := PrecisionRecallCurve([]float64{1, 2}, []bool{false, false}); err == nil {
-		t.Error("no positives should error")
-	}
-}
-
-func TestAveragePrecision(t *testing.T) {
-	// Perfect separation → AP = 1.
-	ap, err := AveragePrecision([]float64{0.9, 0.8, 0.2, 0.1}, []bool{true, true, false, false})
-	if err != nil || math.Abs(ap-1) > 1e-12 {
-		t.Errorf("perfect AP = %v, %v", ap, err)
-	}
-	// Worst ranking: positives last. AP = Σ p·Δr = (1/3)(0.5) + (2/4)(0.5) = 0.4167.
-	ap, _ = AveragePrecision([]float64{0.9, 0.8, 0.2, 0.1}, []bool{false, false, true, true})
-	want := (1.0/3)*0.5 + 0.5*0.5
-	if math.Abs(ap-want) > 1e-12 {
-		t.Errorf("worst AP = %v, want %v", ap, want)
-	}
-	// Random scores: AP ≈ base rate.
-	x := rng.NewXoshiro256(1)
-	n := 4000
-	scores := make([]float64, n)
-	labels := make([]bool, n)
-	for i := range scores {
-		scores[i] = x.Float64()
-		labels[i] = x.Float64() < 0.3
-	}
-	ap, err = AveragePrecision(scores, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(ap-0.3) > 0.05 {
-		t.Errorf("random AP = %v, want ≈0.3", ap)
-	}
-}
-
 func TestBootstrapAUC(t *testing.T) {
 	x := rng.NewXoshiro256(2)
 	n := 600

@@ -27,20 +27,6 @@ func MAE(est, truth []float64) float64 {
 	return sum / float64(len(est))
 }
 
-// RMSE returns the root-mean-square error between estimates and truths,
-// NaN under the same conditions as MAE.
-func RMSE(est, truth []float64) float64 {
-	if len(est) != len(truth) || len(est) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for i := range est {
-		d := est[i] - truth[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(est)))
-}
-
 // MeanRelativeError returns the mean of |est−truth|/truth over pairs with
 // truth above minTruth (relative error is meaningless near zero — callers
 // choose the floor). It returns NaN if no pair qualifies.
@@ -59,73 +45,6 @@ func MeanRelativeError(est, truth []float64, minTruth float64) float64 {
 		return math.NaN()
 	}
 	return sum / float64(n)
-}
-
-// PrecisionAtK returns |top-k(predicted) ∩ relevant| / k: the fraction of
-// the k highest-ranked predictions that are relevant. predicted must be
-// ordered best-first. It returns NaN if k <= 0.
-func PrecisionAtK(predicted []uint64, relevant map[uint64]bool, k int) float64 {
-	if k <= 0 {
-		return math.NaN()
-	}
-	if k > len(predicted) {
-		k = len(predicted)
-	}
-	if k == 0 {
-		return 0
-	}
-	hits := 0
-	for _, v := range predicted[:k] {
-		if relevant[v] {
-			hits++
-		}
-	}
-	return float64(hits) / float64(k)
-}
-
-// RecallAtK returns |top-k(predicted) ∩ relevant| / |relevant|. It
-// returns NaN if k <= 0 or the relevant set is empty.
-func RecallAtK(predicted []uint64, relevant map[uint64]bool, k int) float64 {
-	if k <= 0 || len(relevant) == 0 {
-		return math.NaN()
-	}
-	if k > len(predicted) {
-		k = len(predicted)
-	}
-	hits := 0
-	for _, v := range predicted[:k] {
-		if relevant[v] {
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(relevant))
-}
-
-// NDCGAtK returns the normalised discounted cumulative gain of the
-// predicted ranking against binary relevance, at cutoff k. It returns
-// NaN if k <= 0 or the relevant set is empty.
-func NDCGAtK(predicted []uint64, relevant map[uint64]bool, k int) float64 {
-	if k <= 0 || len(relevant) == 0 {
-		return math.NaN()
-	}
-	if k > len(predicted) {
-		k = len(predicted)
-	}
-	dcg := 0.0
-	for i, v := range predicted[:k] {
-		if relevant[v] {
-			dcg += 1 / math.Log2(float64(i)+2)
-		}
-	}
-	ideal := 0.0
-	n := len(relevant)
-	if n > k {
-		n = k
-	}
-	for i := 0; i < n; i++ {
-		ideal += 1 / math.Log2(float64(i)+2)
-	}
-	return dcg / ideal
 }
 
 // AUC returns the area under the ROC curve for scores with binary labels:

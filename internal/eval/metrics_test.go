@@ -20,29 +20,6 @@ func TestMAE(t *testing.T) {
 	}
 }
 
-func TestRMSE(t *testing.T) {
-	got := RMSE([]float64{0, 0}, []float64{3, 4})
-	if math.Abs(got-math.Sqrt(12.5)) > 1e-12 {
-		t.Errorf("RMSE = %v, want sqrt(12.5)", got)
-	}
-	if !math.IsNaN(RMSE(nil, nil)) {
-		t.Error("RMSE of empty should be NaN")
-	}
-	// RMSE >= MAE always (Jensen).
-	x := rng.NewXoshiro256(1)
-	for trial := 0; trial < 50; trial++ {
-		est := make([]float64, 20)
-		truth := make([]float64, 20)
-		for i := range est {
-			est[i] = x.Float64() * 10
-			truth[i] = x.Float64() * 10
-		}
-		if RMSE(est, truth) < MAE(est, truth)-1e-12 {
-			t.Fatal("RMSE < MAE violates Jensen's inequality")
-		}
-	}
-}
-
 func TestMeanRelativeError(t *testing.T) {
 	est := []float64{11, 0, 5}
 	truth := []float64{10, 0, 0.1}
@@ -55,49 +32,6 @@ func TestMeanRelativeError(t *testing.T) {
 	}
 	if !math.IsNaN(MeanRelativeError(est, truth[:2], 0)) {
 		t.Error("MRE length mismatch should be NaN")
-	}
-}
-
-func TestPrecisionRecallAtK(t *testing.T) {
-	predicted := []uint64{1, 2, 3, 4, 5}
-	relevant := map[uint64]bool{2: true, 4: true, 9: true}
-	if got := PrecisionAtK(predicted, relevant, 2); got != 0.5 {
-		t.Errorf("P@2 = %v, want 0.5", got) // {1,2} ∩ rel = {2}
-	}
-	if got := PrecisionAtK(predicted, relevant, 5); got != 0.4 {
-		t.Errorf("P@5 = %v, want 0.4", got)
-	}
-	if got := RecallAtK(predicted, relevant, 5); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("R@5 = %v, want 2/3", got)
-	}
-	// k beyond list length truncates.
-	if got := PrecisionAtK(predicted, relevant, 100); got != 0.4 {
-		t.Errorf("P@100 = %v, want 0.4", got)
-	}
-	if !math.IsNaN(PrecisionAtK(predicted, relevant, 0)) {
-		t.Error("P@0 should be NaN")
-	}
-	if !math.IsNaN(RecallAtK(predicted, map[uint64]bool{}, 3)) {
-		t.Error("recall with empty relevant set should be NaN")
-	}
-	if got := PrecisionAtK(nil, relevant, 3); got != 0 {
-		t.Errorf("P@k of empty prediction = %v, want 0", got)
-	}
-}
-
-func TestNDCGAtK(t *testing.T) {
-	relevant := map[uint64]bool{1: true, 2: true}
-	// Perfect ranking: both relevant items first.
-	if got := NDCGAtK([]uint64{1, 2, 3}, relevant, 3); math.Abs(got-1) > 1e-12 {
-		t.Errorf("perfect NDCG = %v, want 1", got)
-	}
-	// Worst placement within k.
-	worst := NDCGAtK([]uint64{3, 4, 1}, relevant, 3)
-	if worst >= 1 || worst <= 0 {
-		t.Errorf("degraded NDCG = %v, want in (0,1)", worst)
-	}
-	if !math.IsNaN(NDCGAtK([]uint64{1}, map[uint64]bool{}, 1)) {
-		t.Error("NDCG with empty relevant should be NaN")
 	}
 }
 

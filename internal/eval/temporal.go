@@ -145,23 +145,10 @@ func (r TemporalResult) BootstrapAUC(trials int, level float64, seed uint64) (lo
 	return lo, hi, err
 }
 
-// ScoreFunc extracts one measure's estimate from a System.
+// ScoreFunc extracts one measure's estimate from a System. The method
+// expressions baseline.System.EstimateJaccard, EstimateCommonNeighbors
+// and EstimateAdamicAdar have this type.
 type ScoreFunc func(sys baseline.System, u, v uint64) float64
-
-// ScoreJaccard scores with the Jaccard estimate.
-func ScoreJaccard(sys baseline.System, u, v uint64) float64 {
-	return sys.EstimateJaccard(u, v)
-}
-
-// ScoreCommonNeighbors scores with the common-neighbor estimate.
-func ScoreCommonNeighbors(sys baseline.System, u, v uint64) float64 {
-	return sys.EstimateCommonNeighbors(u, v)
-}
-
-// ScoreAdamicAdar scores with the Adamic–Adar estimate.
-func ScoreAdamicAdar(sys baseline.System, u, v uint64) float64 {
-	return sys.EstimateAdamicAdar(u, v)
-}
 
 // RunTemporal trains sys on the task's prefix and evaluates the given
 // measure. The system must be fresh (unconsumed); RunTemporal feeds it

@@ -88,7 +88,7 @@ func TestRunTemporalExactBeatsRandom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunTemporal(task, baseline.NewExact(), ScoreAdamicAdar)
+	res, err := RunTemporal(task, baseline.NewExact(), baseline.System.EstimateAdamicAdar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestRunTemporalSketchTracksExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactRes, err := RunTemporal(task, baseline.NewExact(), ScoreJaccard)
+	exactRes, err := RunTemporal(task, baseline.NewExact(), baseline.System.EstimateJaccard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestRunTemporalSketchTracksExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sketchRes, err := RunTemporal(task, s, ScoreJaccard)
+	sketchRes, err := RunTemporal(task, s, baseline.System.EstimateJaccard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestRunTemporalAllScoreFuncs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, fn := range map[string]ScoreFunc{
-		"jaccard": ScoreJaccard, "cn": ScoreCommonNeighbors, "aa": ScoreAdamicAdar,
+		"jaccard": baseline.System.EstimateJaccard, "cn": baseline.System.EstimateCommonNeighbors, "aa": baseline.System.EstimateAdamicAdar,
 	} {
 		res, err := RunTemporal(task, baseline.NewExact(), fn)
 		if err != nil {

@@ -86,16 +86,6 @@ func (g *DiGraph) OutNeighbors(u uint64, fn func(v uint64) bool) {
 	}
 }
 
-// InNeighbors calls fn for each w with w → u, stopping early if fn
-// returns false.
-func (g *DiGraph) InNeighbors(u uint64, fn func(w uint64) bool) {
-	for w := range g.in[u] {
-		if !fn(w) {
-			return
-		}
-	}
-}
-
 // ThroughNeighbors returns, sorted, the vertices w forming a directed
 // two-path u → w → v — the directed analogue of common neighbors for
 // scoring the candidate arc u → v.

@@ -98,22 +98,6 @@ func (g *Graph) Neighbors(u uint64, fn func(v uint64) bool) {
 	}
 }
 
-// NeighborSlice returns the neighbors of u as a sorted slice. Sorting
-// makes the output deterministic for tests and ground-truth dumps; callers
-// on hot paths should prefer Neighbors.
-func (g *Graph) NeighborSlice(u uint64) []uint64 {
-	set := g.adj[u]
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]uint64, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Vertices calls fn for each vertex with at least one incident edge, in
 // unspecified order, stopping early if fn returns false.
 func (g *Graph) Vertices(fn func(u uint64) bool) {

@@ -57,26 +57,6 @@ func TestDegree(t *testing.T) {
 	}
 }
 
-func TestNeighborSliceSorted(t *testing.T) {
-	g := New()
-	for _, v := range []uint64{5, 2, 9, 1} {
-		g.AddEdge(0, v)
-	}
-	got := g.NeighborSlice(0)
-	want := []uint64{1, 2, 5, 9}
-	if len(got) != len(want) {
-		t.Fatalf("NeighborSlice = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("NeighborSlice = %v, want %v", got, want)
-		}
-	}
-	if g.NeighborSlice(12345) != nil {
-		t.Error("NeighborSlice of unknown vertex should be nil")
-	}
-}
-
 func TestNeighborsEarlyStop(t *testing.T) {
 	g := New()
 	for v := uint64(1); v <= 10; v++ {

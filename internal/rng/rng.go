@@ -139,27 +139,6 @@ func (x *Xoshiro256) NormFloat64() float64 {
 	}
 }
 
-// ExpFloat64 returns an exponential variate with rate 1 (mean 1).
-func (x *Xoshiro256) ExpFloat64() float64 {
-	for {
-		u := x.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
-// Perm returns a uniformly random permutation of [0, n) using the
-// Fisher–Yates shuffle.
-func (x *Xoshiro256) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	x.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
 // Shuffle performs an in-place Fisher–Yates shuffle over n elements,
 // calling swap for each exchange, mirroring math/rand.Shuffle.
 func (x *Xoshiro256) Shuffle(n int, swap func(i, j int)) {

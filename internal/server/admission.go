@@ -117,10 +117,8 @@ func (l *limiter) acquire(ctx context.Context) shedCause {
 func (l *limiter) release() { <-l.slots }
 
 // inflight and waiting are lock-free gauges for /metrics.
-func (l *limiter) inflight() int   { return len(l.slots) }
-func (l *limiter) waiting() int64  { return l.queued.Load() }
-func (l *limiter) capacity() int   { return cap(l.slots) }
-func (l *limiter) queueCap() int64 { return l.depth }
+func (l *limiter) inflight() int  { return len(l.slots) }
+func (l *limiter) waiting() int64 { return l.queued.Load() }
 
 // retryAfter stamps the configured Retry-After hint (whole seconds,
 // rounded up) on a shed or unavailable response.

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit used by the
-// evaluation harness: summary statistics, quantiles, confidence
-// intervals, rank correlations, histograms, and simple linear regression.
+// evaluation harness: the mean, quantiles, and the Pearson, Spearman and
+// Kendall correlations.
 //
 // Everything operates on plain float64 slices and is deterministic.
 // Functions follow one convention for degenerate input: statistics that
@@ -26,68 +26,10 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Variance returns the unbiased (n−1) sample variance of xs, or NaN if
-// len(xs) < 2.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs)-1)
-}
-
-// StdDev returns the sample standard deviation of xs, or NaN if
-// len(xs) < 2.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Min returns the minimum of xs, or NaN if xs is empty.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs, or NaN if xs is empty.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics (type-7, the R/NumPy default).
-// It returns NaN if xs is empty or q is outside [0, 1]. xs is not
-// modified.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 || q < 0 || q > 1 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
-}
-
-// Quantiles returns the given quantiles of xs, sorting once. It returns
-// NaN entries under the same conditions as Quantile.
+// Quantiles returns the given quantiles (each 0 <= q <= 1) of xs,
+// sorting once and interpolating linearly between order statistics
+// (type-7, the R/NumPy default). An entry is NaN if xs is empty or its q
+// is outside [0, 1]. xs is not modified.
 func Quantiles(xs []float64, qs ...float64) []float64 {
 	out := make([]float64, len(qs))
 	if len(xs) == 0 {
@@ -120,60 +62,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Median returns the median of xs, or NaN if xs is empty.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// MeanCI returns the mean of xs together with the half-width of a normal
-// approximation confidence interval at the given confidence level
-// (e.g. 0.95). It returns (NaN, NaN) if len(xs) < 2 or level is outside
-// (0, 1).
-func MeanCI(xs []float64, level float64) (mean, halfWidth float64) {
-	if len(xs) < 2 || level <= 0 || level >= 1 {
-		return math.NaN(), math.NaN()
-	}
-	m := Mean(xs)
-	se := StdDev(xs) / math.Sqrt(float64(len(xs)))
-	z := normalQuantile(0.5 + level/2)
-	return m, z * se
-}
-
-// normalQuantile returns the p-quantile of the standard normal
-// distribution using the Acklam rational approximation (|error| < 1.15e-9),
-// which is far more accuracy than a confidence interval needs.
-func normalQuantile(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		return math.NaN()
-	}
-	// Coefficients of Acklam's approximation.
-	a := [...]float64{-3.969683028665376e+01, 2.209460984245205e+02,
-		-2.759285104469687e+02, 1.383577518672690e+02,
-		-3.066479806614716e+01, 2.506628277459239e+00}
-	b := [...]float64{-5.447609879822406e+01, 1.615858368580409e+02,
-		-1.556989798598866e+02, 6.680131188771972e+01,
-		-1.328068155288572e+01}
-	c := [...]float64{-7.784894002430293e-03, -3.223964580411365e-01,
-		-2.400758277161838e+00, -2.549732539343734e+00,
-		4.374664141464968e+00, 2.938163982698783e+00}
-	d := [...]float64{7.784695709041462e-03, 3.224671290700398e-01,
-		2.445134137142996e+00, 3.754408661907416e+00}
-	const pLow, pHigh = 0.02425, 1 - 0.02425
-	switch {
-	case p < pLow:
-		q := math.Sqrt(-2 * math.Log(p))
-		return (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p <= pHigh:
-		q := p - 0.5
-		r := q * q
-		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	default:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	}
 }
 
 // Pearson returns the Pearson correlation coefficient of the paired
@@ -266,79 +154,4 @@ func KendallTau(xs, ys []float64) float64 {
 		return math.NaN()
 	}
 	return (concordant - discordant) / denom
-}
-
-// Histogram is a fixed-width bucket histogram over [lo, hi).
-type Histogram struct {
-	lo, hi  float64
-	buckets []int
-	// under and over count samples outside [lo, hi).
-	under, over int
-	total       int
-}
-
-// NewHistogram returns a histogram with n equal-width buckets spanning
-// [lo, hi). It panics if n <= 0 or hi <= lo (programmer error).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: NewHistogram requires n > 0 and hi > lo")
-	}
-	return &Histogram{lo: lo, hi: hi, buckets: make([]int, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		i := int(float64(len(h.buckets)) * (x - h.lo) / (h.hi - h.lo))
-		if i == len(h.buckets) { // guard float rounding at the top edge
-			i--
-		}
-		h.buckets[i]++
-	}
-}
-
-// Count returns the number of observations recorded, including out-of-
-// range ones.
-func (h *Histogram) Count() int { return h.total }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int { return h.buckets[i] }
-
-// NumBuckets returns the number of buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
-// OutOfRange returns the counts below lo and at/above hi.
-func (h *Histogram) OutOfRange() (under, over int) { return h.under, h.over }
-
-// BucketBounds returns the [lo, hi) range covered by bucket i.
-func (h *Histogram) BucketBounds(i int) (lo, hi float64) {
-	w := (h.hi - h.lo) / float64(len(h.buckets))
-	return h.lo + float64(i)*w, h.lo + float64(i+1)*w
-}
-
-// LinearFit returns the least-squares slope and intercept of y on x, or
-// (NaN, NaN) if the lengths differ, are < 2, or x has zero variance. The
-// harness uses it to report throughput trends (e.g. ns/edge vs k).
-func LinearFit(xs, ys []float64) (slope, intercept float64) {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return math.NaN(), math.NaN()
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx float64
-	for i := range xs {
-		dx := xs[i] - mx
-		sxy += dx * (ys[i] - my)
-		sxx += dx * dx
-	}
-	if sxx == 0 {
-		return math.NaN(), math.NaN()
-	}
-	slope = sxy / sxx
-	return slope, my - slope*mx
 }

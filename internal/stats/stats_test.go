@@ -35,145 +35,32 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	// Sample variance (n-1): sum of squares = 32, n-1 = 7.
-	want := 32.0 / 7.0
-	if got := Variance(xs); !almostEqual(got, want, 1e-12) {
-		t.Errorf("Variance = %v, want %v", got, want)
-	}
-	if got := StdDev(xs); !almostEqual(got, math.Sqrt(want), 1e-12) {
-		t.Errorf("StdDev = %v, want %v", got, math.Sqrt(want))
-	}
-	if !math.IsNaN(Variance([]float64{1})) {
-		t.Error("Variance of one sample should be NaN")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 4, 1, 5, -9, 2, 6}
-	if Min(xs) != -9 || Max(xs) != 6 {
-		t.Errorf("Min/Max = %v/%v, want -9/6", Min(xs), Max(xs))
-	}
-	if !math.IsNaN(Min(nil)) || !math.IsNaN(Max(nil)) {
-		t.Error("Min/Max of empty should be NaN")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5}, {0.1, 1.4},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+	qs := []float64{0, 0.25, 0.5, 0.75, 1, 0.1}
+	want := []float64{1, 2, 3, 4, 5, 1.4}
+	got := Quantiles(xs, qs...)
+	for i, q := range qs {
+		if !almostEqual(got[i], want[i], 1e-12) {
+			t.Errorf("Quantiles(%v) = %v, want %v", q, got[i], want[i])
 		}
 	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("Quantile of empty should be NaN")
+	if v := Quantiles(nil, 0.5); !math.IsNaN(v[0]) {
+		t.Error("Quantiles of empty should be NaN")
 	}
-	if !math.IsNaN(Quantile(xs, -0.1)) || !math.IsNaN(Quantile(xs, 1.1)) {
-		t.Error("out-of-range q should give NaN")
+	if v := Quantiles(xs, -0.1, 0.5, 1.1, math.NaN()); !math.IsNaN(v[0]) || v[1] != 3 || !math.IsNaN(v[2]) || !math.IsNaN(v[3]) {
+		t.Errorf("Quantiles with out-of-range q = %v, want [NaN 3 NaN NaN]", v)
 	}
-	if got := Quantile([]float64{7}, 0.9); got != 7 {
-		t.Errorf("Quantile of singleton = %v, want 7", got)
+	if v := Quantiles([]float64{7}, 0.9); v[0] != 7 {
+		t.Errorf("Quantiles of singleton = %v, want 7", v[0])
 	}
 }
 
 func TestQuantileDoesNotMutate(t *testing.T) {
 	xs := []float64{5, 1, 3}
-	Quantile(xs, 0.5)
+	Quantiles(xs, 0.5)
 	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
-		t.Errorf("Quantile mutated input: %v", xs)
-	}
-}
-
-func TestQuantilesMatchesQuantile(t *testing.T) {
-	x := rng.NewXoshiro256(1)
-	xs := make([]float64, 101)
-	for i := range xs {
-		xs[i] = x.Float64()
-	}
-	qs := []float64{0, 0.1, 0.5, 0.9, 0.99, 1}
-	got := Quantiles(xs, qs...)
-	for i, q := range qs {
-		if want := Quantile(xs, q); !almostEqual(got[i], want, 1e-12) {
-			t.Errorf("Quantiles[%v] = %v, want %v", q, got[i], want)
-		}
-	}
-	for _, v := range Quantiles(nil, 0.5) {
-		if !math.IsNaN(v) {
-			t.Error("Quantiles of empty should be NaN")
-		}
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if got := Median([]float64{1, 3, 2}); got != 2 {
-		t.Errorf("Median odd = %v, want 2", got)
-	}
-	if got := Median([]float64{1, 2, 3, 4}); got != 2.5 {
-		t.Errorf("Median even = %v, want 2.5", got)
-	}
-}
-
-func TestMeanCI(t *testing.T) {
-	x := rng.NewXoshiro256(2)
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = x.NormFloat64()*2 + 10
-	}
-	mean, hw := MeanCI(xs, 0.95)
-	if !almostEqual(mean, 10, 0.3) {
-		t.Errorf("mean = %v, want ~10", mean)
-	}
-	// Half width should be ~1.96 * 2/sqrt(1000) ≈ 0.124.
-	if !almostEqual(hw, 1.96*2/math.Sqrt(1000), 0.02) {
-		t.Errorf("half-width = %v, want ~0.124", hw)
-	}
-	if m, h := MeanCI([]float64{1}, 0.95); !math.IsNaN(m) || !math.IsNaN(h) {
-		t.Error("MeanCI of one sample should be NaN")
-	}
-	if m, _ := MeanCI(xs, 1.5); !math.IsNaN(m) {
-		t.Error("MeanCI with bad level should be NaN")
-	}
-}
-
-func TestMeanCICoverage(t *testing.T) {
-	// Over many resamples, the 90% CI should contain the true mean ~90%
-	// of the time.
-	x := rng.NewXoshiro256(3)
-	const trials = 1000
-	covered := 0
-	for trial := 0; trial < trials; trial++ {
-		xs := make([]float64, 50)
-		for i := range xs {
-			xs[i] = x.NormFloat64()
-		}
-		mean, hw := MeanCI(xs, 0.90)
-		if math.Abs(mean) <= hw {
-			covered++
-		}
-	}
-	rate := float64(covered) / trials
-	if rate < 0.85 || rate > 0.95 {
-		t.Errorf("90%% CI covered true mean %.1f%% of the time", 100*rate)
-	}
-}
-
-func TestNormalQuantileKnownValues(t *testing.T) {
-	cases := []struct{ p, want float64 }{
-		{0.5, 0}, {0.975, 1.959964}, {0.95, 1.644854}, {0.025, -1.959964},
-		{0.999, 3.090232}, {0.001, -3.090232},
-	}
-	for _, c := range cases {
-		if got := normalQuantile(c.p); !almostEqual(got, c.want, 1e-4) {
-			t.Errorf("normalQuantile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if !math.IsNaN(normalQuantile(0)) || !math.IsNaN(normalQuantile(1)) {
-		t.Error("normalQuantile at 0/1 should be NaN")
+		t.Errorf("Quantiles mutated input: %v", xs)
 	}
 }
 
@@ -247,67 +134,6 @@ func TestKendallTauIndependentNearZero(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0, 1.9, 2, 5.5, 9.999, -1, 10, 42} {
-		h.Add(x)
-	}
-	if h.Count() != 8 {
-		t.Errorf("Count = %d, want 8", h.Count())
-	}
-	under, over := h.OutOfRange()
-	if under != 1 || over != 2 {
-		t.Errorf("OutOfRange = %d/%d, want 1/2", under, over)
-	}
-	wantBuckets := []int{2, 1, 1, 0, 1}
-	for i, w := range wantBuckets {
-		if got := h.Bucket(i); got != w {
-			t.Errorf("bucket %d = %d, want %d", i, got, w)
-		}
-	}
-	lo, hi := h.BucketBounds(2)
-	if lo != 4 || hi != 6 {
-		t.Errorf("BucketBounds(2) = [%v, %v), want [4, 6)", lo, hi)
-	}
-	if h.NumBuckets() != 5 {
-		t.Errorf("NumBuckets = %d", h.NumBuckets())
-	}
-}
-
-func TestHistogramTopEdgeRounding(t *testing.T) {
-	// A value infinitesimally below hi must land in the last bucket even
-	// if float rounding pushes the index to len(buckets).
-	h := NewHistogram(0, 0.3, 3)
-	h.Add(math.Nextafter(0.3, 0))
-	if h.Bucket(2) != 1 {
-		t.Error("top-edge value not placed in last bucket")
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewHistogram(1, 0, 3) did not panic")
-		}
-	}()
-	NewHistogram(1, 0, 3)
-}
-
-func TestLinearFit(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{5, 7, 9, 11} // y = 2x + 3
-	slope, intercept := LinearFit(xs, ys)
-	if !almostEqual(slope, 2, 1e-12) || !almostEqual(intercept, 3, 1e-12) {
-		t.Errorf("fit = (%v, %v), want (2, 3)", slope, intercept)
-	}
-	if s, _ := LinearFit(xs, ys[:2]); !math.IsNaN(s) {
-		t.Error("length mismatch should give NaN")
-	}
-	if s, _ := LinearFit([]float64{2, 2}, []float64{1, 5}); !math.IsNaN(s) {
-		t.Error("zero x-variance should give NaN")
-	}
-}
-
 func TestQuantileWithinRangeProperty(t *testing.T) {
 	x := rng.NewXoshiro256(5)
 	if err := quick.Check(func(seed uint64) bool {
@@ -316,9 +142,12 @@ func TestQuantileWithinRangeProperty(t *testing.T) {
 		for i := range xs {
 			xs[i] = x.Float64() * 100
 		}
-		q := x.Float64()
-		v := Quantile(xs, q)
-		return v >= Min(xs)-1e-9 && v <= Max(xs)+1e-9
+		lo, hi := xs[0], xs[0]
+		for _, v := range xs {
+			lo, hi = math.Min(lo, v), math.Max(hi, v)
+		}
+		v := Quantiles(xs, x.Float64())[0]
+		return v >= lo-1e-9 && v <= hi+1e-9
 	}, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}

@@ -125,19 +125,6 @@ func TestLimit(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	c := NewCounter(Slice(edges(1, 2, 3, 4)))
-	if c.Count() != 0 {
-		t.Error("fresh counter should be 0")
-	}
-	if _, err := Collect(c); err != nil {
-		t.Fatal(err)
-	}
-	if c.Count() != 2 {
-		t.Errorf("Count = %d, want 2", c.Count())
-	}
-}
-
 func TestSplit(t *testing.T) {
 	es := edges(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
 	train, test, err := Split(es, 0.8)
@@ -160,22 +147,6 @@ func TestSplit(t *testing.T) {
 	train, test, _ = Split(es, 1)
 	if len(train) != 5 || len(test) != 0 {
 		t.Errorf("split 1 = %d/%d", len(train), len(test))
-	}
-}
-
-func TestConcat(t *testing.T) {
-	a := Slice(edges(1, 2))
-	b := Slice(nil)
-	c := Slice(edges(3, 4, 5, 6))
-	got, err := Collect(Concat(a, b, c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0].U != 1 || got[1].U != 3 || got[2].U != 5 {
-		t.Errorf("Concat = %v", got)
-	}
-	if got, err := Collect(Concat()); err != nil || len(got) != 0 {
-		t.Errorf("empty Concat = %v, err %v", got, err)
 	}
 }
 

@@ -96,14 +96,6 @@ func (fs *FaultFS) SetLatency(d time.Duration) {
 	fs.latencyNs.Store(int64(d))
 }
 
-// IOStats returns the number of Write and Sync/SyncDir operations
-// observed, the axes fault triggers count along.
-func (fs *FaultFS) IOStats() (writes, syncs int64) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.sched.writeOps, fs.sched.syncOps
-}
-
 // ClearFaults disarms every scheduled fault: triggers, disk-full
 // window, latency, and the legacy sticky write/sync errors. The
 // end-of-run step of a chaos sweep, before asserting the server heals.
