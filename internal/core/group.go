@@ -54,18 +54,19 @@ func (g *grouping) group(n, nGroups int, key func(i int) int32) {
 // each shard is visited by exactly one worker, so per-shard locks never
 // nest and the fan-out is deadlock-free by construction.
 func forEachShard(nShards int, starts []int32, fn func(shard int)) {
-	forEachShardDone(nShards, starts, nil, fn)
+	forEachShardDone(nShards, starts, runtime.GOMAXPROCS(0), nil, fn)
 }
 
-// forEachShardDone is forEachShard with cooperative cancellation: done
-// (when non-nil) is polled before each shard is claimed, and a fired
-// done stops workers from claiming further shards. Shards already being
-// scored run to completion — cancellation is at shard granularity, so
-// the caller's scratch is safe to recycle as soon as this returns. The
-// return value reports whether every shard was visited (false: the
-// batch was cut short and its results are incomplete).
-func forEachShardDone(nShards int, starts []int32, done <-chan struct{}, fn func(shard int)) bool {
-	workers := runtime.GOMAXPROCS(0)
+// forEachShardDone is forEachShard with cooperative cancellation and a
+// worker bound: done (when non-nil) is polled before each shard is
+// claimed, and a fired done stops workers from claiming further shards.
+// Shards already being scored run to completion — cancellation is at
+// shard granularity, so the caller's scratch is safe to recycle as soon
+// as this returns. The return value reports whether every shard was
+// visited (false: the batch was cut short and its results are
+// incomplete). At most workers goroutines run, capped by the shard
+// count; with one, every shard runs on the calling goroutine.
+func forEachShardDone(nShards int, starts []int32, workers int, done <-chan struct{}, fn func(shard int)) bool {
 	if workers > nShards {
 		workers = nShards
 	}

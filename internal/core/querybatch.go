@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"linkpred/internal/rng"
@@ -252,7 +253,11 @@ func (s *shardSet[T]) ScoreBatchCancel(m QueryMeasure, u uint64, candidates []ui
 	sc.slots = grow(sc.slots, nd)
 	sc.degs = grow(sc.degs, nd)
 	sc.scores = grow(sc.scores, nd)
-	complete := forEachShardDone(nShards, sc.group.starts, done, func(shard int) {
+	workers := runtime.GOMAXPROCS(0)
+	if nd < minScoreChunk {
+		workers = 1 // the hand-off would cost more than the scoring
+	}
+	complete := forEachShardDone(nShards, sc.group.starts, workers, done, func(shard int) {
 		st := s.shards[shard]
 		s.mus[shard].RLock()
 		lo, hi := sc.group.starts[shard], sc.group.starts[shard+1]

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -101,6 +102,43 @@ func TestShardedScoreBatchMatchesSequential(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestShardedScoreBatchSmallRunsInline: a batch below minScoreChunk
+// distinct candidates scores its shards on the calling goroutine, so it
+// allocates no more per call at GOMAXPROCS 2 than at GOMAXPROCS 1.
+// (testing.AllocsPerRun cannot show this: it pins GOMAXPROCS to 1.)
+func TestShardedScoreBatchSmallRunsInline(t *testing.T) {
+	edges, _ := batchEdges(7, 2000)
+	s, err := NewSharded(Config{K: 32, Seed: 9, Degrees: DegreeDistinctKMV}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.ProcessEdges(edges)
+	cands := make([]uint64, 16)
+	for i := range cands {
+		cands[i] = uint64(11 * i) // spread over the shards
+	}
+	out := make([]float64, len(cands))
+	allocsPerCall := func(procs int) uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		const calls = 1000
+		var before, after runtime.MemStats
+		if _, err := s.ScoreBatch(QueryJaccard, edges[0].U, cands, out); err != nil { // fills the scratch pool
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			if _, err := s.ScoreBatch(QueryJaccard, edges[0].U, cands, out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.Mallocs - before.Mallocs) / calls
+	}
+	if one, two := allocsPerCall(1), allocsPerCall(2); two != one {
+		t.Fatalf("16-candidate ScoreBatch: %d allocs per call at GOMAXPROCS 2, %d at GOMAXPROCS 1", two, one)
 	}
 }
 

@@ -1,7 +1,10 @@
 package monitor
 
 import (
+	"cmp"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"linkpred/internal/gen"
@@ -13,6 +16,9 @@ import (
 func TestSpaceSavingValidation(t *testing.T) {
 	if _, err := NewSpaceSaving(0); err == nil {
 		t.Error("capacity=0 should error")
+	}
+	if _, err := NewSpaceSaving(1<<28 + 1); err == nil {
+		t.Error("capacity=2^28+1 should error")
 	}
 }
 
@@ -75,11 +81,22 @@ func TestSpaceSavingTopOrderDeterministic(t *testing.T) {
 
 // tracked returns key's entry and whether the summary holds it.
 func tracked(s *SpaceSaving, key uint64) (Entry, bool) {
-	i, ok := s.index[key]
-	if !ok {
+	_, i := s.find(key)
+	if i < 0 {
 		return Entry{}, false
 	}
 	return s.entries[i], true
+}
+
+// indexed counts the keys in the summary's index table.
+func indexed(s *SpaceSaving) int {
+	n := 0
+	for _, p := range s.slots {
+		if p != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // TestSpaceSavingExact: while the summary has room, every count is
@@ -201,10 +218,146 @@ func TestSpaceSavingBoundedMemory(t *testing.T) {
 	if got := s.MemoryBytes(); got != before {
 		t.Fatalf("memory grew from %d to %d over a high-churn stream", before, got)
 	}
-	if len(s.entries) != capacity || cap(s.entries) != capacity || len(s.index) != capacity {
+	if len(s.entries) != capacity || cap(s.entries) != capacity || indexed(s) != capacity {
 		t.Fatalf("entries len %d cap %d, index %d; want %d each",
-			len(s.entries), cap(s.entries), len(s.index), capacity)
+			len(s.entries), cap(s.entries), indexed(s), capacity)
 	}
+}
+
+// refSpaceSaving is the linear-scan Space-Saving the heap replaced: a
+// map index, and a scan of every entry for the minimum (count, then
+// key) on each untracked arrival once full. The heap must evict exactly
+// what it evicts.
+type refSpaceSaving struct {
+	capacity int
+	entries  []Entry
+	index    map[uint64]int
+}
+
+func newRefSpaceSaving(capacity int) *refSpaceSaving {
+	return &refSpaceSaving{capacity: capacity, index: make(map[uint64]int)}
+}
+
+func (s *refSpaceSaving) Add(key uint64) {
+	if i, ok := s.index[key]; ok {
+		s.entries[i].Count++
+		return
+	}
+	if len(s.entries) < s.capacity {
+		s.index[key] = len(s.entries)
+		s.entries = append(s.entries, Entry{Key: key, Count: 1})
+		return
+	}
+	minIdx := 0
+	for i := 1; i < len(s.entries); i++ {
+		e, m := &s.entries[i], &s.entries[minIdx]
+		if e.Count < m.Count || (e.Count == m.Count && e.Key < m.Key) {
+			minIdx = i
+		}
+	}
+	old := s.entries[minIdx]
+	delete(s.index, old.Key)
+	s.index[key] = minIdx
+	s.entries[minIdx] = Entry{Key: key, Count: old.Count + 1, Err: old.Count}
+}
+
+// top is SpaceSaving.Top(len(entries)) over the reference's entries.
+func (s *refSpaceSaving) top() []Entry {
+	out := append([]Entry(nil), s.entries...)
+	slices.SortFunc(out, func(a, b Entry) int {
+		if c := cmp.Compare(b.Count, a.Count); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Key, b.Key)
+	})
+	return out
+}
+
+// matchReference adds keys to a SpaceSaving and to the reference,
+// failing at the first add after which Top(capacity) differs.
+func matchReference(t *testing.T, capacity int, keys []uint64) {
+	t.Helper()
+	s, err := NewSpaceSaving(capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefSpaceSaving(capacity)
+	for i, k := range keys {
+		s.Add(k)
+		ref.Add(k)
+		got, want := s.Top(capacity), ref.top()
+		if len(got) != len(want) {
+			t.Fatalf("capacity %d, add %d (key %d): %d entries, reference %d", capacity, i, k, len(got), len(want))
+		}
+		for j := range got {
+			if got[j] != want[j] {
+				t.Fatalf("capacity %d, add %d (key %d): entry %d = %+v, reference %+v", capacity, i, k, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+// collidingKeys returns n keys whose homes are four neighbouring slots,
+// across the wrap, of the index of a summary of the given capacity, so
+// their probe runs overlap and removals shift keys back across them.
+func collidingKeys(capacity, n int) []uint64 {
+	s, _ := NewSpaceSaving(capacity)
+	mask := uint64(len(s.slots) - 1)
+	var keys []uint64
+	for k := uint64(0); len(keys) < n; k++ {
+		if home := rng.Mix64(k) & mask; home < 3 || home == mask {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// TestSpaceSavingMatchesReference: after every add, Top(capacity)
+// equals the linear-scan reference's, entry for entry, on uniform,
+// tie-heavy, skewed and index-colliding streams.
+func TestSpaceSavingMatchesReference(t *testing.T) {
+	for _, capacity := range []int{1, 2, 3, 64, 1024} {
+		adds := 3000 // past the fill by 2000 adds at capacity 1024
+		r := rng.NewXoshiro256(uint64(capacity))
+		streams := map[string]func() uint64{
+			// Twice as many keys as slots: constant eviction, counts
+			// climb in lockstep, so most comparisons are ties.
+			"ties": func() uint64 { return r.Uint64() % uint64(2*capacity+1) },
+			// A few hot keys over a long cold tail.
+			"skewed": func() uint64 {
+				k := r.Uint64() % uint64(8*capacity+8)
+				return k * k / uint64(8*capacity+8)
+			},
+			// Every key new: each add past the fill evicts the root.
+			"churn": func() uint64 { return r.Uint64() },
+		}
+		colliding := collidingKeys(capacity, 2*capacity+2)
+		streams["colliding"] = func() uint64 { return colliding[r.Uint64()%uint64(len(colliding))] }
+		for name, next := range streams {
+			keys := make([]uint64, adds)
+			for i := range keys {
+				keys[i] = next()
+			}
+			t.Run(fmt.Sprintf("c%d/%s", capacity, name), func(t *testing.T) {
+				matchReference(t, capacity, keys)
+			})
+		}
+	}
+}
+
+// FuzzSpaceSaving compares the summary with the linear-scan reference
+// after every add of a byte-derived key stream.
+func FuzzSpaceSaving(f *testing.F) {
+	f.Add(uint8(0), []byte{1, 2, 1, 3, 2, 4})
+	f.Add(uint8(2), []byte{7, 7, 7, 1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1})
+	f.Add(uint8(63), []byte("the quick brown fox jumps over the lazy dog, twice: the quick brown fox"))
+	f.Fuzz(func(t *testing.T, c uint8, data []byte) {
+		keys := make([]uint64, len(data))
+		for i, b := range data {
+			keys[i] = uint64(b)
+		}
+		matchReference(t, 1+int(c)%80, keys)
+	})
 }
 
 func TestKMVValidationAndExactness(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"linkpred/internal/hashing"
+	"linkpred/internal/rng"
 )
 
 // SpaceSaving is Metwally, Agrawal and El Abbadi's space-saving
@@ -23,14 +24,20 @@ import (
 //
 // When the summary is full, a new key overwrites the minimum-count
 // entry, ties broken toward the smaller key, so equal streams produce
-// identical summaries. Finding that entry scans the array: an untracked
-// arrival costs O(capacity), any other O(1).
+// identical summaries. The entries sit in a binary min-heap on (Count,
+// Key), whose root is that entry, and a fixed open-addressing table
+// finds a key's entry: a hit increments its entry and sifts it down, an
+// untracked arrival overwrites the root and sifts it down. Every Add
+// costs O(log capacity) and allocates nothing.
 //
 // Not safe for concurrent use.
 type SpaceSaving struct {
-	capacity int
-	entries  []Entry
-	index    map[uint64]int // key → position in entries
+	entries []Entry // never move; cap is the capacity
+	heap    []int32 // positions in entries, a min-heap on (Count, Key)
+	pos     []int32 // pos[e] is entry e's index in heap
+	// slots is a linear-probing table over the tracked keys, at most a
+	// quarter full: entry position + 1, or 0 for an empty slot.
+	slots []int32
 }
 
 // Entry is one tracked key with its estimated count and error bound
@@ -42,40 +49,122 @@ type Entry struct {
 }
 
 // NewSpaceSaving returns a summary tracking at most capacity keys. It
-// returns an error if capacity < 1.
+// returns an error if capacity < 1 or capacity > 2^28.
 func NewSpaceSaving(capacity int) (*SpaceSaving, error) {
-	if capacity < 1 {
-		return nil, fmt.Errorf("monitor: SpaceSaving needs capacity >= 1, got %d", capacity)
+	// The bound keeps the index's 4·capacity slots within a 32-bit int.
+	if capacity < 1 || capacity > 1<<28 {
+		return nil, fmt.Errorf("monitor: SpaceSaving needs capacity in [1, 2^28], got %d", capacity)
+	}
+	size := 2
+	for size < 4*capacity {
+		size <<= 1
 	}
 	return &SpaceSaving{
-		capacity: capacity,
-		entries:  make([]Entry, 0, capacity),
-		index:    make(map[uint64]int, capacity),
+		entries: make([]Entry, 0, capacity),
+		heap:    make([]int32, 0, capacity),
+		pos:     make([]int32, capacity),
+		slots:   make([]int32, size),
 	}, nil
 }
 
 // Add records one occurrence of key.
 func (s *SpaceSaving) Add(key uint64) {
-	if i, ok := s.index[key]; ok {
-		s.entries[i].Count++
+	slot, e := s.find(key)
+	if e >= 0 {
+		s.entries[e].Count++
+		s.down(int(s.pos[e]))
 		return
 	}
-	if len(s.entries) < s.capacity {
-		s.index[key] = len(s.entries)
+	if n := len(s.entries); n < cap(s.entries) {
+		e = int32(n)
 		s.entries = append(s.entries, Entry{Key: key, Count: 1})
+		s.slots[slot] = e + 1
+		s.pos[e] = e
+		s.heap = append(s.heap, e)
+		s.up(n)
 		return
 	}
-	minIdx := 0
-	for i := 1; i < len(s.entries); i++ {
-		e, m := &s.entries[i], &s.entries[minIdx]
-		if e.Count < m.Count || (e.Count == m.Count && e.Key < m.Key) {
-			minIdx = i
+	e = s.heap[0]
+	old := s.entries[e]
+	oldSlot, _ := s.find(old.Key)
+	s.unindex(oldSlot)
+	slot, _ = s.find(key) // the removal may have emptied a slot on key's probe run
+	s.slots[slot] = e + 1
+	s.entries[e] = Entry{Key: key, Count: old.Count + 1, Err: old.Count}
+	s.down(0)
+}
+
+// find returns key's slot and entry position, or the empty slot that
+// ends key's probe run and -1.
+func (s *SpaceSaving) find(key uint64) (slot uint64, e int32) {
+	mask := uint64(len(s.slots) - 1)
+	for i := rng.Mix64(key) & mask; ; i = (i + 1) & mask {
+		p := s.slots[i]
+		if p == 0 {
+			return i, -1
+		}
+		if s.entries[p-1].Key == key {
+			return i, p - 1
 		}
 	}
-	old := s.entries[minIdx]
-	delete(s.index, old.Key)
-	s.index[key] = minIdx
-	s.entries[minIdx] = Entry{Key: key, Count: old.Count + 1, Err: old.Count}
+}
+
+// unindex empties slot i by backward-shift deletion: each later key of
+// the probe run whose home lies outside (hole, its slot], cyclically,
+// moves into the hole, so every key stays reachable from its home
+// without tombstones.
+func (s *SpaceSaving) unindex(i uint64) {
+	mask := uint64(len(s.slots) - 1)
+	for j := (i + 1) & mask; s.slots[j] != 0; j = (j + 1) & mask {
+		home := rng.Mix64(s.entries[s.slots[j]-1].Key) & mask
+		if (j-home)&mask >= (j-i)&mask {
+			s.slots[i] = s.slots[j]
+			i = j
+		}
+	}
+	s.slots[i] = 0
+}
+
+// less orders entries a and b by (Count, Key), the eviction order.
+func (s *SpaceSaving) less(a, b int32) bool {
+	x, y := &s.entries[a], &s.entries[b]
+	return x.Count < y.Count || (x.Count == y.Count && x.Key < y.Key)
+}
+
+// up moves the entry at heap index i toward the root until its parent
+// is smaller.
+func (s *SpaceSaving) up(i int) {
+	h, e := s.heap, s.heap[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.less(e, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		s.pos[h[i]] = int32(i)
+		i = p
+	}
+	h[i] = e
+	s.pos[e] = int32(i)
+}
+
+// down restores the heap after the entry at index i grew. It moves the
+// hole at i down to a leaf along the smaller children, then lets the
+// entry climb back from there: the entry usually belongs near the
+// leaves, so this costs about one comparison a level where the
+// textbook sift costs two.
+func (s *SpaceSaving) down(i int) {
+	h, e := s.heap, s.heap[i]
+	for c := 2*i + 1; c < len(h); c = 2*i + 1 {
+		if c+1 < len(h) && s.less(h[c+1], h[c]) {
+			c++
+		}
+		h[i] = h[c]
+		s.pos[h[i]] = int32(i)
+		i = c
+	}
+	h[i] = e
+	s.up(i)
 }
 
 // Top returns the k highest-count entries, count-descending with ties
@@ -95,8 +184,11 @@ func (s *SpaceSaving) Top(k int) []Entry {
 }
 
 // MemoryBytes returns the payload size of the summary: the entry array
-// plus a rough 48 bytes per key of index.
-func (s *SpaceSaving) MemoryBytes() int { return (24 + 48) * s.capacity }
+// (24 bytes an entry), the heap and its position array, and the index
+// table.
+func (s *SpaceSaving) MemoryBytes() int {
+	return 24*cap(s.entries) + 4*(cap(s.heap)+len(s.pos)+len(s.slots))
+}
 
 // KMV is a k-minimum-values distinct counter over 64-bit keys: it keeps
 // the k smallest hash values seen; with m_k the k-th smallest mapped to

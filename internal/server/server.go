@@ -268,9 +268,11 @@ type cappedBody struct {
 
 func (cb *cappedBody) Read(p []byte) (int, error) {
 	n, err := cb.ReadCloser.Read(p)
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		cb.hit = true
+	if err != nil {
+		// Declared only on the error path: errors.As makes mbe escape,
+		// so every read would pay its allocation.
+		var mbe *http.MaxBytesError
+		cb.hit = cb.hit || errors.As(err, &mbe)
 	}
 	return n, err
 }
@@ -325,23 +327,30 @@ func (s *Server) feedMonitors(batch []stream.Edge) {
 	}
 }
 
-// textBatches cuts a text body into batches of at most len(buf) edges
-// of one kind, read into buf, in FrameReader.Next's shape: a malformed
-// line ends the source after the batch that holds the lines before it.
-func textBatches(body io.Reader, kind wal.Kind, buf []stream.Edge) func() (wal.Kind, []byte, []stream.Edge, error) {
-	src := stream.NewTextReader(body)
-	var pending error
-	return func() (wal.Kind, []byte, []stream.Edge, error) {
-		if pending != nil {
-			return 0, nil, nil, pending
+// textBatches cuts a text body into batches of at most ingestBatchSize
+// edges of one kind, read by a pooled text reader, in FrameReader.Next's
+// shape: a malformed line ends the source after the batch that holds
+// the lines before it. release pools the reader again.
+func textBatches(body io.Reader, kind wal.Kind) (next func() (wal.Kind, []byte, []stream.Edge, error), release func()) {
+	tr := textReaders.Get().(*textReader)
+	tr.src.Reset(body)
+	tr.pending = nil
+	next = func() (wal.Kind, []byte, []stream.Edge, error) {
+		if tr.pending != nil {
+			return 0, nil, nil, tr.pending
 		}
-		n, err := stream.ReadBatch(src, buf)
+		n, err := stream.ReadBatch(tr.src, tr.buf)
 		if n == 0 {
 			return 0, nil, nil, err
 		}
-		pending = err
-		return kind, nil, buf[:n], nil
+		tr.pending = err
+		return kind, nil, tr.buf[:n], nil
 	}
+	release = func() {
+		tr.src.Reset(nil)
+		textReaders.Put(tr)
+	}
+	return next, release
 }
 
 // maxPooled bounds the buffers a pooled request scratch may hold when it
@@ -350,18 +359,27 @@ func textBatches(body io.Reader, kind wal.Kind, buf []stream.Edge) func() (wal.K
 const maxPooled = 1 << 20
 
 // An /ingest request reads its batches into buffers that outlive it:
-// a pooled FrameReader for binary bodies, a pooled ingestBatchSize edge
-// buffer for text. Every batch is logged, applied and fed to the
-// monitors before the next is read, and AppendFrame lets its caller
-// reuse the frame once it returns, so nothing holds a batch past its
-// request.
+// a pooled FrameReader for binary bodies, a pooled textReader for text.
+// Every batch is logged, applied and fed to the monitors before the
+// next is read, and AppendFrame lets its caller reuse the frame once it
+// returns, so nothing holds a batch past its request.
 var (
 	frameReaders = sync.Pool{New: func() any { return wal.NewFrameReader(nil) }}
-	textBuffers  = sync.Pool{New: func() any {
-		buf := make([]stream.Edge, ingestBatchSize)
-		return &buf
+	textReaders  = sync.Pool{New: func() any {
+		return &textReader{src: stream.NewTextReader(nil), buf: make([]stream.Edge, ingestBatchSize)}
 	}}
 )
+
+// textReader is the pooled state of a text /ingest request: a line
+// reader, the batch it reads into, and the error that ends the source
+// after the batch before it. The buffers keep a fixed size, 64 KiB of
+// line buffer (a longer line makes the scanner a buffer of its own) and
+// 96 KiB of edges, under maxPooled, so every one goes back to the pool.
+type textReader struct {
+	src     *stream.TextReader
+	buf     []stream.Edge
+	pending error
+}
 
 // pooledFrames returns a batch source over body's frames, read by a
 // pooled FrameReader, and the release that pools the reader again. A
@@ -415,19 +433,17 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		insertKind = wal.KindArc
 	}
 	var next func() (wal.Kind, []byte, []stream.Edge, error)
+	var release func()
 	if strings.HasPrefix(r.Header.Get("Content-Type"), wal.FrameContentType) {
-		var release func()
 		next, release = pooledFrames(r.Body)
-		defer release()
 	} else {
-		buf := textBuffers.Get().(*[]stream.Edge)
-		defer textBuffers.Put(buf)
 		kind := insertKind
 		if isDelete {
 			kind = wal.KindDelete
 		}
-		next = textBatches(r.Body, kind, *buf)
+		next, release = textBatches(r.Body, kind)
 	}
+	defer release()
 	ci, hasCtx := linkpred.CtxIngesterOf(eng)
 	ingested, deleted, applied, sawDelete := 0, 0, 0, false
 	// A batch applies to the engine served when it is applied: under

@@ -2,12 +2,13 @@ package stream
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
+	"unicode"
 )
 
 // Text stream format: one edge per line, "u v" or "u v t", whitespace
@@ -18,16 +19,26 @@ import (
 
 // TextReader reads a graph stream from a text edge list.
 type TextReader struct {
-	sc   *bufio.Scanner
+	sc   bufio.Scanner
+	buf  []byte // the scanner's first line buffer, kept across Reset
 	line int
 	next int64 // fallback timestamp: arrival index
 }
 
 // NewTextReader returns a TextReader over r.
 func NewTextReader(r io.Reader) *TextReader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
-	return &TextReader{sc: sc}
+	t := &TextReader{buf: make([]byte, 64*1024)}
+	t.Reset(r)
+	return t
+}
+
+// Reset makes t read a new stream from r, from line 1 and arrival index
+// 0, keeping its 64 KiB line buffer, so one reader can serve request
+// after request.
+func (t *TextReader) Reset(r io.Reader) {
+	t.sc = *bufio.NewScanner(r) // a Scanner has no Reset; a fresh value in place allocates nothing
+	t.sc.Buffer(t.buf, 1<<20)
+	t.line, t.next = 0, 0
 }
 
 // Next implements Source. Malformed lines produce an error identifying
@@ -35,25 +46,40 @@ func NewTextReader(r io.Reader) *TextReader {
 func (t *TextReader) Next() (Edge, error) {
 	for t.sc.Scan() {
 		t.line++
-		line := strings.TrimSpace(t.sc.Text())
-		if line == "" || line[0] == '#' || line[0] == '%' {
+		line := bytes.TrimSpace(t.sc.Bytes())
+		if len(line) == 0 || line[0] == '#' || line[0] == '%' {
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 && len(fields) != 3 {
-			return Edge{}, fmt.Errorf("stream: line %d: want 2 or 3 fields, got %d", t.line, len(fields))
+		// Split where strings.Fields would, without allocating.
+		var fields [3][]byte
+		n := 0
+		for rest := line; len(rest) > 0; n++ {
+			rest = bytes.TrimLeftFunc(rest, unicode.IsSpace)
+			end := bytes.IndexFunc(rest, unicode.IsSpace)
+			if end < 0 {
+				end = len(rest)
+			}
+			if n < len(fields) {
+				fields[n] = rest[:end]
+			}
+			rest = rest[end:]
 		}
-		u, err := strconv.ParseUint(fields[0], 10, 64)
+		if n != 2 && n != 3 {
+			return Edge{}, fmt.Errorf("stream: line %d: want 2 or 3 fields, got %d", t.line, n)
+		}
+		// string(b) of a short field does not allocate: strconv copies
+		// the text it keeps in an error.
+		u, err := strconv.ParseUint(string(fields[0]), 10, 64)
 		if err != nil {
 			return Edge{}, fmt.Errorf("stream: line %d: bad source vertex: %w", t.line, err)
 		}
-		v, err := strconv.ParseUint(fields[1], 10, 64)
+		v, err := strconv.ParseUint(string(fields[1]), 10, 64)
 		if err != nil {
 			return Edge{}, fmt.Errorf("stream: line %d: bad target vertex: %w", t.line, err)
 		}
 		ts := t.next
-		if len(fields) == 3 {
-			ts, err = strconv.ParseInt(fields[2], 10, 64)
+		if n == 3 {
+			ts, err = strconv.ParseInt(string(fields[2]), 10, 64)
 			if err != nil {
 				return Edge{}, fmt.Errorf("stream: line %d: bad timestamp: %w", t.line, err)
 			}

@@ -3,7 +3,9 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -239,6 +241,42 @@ func TestTextReaderErrorIdentifiesLine(t *testing.T) {
 	_, err := Collect(NewTextReader(strings.NewReader(in)))
 	if err == nil || !strings.Contains(err.Error(), "line 3") {
 		t.Errorf("err = %v, want mention of line 3", err)
+	}
+}
+
+// TestTextReaderReset: a reader reset onto a body reads it exactly as a
+// fresh reader does (edges, arrival-order timestamps from 0, error text
+// with line numbers from 1), and fields split where strings.Fields
+// splits them, Unicode spaces included.
+func TestTextReaderReset(t *testing.T) {
+	cases := []struct {
+		body string
+		want []Edge
+		err  string
+	}{
+		{"1 2\n3 4 9\n", []Edge{{1, 2, 0}, {3, 4, 9}}, ""},
+		{"# c\n\n5\t6\v7\r\n8\u00a09\n", []Edge{{5, 6, 7}, {8, 9, 1}}, ""}, // tab, vertical tab, no-break space
+		{"\u20281 2\u2028\n", []Edge{{1, 2, 0}}, ""},                       // line separators
+		{"1 2\n3 4\nbogus line here\n", []Edge{{1, 2, 0}, {3, 4, 1}}, `stream: line 3: bad source vertex: strconv.ParseUint: parsing "bogus": invalid syntax`},
+		{"1 2 3 4\n", nil, "stream: line 1: want 2 or 3 fields, got 4"},
+		{"1 x\n", nil, `stream: line 1: bad target vertex: strconv.ParseUint: parsing "x": invalid syntax`},
+		{strings.Repeat("7", 1<<20+10) + " 1\n", nil, "stream: read: bufio.Scanner: token too long"},
+	}
+	reused := NewTextReader(strings.NewReader("10 11\n12 13\n"))
+	if _, err := reused.Next(); err != nil { // left mid-stream
+		t.Fatal(err)
+	}
+	for i, tc := range cases {
+		reused.Reset(strings.NewReader(tc.body))
+		for name, src := range map[string]*TextReader{"fresh": NewTextReader(strings.NewReader(tc.body)), "reset": reused} {
+			got, err := Collect(src)
+			if msg := fmt.Sprint(err); (err != nil || tc.err != "") && msg != tc.err {
+				t.Errorf("case %d, %s reader: err %q, want %q", i, name, msg, tc.err)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("case %d, %s reader: edges %v, want %v", i, name, got, tc.want)
+			}
+		}
 	}
 }
 
