@@ -134,13 +134,16 @@ func build(args []string, stdout io.Writer) (*app, error) {
 		walDir     = fs.String("wal-dir", "", "write-ahead log directory: log every /ingest batch before applying, checkpoint periodically, and recover snapshot+log on start")
 		walFsync   = fs.String("wal-fsync", "interval", "WAL fsync policy: always (fsync per batch) | interval (background fsync) | never (crash loses OS-buffered tail)")
 		ckptEvery  = fs.Duration("checkpoint-interval", 5*time.Minute, "with -wal-dir, how often the background checkpointer snapshots the predictor and prunes the log")
-		healBack   = fs.Duration("heal-backoff", 250*time.Millisecond, "with -wal-dir, first-probe backoff of the WAL self-healer (0 repairs inline on the next write)")
+		healBack   = fs.Duration("heal-backoff", 250*time.Millisecond, "with -wal-dir, first-probe backoff of the WAL self-healer, which repairs the log after a failed write or fsync while ingest sheds with 503 (> 0)")
 		maxInflt   = fs.Int("max-inflight", 0, "per-endpoint concurrently executing request cap; excess waits in a bounded queue, overflow is shed with 429 (0 = unlimited)")
 		queueDepth = fs.Int("queue-depth", 64, "with -max-inflight, requests allowed to wait for an execution slot before shedding")
 		defaultDL  = fs.Duration("default-deadline", 0, "server-assigned deadline per request, overridable via the X-Deadline-Ms header (0 = none)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
+	}
+	if *healBack <= 0 {
+		return nil, fmt.Errorf("-heal-backoff must be > 0, got %v", *healBack)
 	}
 
 	tierLadder, err := linkpred.ParseTiers(*tiers)
@@ -228,15 +231,7 @@ func build(args []string, stdout io.Writer) (*app, error) {
 		if res.Replay.TruncatedBytes > 0 {
 			fmt.Fprintf(stdout, "wal: truncated %d bytes of torn/corrupt log tail\n", res.Replay.TruncatedBytes)
 		}
-		var heal *wal.HealOptions
-		if *healBack > 0 {
-			// A background healer repairs the log after a write/sync
-			// failure with jittered exponential backoff, while ingest
-			// sheds with 503 + Retry-After and queries keep serving —
-			// no restart required.
-			heal = &wal.HealOptions{Backoff: *healBack}
-		}
-		w, err := wal.Open(*walDir, wal.Options{Fsync: policy, NextSeq: res.LastSeq() + 1, Heal: heal})
+		w, err := wal.Open(*walDir, wal.Options{Fsync: policy, NextSeq: res.LastSeq() + 1, Heal: &wal.HealOptions{Backoff: *healBack}})
 		if err != nil {
 			return nil, fmt.Errorf("open wal: %w", err)
 		}

@@ -56,6 +56,9 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := build([]string{"-bogus"}, &out); err == nil {
 		t.Error("bad flag should error")
 	}
+	if _, err := build([]string{"-wal-dir", t.TempDir(), "-heal-backoff", "0"}, &out); err == nil {
+		t.Error("-heal-backoff 0 should error")
+	}
 	warm := t.TempDir() + "/bad.txt"
 	if err := os.WriteFile(warm, []byte("not an edge\n"), 0o644); err != nil {
 		t.Fatal(err)

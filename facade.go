@@ -87,13 +87,7 @@ func (f *facade[S]) ObserveEdge(e Edge) {
 // register updates are pointwise minima, which commute and are
 // idempotent).
 func (f *facade[S]) ObserveEdges(edges []Edge) {
-	if bi, ok := any(f.store).(core.BatchIngester); ok {
-		bi.IngestBatch(edges)
-	} else {
-		for _, e := range edges {
-			f.store.Ingest(e)
-		}
-	}
+	f.store.IngestBatch(edges)
 }
 
 // Jaccard returns the estimated Jaccard coefficient of (u, v) in

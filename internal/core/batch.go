@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -105,15 +106,15 @@ type batchScratch struct {
 // prefetchSink receives the XOR of the apply loops' lookahead loads so
 // the compiler cannot discard them (see the loops for why they exist).
 // It is a package-level atomic, not a scratch field: apply runs on
-// several goroutines at once (the forEachShard workers), and a plain
-// shared field would be a write-write race.
+// several goroutines at once (the forEachShardDone workers), and a
+// plain shared field would be a write-write race.
 var prefetchSink atomic.Uint64
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 // minHashChunk is the smallest distinct-vertex chunk worth handing to a
-// hashing worker; below this the goroutine hand-off costs more than the
-// hashing it parallelizes.
+// hashing or apply worker; below this the goroutine hand-off costs more
+// than the work it parallelizes.
 const minHashChunk = 256
 
 // grow returns buf resized to n, reallocating only when capacity is
@@ -322,7 +323,11 @@ func (s *shardSet[T]) IngestBatchCancel(edges []stream.Edge, done <-chan struct{
 			batchPool.Put(sc)
 			return ErrCanceled
 		}
-		forEachShard(len(s.shards), sc.vertGroup.starts, func(shard int) { s.applyShardBatch(sc, shard) })
+		workers := runtime.GOMAXPROCS(0)
+		if len(sc.distinct) < minHashChunk {
+			workers = 1 // the hand-off would cost more than the apply
+		}
+		forEachShardDone(len(s.shards), sc.vertGroup.starts, workers, nil, func(shard int) { s.applyShardBatch(sc, shard) })
 		s.edges.Add(int64(n))
 	}
 	batchPool.Put(sc)

@@ -403,3 +403,21 @@ func TestProcessEdgeNoAllocSteadyState(t *testing.T) {
 		t.Errorf("steady-state ProcessEdge allocates %.1f per run, want 0", allocs)
 	}
 }
+
+// TestShardedIngestBatchSmallRunsInline: a batch below minHashChunk
+// distinct vertices applies its shards on the calling goroutine, so it
+// allocates no more per call at GOMAXPROCS 2 than at GOMAXPROCS 1.
+func TestShardedIngestBatchSmallRunsInline(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	s, err := NewSharded(Config{K: 32, Seed: 9, Degrees: DegreeDistinctKMV}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := randomEdges(10000, 100, 20359) // under 200 distinct vertices
+	ingest := func() { s.IngestBatch(edges) }
+	if one, two := mallocsPerCall(1, ingest), mallocsPerCall(2, ingest); two != one {
+		t.Fatalf("100-edge IngestBatch: %d allocs per call at GOMAXPROCS 2, %d at GOMAXPROCS 1", two, one)
+	}
+}

@@ -46,26 +46,22 @@ func (g *grouping) group(n, nGroups int, key func(i int) int32) {
 	}
 }
 
-// forEachShard calls fn(shard) for every shard whose group is non-empty
-// under starts (a grouping.starts slice of length nShards+1). Workers
-// claim shard indices off an atomic cursor, so a straggler shard never
-// idles the rest of the pool; worker count comes from GOMAXPROCS,
-// capped by the shard count. fn is responsible for its own locking —
-// each shard is visited by exactly one worker, so per-shard locks never
-// nest and the fan-out is deadlock-free by construction.
-func forEachShard(nShards int, starts []int32, fn func(shard int)) {
-	forEachShardDone(nShards, starts, runtime.GOMAXPROCS(0), nil, fn)
-}
-
-// forEachShardDone is forEachShard with cooperative cancellation and a
-// worker bound: done (when non-nil) is polled before each shard is
-// claimed, and a fired done stops workers from claiming further shards.
-// Shards already being scored run to completion — cancellation is at
-// shard granularity, so the caller's scratch is safe to recycle as soon
-// as this returns. The return value reports whether every shard was
+// forEachShardDone calls fn(shard) for every shard whose group is
+// non-empty under starts (a grouping.starts slice of length nShards+1).
+// Workers claim shard indices off an atomic cursor, so a straggler shard
+// never idles the rest of the pool. At most workers goroutines run,
+// capped by the shard count; with one, every shard runs on the calling
+// goroutine. fn is responsible for its own locking — each shard is
+// visited by exactly one worker, so per-shard locks never nest and the
+// fan-out is deadlock-free by construction.
+//
+// done (when non-nil) is polled before each shard is claimed, and a
+// fired done stops workers from claiming further shards. Shards already
+// being visited run to completion — cancellation is at shard
+// granularity, so the caller's scratch is safe to recycle as soon as
+// this returns. The return value reports whether every shard was
 // visited (false: the batch was cut short and its results are
-// incomplete). At most workers goroutines run, capped by the shard
-// count; with one, every shard runs on the calling goroutine.
+// incomplete).
 func forEachShardDone(nShards int, starts []int32, workers int, done <-chan struct{}, fn func(shard int)) bool {
 	if workers > nShards {
 		workers = nShards

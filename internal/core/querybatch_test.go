@@ -105,11 +105,30 @@ func TestShardedScoreBatchMatchesSequential(t *testing.T) {
 	}
 }
 
+// mallocsPerCall returns the heap allocations per call of fn at
+// GOMAXPROCS procs, averaged over 1000 calls after a warm-up call that
+// fills the scratch pools. (testing.AllocsPerRun cannot compare
+// GOMAXPROCS settings: it pins GOMAXPROCS to 1.)
+func mallocsPerCall(procs int, fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	const calls = 1000
+	var before, after runtime.MemStats
+	fn()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / calls
+}
+
 // TestShardedScoreBatchSmallRunsInline: a batch below minScoreChunk
 // distinct candidates scores its shards on the calling goroutine, so it
 // allocates no more per call at GOMAXPROCS 2 than at GOMAXPROCS 1.
-// (testing.AllocsPerRun cannot show this: it pins GOMAXPROCS to 1.)
 func TestShardedScoreBatchSmallRunsInline(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
 	edges, _ := batchEdges(7, 2000)
 	s, err := NewSharded(Config{K: 32, Seed: 9, Degrees: DegreeDistinctKMV}, 8)
 	if err != nil {
@@ -121,23 +140,12 @@ func TestShardedScoreBatchSmallRunsInline(t *testing.T) {
 		cands[i] = uint64(11 * i) // spread over the shards
 	}
 	out := make([]float64, len(cands))
-	allocsPerCall := func(procs int) uint64 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		const calls = 1000
-		var before, after runtime.MemStats
-		if _, err := s.ScoreBatch(QueryJaccard, edges[0].U, cands, out); err != nil { // fills the scratch pool
+	score := func() {
+		if _, err := s.ScoreBatch(QueryJaccard, edges[0].U, cands, out); err != nil {
 			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&before)
-		for i := 0; i < calls; i++ {
-			if _, err := s.ScoreBatch(QueryJaccard, edges[0].U, cands, out); err != nil {
-				t.Fatal(err)
-			}
-		}
-		runtime.ReadMemStats(&after)
-		return (after.Mallocs - before.Mallocs) / calls
 	}
-	if one, two := allocsPerCall(1), allocsPerCall(2); two != one {
+	if one, two := mallocsPerCall(1, score), mallocsPerCall(2, score); two != one {
 		t.Fatalf("16-candidate ScoreBatch: %d allocs per call at GOMAXPROCS 2, %d at GOMAXPROCS 1", two, one)
 	}
 }

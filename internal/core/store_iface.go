@@ -34,6 +34,12 @@ type Store interface {
 	// sketches. Self-loops are ignored.
 	Ingest(e stream.Edge)
 
+	// IngestBatch folds a batch of edges (arcs, on directed stores), with
+	// the same result as Ingest on each. The sharded stores amortize
+	// hashing and locking over the batch (see batch.go); the
+	// single-writer stores fold edge by edge.
+	IngestBatch(edges []stream.Edge)
+
 	// Estimate returns the estimate of measure m for the pair (u, v) —
 	// the candidate arc u → v on directed stores. Unknown vertices have
 	// empty neighborhoods, for which every measure is 0. The only error
@@ -74,13 +80,6 @@ type Store interface {
 	Save(w io.Writer) error
 }
 
-// BatchIngester is the capability of stores with a batched ingest path
-// (amortized lock acquisition and grouping; see batch.go). Stores
-// without it are fed edge-by-edge.
-type BatchIngester interface {
-	IngestBatch(edges []stream.Edge)
-}
-
 // BatchScorer is the capability of stores with a batched
 // one-source/many-candidates query path (see querybatch.go). out is
 // grown as needed and returned aligned with candidates; scores are
@@ -114,13 +113,6 @@ var (
 	_ Store = (*ShardedDirected)(nil)
 	_ Store = (*Windowed)(nil)
 	_ Store = (*DynamicStore)(nil)
-
-	_ BatchIngester = (*SketchStore)(nil)
-	_ BatchIngester = (*Sharded)(nil)
-	_ BatchIngester = (*DirectedStore)(nil)
-	_ BatchIngester = (*ShardedDirected)(nil)
-	_ BatchIngester = (*Windowed)(nil)
-	_ BatchIngester = (*DynamicStore)(nil)
 
 	_ BatchScorer = (*SketchStore)(nil)
 	_ BatchScorer = (*Sharded)(nil)

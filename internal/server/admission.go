@@ -206,7 +206,6 @@ func (s *Server) resilienceGauges() map[string]any {
 		hs := s.opts.Durability.WAL().HealState()
 		ws := s.opts.Durability.WAL().Stats()
 		heal := map[string]any{
-			"enabled":          hs.Enabled,
 			"degraded":         hs.Degraded,
 			"attempts":         ws.HealAttempts,
 			"heals":            ws.Heals,

@@ -263,7 +263,7 @@ func TestBinaryIngestThroughWAL(t *testing.T) {
 // TestBinaryIngestWALFailureIs503: log-before-apply holds on the frame
 // path too.
 func TestBinaryIngestWALFailureIs503(t *testing.T) {
-	ts, pred, _, fs := newDurableServer(t)
+	ts, pred, d, fs := newDurableServer(t)
 	postFrames(t, ts, encodeFrames(t, wal.KindEdge, fixtureEdges()[:1]), http.StatusOK)
 	fs.SetWriteError(errBinDisk)
 	out := postFrames(t, ts, encodeFrames(t, wal.KindEdge, fixtureEdges()[1:3]), http.StatusServiceUnavailable)
@@ -278,6 +278,7 @@ func TestBinaryIngestWALFailureIs503(t *testing.T) {
 		t.Errorf("predictor has %d edges after failed append, want 1", pred.NumEdges())
 	}
 	fs.SetWriteError(nil)
+	waitHealthy(t, d)
 	postFrames(t, ts, encodeFrames(t, wal.KindEdge, fixtureEdges()[1:3]), http.StatusOK)
 	if pred.NumEdges() != 3 {
 		t.Errorf("predictor has %d edges after recovery, want 3", pred.NumEdges())

@@ -165,7 +165,7 @@ func newDynamicDurableServer(t *testing.T) (*httptest.Server, linkpred.Engine, *
 		t.Fatal(err)
 	}
 	fs := wal.NewFaultFS()
-	w, err := wal.Open("/wal", wal.Options{FS: fs, Fsync: wal.FsyncAlways})
+	w, err := wal.Open("/wal", wal.Options{FS: fs, Fsync: wal.FsyncAlways, Heal: fastHeal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestDeleteCrashReplayByteIdentity(t *testing.T) {
 // TestDeleteWALFailureIs503: a delete batch the log cannot append is
 // not applied.
 func TestDeleteWALFailureIs503(t *testing.T) {
-	ts, eng, _, fs := newDynamicDurableServer(t)
+	ts, eng, d, fs := newDynamicDurableServer(t)
 	ingest(t, ts, sharedFixture(), http.StatusOK)
 	fs.SetWriteError(errBinDisk)
 	sendDelete(t, ts, "text/plain", []byte("1 10\n"), http.StatusServiceUnavailable)
@@ -269,6 +269,7 @@ func TestDeleteWALFailureIs503(t *testing.T) {
 		t.Errorf("unlogged deletes were applied: %d edges, want 40", eng.NumEdges())
 	}
 	fs.SetWriteError(nil)
+	waitHealthy(t, d)
 	out := sendDelete(t, ts, "text/plain", []byte("1 10\n"), http.StatusOK)
 	if out["applied"].(float64) != 1 {
 		t.Errorf("applied = %v after WAL recovery, want 1", out["applied"])

@@ -10,10 +10,27 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	linkpred "linkpred"
 	"linkpred/internal/wal"
 )
+
+// fastHeal makes the WAL healer repair within milliseconds.
+var fastHeal = &wal.HealOptions{Backoff: time.Millisecond}
+
+// waitHealthy polls until d's log ends its degraded episode or the
+// deadline passes.
+func waitHealthy(t *testing.T, d *wal.Durable) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for d.WAL().HealState().Degraded {
+		if time.Now().After(deadline) {
+			t.Fatalf("WAL still degraded after 5s: %+v", d.WAL().HealState())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
 
 // newDurableServer builds a server whose ingest path runs through a WAL
 // on a fault-injectable filesystem, returning the fs so tests can break
@@ -27,7 +44,7 @@ func newDurableServer(t *testing.T) (*httptest.Server, *linkpred.Concurrent, *wa
 		t.Fatal(err)
 	}
 	fs := wal.NewFaultFS()
-	w, err := wal.Open("/wal", wal.Options{FS: fs, Fsync: wal.FsyncAlways})
+	w, err := wal.Open("/wal", wal.Options{FS: fs, Fsync: wal.FsyncAlways, Heal: fastHeal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +244,7 @@ func TestIngestThroughWAL(t *testing.T) {
 }
 
 func TestIngestWALFailureIs503(t *testing.T) {
-	ts, pred, _, fs := newDurableServer(t)
+	ts, pred, d, fs := newDurableServer(t)
 	ingest(t, ts, "1 2\n", http.StatusOK)
 	fs.SetWriteError(errors.New("disk full"))
 	out := ingest(t, ts, "3 4\n5 6\n", http.StatusServiceUnavailable)
@@ -243,6 +260,7 @@ func TestIngestWALFailureIs503(t *testing.T) {
 		t.Errorf("predictor has %d edges after failed append, want 1", pred.NumEdges())
 	}
 	fs.SetWriteError(nil)
+	waitHealthy(t, d)
 	ingest(t, ts, "3 4\n", http.StatusOK)
 	if pred.NumEdges() != 2 {
 		t.Errorf("predictor has %d edges after recovery, want 2", pred.NumEdges())
@@ -270,6 +288,7 @@ func TestHealthzDegradedOnCheckpointFailure(t *testing.T) {
 		t.Error("degraded healthz should carry a reason")
 	}
 	fs.SetSyncError(nil)
+	waitHealthy(t, d)
 	if err := d.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint after fault cleared: %v", err)
 	}

@@ -30,12 +30,12 @@ import (
 // suffix for forensics — and the log continues in a fresh segment. A
 // repair that cannot open or read the segment leaves it alone and fails.
 //
-// Options.Heal only chooses where the repair runs. With it set, a
-// healer goroutine repairs with jittered exponential backoff, and
-// Append, AppendFrame and Sync fail fast with ErrDegraded meanwhile
-// (queries are unaffected — the log is read-only, not dead). With it
-// nil, the next Append, AppendFrame, Sync or FsyncInterval tick repairs
-// inline. Close always repairs before its final sync.
+// Every log runs a healer goroutine, started by Open, that repairs with
+// jittered exponential backoff (Options.Heal); Append, AppendFrame and
+// Sync fail fast with ErrDegraded meanwhile (queries are unaffected —
+// the log is read-only, not dead). Close stops the healer and repairs
+// before its final sync, so a shutdown also cuts an unacknowledged
+// record the healer has not reached.
 
 // ErrDegraded is returned by Append, AppendFrame, and Sync while the
 // log is degraded and the healer goroutine is repairing it. Callers
@@ -48,9 +48,8 @@ var ErrDegraded = errors.New("wal: degraded, healing in progress")
 // instead seals it at the acked prefix and starts a fresh one.
 const healRotateAfter = 2
 
-// HealOptions moves repairs onto a healer goroutine. The zero *value*
-// is usable (defaults below); a nil *HealOptions in Options repairs
-// inline on the next write instead.
+// HealOptions tunes the healer goroutine's backoff. Zero fields, and a
+// nil *HealOptions in Options, mean the defaults below.
 type HealOptions struct {
 	// Backoff is the delay before the first repair of a degraded
 	// episode; later ones back off exponentially with jitter. Zero means
@@ -60,21 +59,9 @@ type HealOptions struct {
 	MaxBackoff time.Duration
 }
 
-func (o HealOptions) withDefaults() HealOptions {
-	if o.Backoff <= 0 {
-		o.Backoff = 100 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 5 * time.Second
-	}
-	return o
-}
-
 // HealState is a point-in-time snapshot of the degraded episode,
 // surfaced on /healthz and /metrics.
 type HealState struct {
-	// Enabled reports whether a healer goroutine runs the repairs.
-	Enabled bool `json:"enabled"`
 	// Degraded reports whether a degraded episode is open.
 	Degraded bool `json:"degraded"`
 	// Reason is the error that opened the current degraded episode.
@@ -85,8 +72,8 @@ type HealState struct {
 	Attempts int64 `json:"attempts"`
 	// Heals counts completed degraded→healthy transitions (lifetime).
 	Heals int64 `json:"heals"`
-	// NextProbe is when the healer will repair next (zero when healthy
-	// or without a healer).
+	// NextProbe is when the healer will repair next (zero when
+	// healthy).
 	NextProbe time.Time `json:"-"`
 }
 
@@ -94,10 +81,7 @@ type HealState struct {
 func (w *WAL) HealState() HealState {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	hs := HealState{
-		Enabled: w.opts.Heal != nil,
-		Heals:   w.stats.Heals,
-	}
+	hs := HealState{Heals: w.stats.Heals}
 	if w.degraded {
 		hs.Degraded = true
 		hs.Reason = w.degReason
@@ -127,25 +111,21 @@ func (w *WAL) failLocked(err error) error {
 }
 
 // readyLocked gates every append and sync: during a degraded episode it
-// fails fast with ErrDegraded when a healer owns the repair, and
-// otherwise repairs inline. Caller holds mu.
+// fails fast with ErrDegraded and leaves the repair to the healer.
+// Caller holds mu.
 func (w *WAL) readyLocked() error {
-	switch {
-	case !w.degraded:
-		return nil
-	case w.opts.Heal != nil:
+	if w.degraded {
 		return fmt.Errorf("%w (%s)", ErrDegraded, w.degReason)
-	default:
-		return w.repairLocked()
 	}
+	return nil
 }
 
 // healLoop runs the repairs of every degraded episode, with jittered
-// exponential backoff. One goroutine per WAL, started by Open when
-// Options.Heal is set.
+// exponential backoff. One goroutine per WAL, started by Open and
+// stopped by Close.
 func (w *WAL) healLoop() {
 	defer close(w.healDone)
-	opts := w.opts.Heal.withDefaults()
+	opts := *w.opts.Heal
 	for {
 		select {
 		case <-w.stopHeal:
@@ -189,15 +169,16 @@ func healBackoff(opts HealOptions, attempt int) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
 
-// repairLocked is the one way out of a degraded episode, whichever
-// goroutine runs it: it cuts the current segment back to the acked
-// prefix, reopens it and fsyncs — or, from attempt healRotateAfter+1
-// on, seals it there and continues in a fresh segment; a segment whose
-// header is damaged is quarantined. Sequence numbers consumed by records
-// it cuts stay consumed: the log tolerates gaps, none of those edges
-// were acknowledged, and Open resumes after any number a snapshot was
-// stamped with (Options.NextSeq). A failed repair leaves the episode
-// open. Caller holds mu.
+// repairLocked is the one way out of a degraded episode, run by the
+// healer, and by Close for an episode the healer has not ended: it cuts
+// the current segment back to the acked prefix, reopens it and fsyncs —
+// or, from attempt healRotateAfter+1 on, seals it there and continues
+// in a fresh segment; a segment whose header is damaged is quarantined.
+// Sequence numbers consumed by records it cuts stay consumed: the log
+// tolerates gaps, none of those edges were acknowledged, and Open
+// resumes after any number a snapshot was stamped with
+// (Options.NextSeq). A failed repair leaves the episode open. Caller
+// holds mu.
 func (w *WAL) repairLocked() error {
 	w.stats.HealAttempts++
 	w.degAttempts++

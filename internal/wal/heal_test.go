@@ -29,15 +29,37 @@ func waitHealthy(t *testing.T, w *WAL, d time.Duration) {
 	t.Fatalf("WAL still degraded after %v: %+v", d, w.HealState())
 }
 
-// TestFlakyDiskLoopLegacy drives the legacy (no-healer) recovery path
-// through many fault/recover cycles: each iteration appends a batch,
-// injects a sticky write error for one failed append, clears it, and
-// appends again. Every recovery must preserve exactly the acked prefix
-// — no failed append's edges may surface on replay, and no acked batch
-// may be lost.
-func TestFlakyDiskLoopLegacy(t *testing.T) {
+// fastHeal makes the healer repair within milliseconds.
+var fastHeal = &HealOptions{Backoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond}
+
+// TestHealerRunsWithoutHealOptions: a log opened with a nil
+// Options.Heal runs the healer with the default backoff, so a failed
+// append is repaired with no further Append, Sync or Close.
+func TestHealerRunsWithoutHealOptions(t *testing.T) {
 	fs := NewFaultFS()
 	w, err := Open("/wal", Options{FS: fs, Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	fs.FailSyncsN(0, 1, errors.New("injected fsync fault"))
+	if _, err := w.Append(KindEdge, testEdges(1, 5)); err == nil {
+		t.Fatal("append with a failing fsync should error")
+	}
+	waitHealthy(t, w, 5*time.Second)
+	if heals := w.Stats().Heals; heals != 1 {
+		t.Fatalf("Heals = %d, want 1", heals)
+	}
+}
+
+// TestHealerFlakyWriteLoop drives the healer through many write-fault
+// cycles: each iteration appends a batch, injects a sticky write error
+// for one failed append, clears it, and waits for the repair. Every
+// repair must preserve exactly the acked prefix — no failed append's
+// edges may surface on replay, and no acked batch may be lost.
+func TestHealerFlakyWriteLoop(t *testing.T) {
+	fs := NewFaultFS()
+	w, err := Open("/wal", Options{FS: fs, Fsync: FsyncAlways, Heal: fastHeal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,6 +76,7 @@ func TestFlakyDiskLoopLegacy(t *testing.T) {
 			t.Fatalf("iter %d: append with failing write should error", i)
 		}
 		fs.SetWriteError(nil)
+		waitHealthy(t, w, 5*time.Second)
 	}
 	w.Close()
 
@@ -227,36 +250,26 @@ func TestHealerDiskFullWindow(t *testing.T) {
 }
 
 // TestHealStateSnapshot checks the observability surface: HealState
-// reflects enablement, the degraded episode, and probe bookkeeping.
+// reflects the degraded episode.
 func TestHealStateSnapshot(t *testing.T) {
 	fs := NewFaultFS()
-	w, err := Open("/wal", Options{FS: fs, Fsync: FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hs := w.HealState(); hs.Enabled || hs.Degraded {
-		t.Fatalf("no-healer HealState = %+v, want disabled and healthy", hs)
-	}
-	w.Close()
-
-	fs2 := NewFaultFS()
-	w2, err := Open("/wal2", Options{
-		FS:    fs2,
+	w, err := Open("/wal", Options{
+		FS:    fs,
 		Fsync: FsyncAlways,
 		Heal:  &HealOptions{Backoff: time.Hour}, // never probes during the test
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w2.Close()
-	if hs := w2.HealState(); !hs.Enabled || hs.Degraded {
-		t.Fatalf("healthy HealState = %+v, want enabled and not degraded", hs)
+	defer w.Close()
+	if hs := w.HealState(); hs.Degraded {
+		t.Fatalf("healthy HealState = %+v, want not degraded", hs)
 	}
-	fs2.FailSyncsN(0, 1, errors.New("boom"))
-	if _, err := w2.Append(KindEdge, testEdges(1, 3)); err == nil {
+	fs.FailSyncsN(0, 1, errors.New("boom"))
+	if _, err := w.Append(KindEdge, testEdges(1, 3)); err == nil {
 		t.Fatal("append with failing fsync should error")
 	}
-	hs := w2.HealState()
+	hs := w.HealState()
 	if !hs.Degraded || hs.Reason == "" || hs.Since.IsZero() {
 		t.Fatalf("degraded HealState = %+v, want reason and since set", hs)
 	}
@@ -264,10 +277,10 @@ func TestHealStateSnapshot(t *testing.T) {
 
 // TestRepairReplaysAckedPrefix injects one fault into an append and
 // checks the log's one promise about failures: whichever fsync policy
-// runs, whether a healer or the next write repairs the log, and whether
-// the run appends again or closes at once, a power cut leaves a log
-// that replays exactly the acknowledged edges, in order. Close must
-// succeed once the fault is clear.
+// runs, and whether the healer repairs the log and the run appends
+// again, or the run closes at once and Close repairs, a power cut leaves
+// a log that replays exactly the acknowledged edges, in order. Close
+// must succeed once the fault is clear.
 func TestRepairReplaysAckedPrefix(t *testing.T) {
 	errFault := errors.New("injected fault")
 	// Segment sizes: rotateAfterOne fits one 5-edge append, so the next
@@ -297,72 +310,69 @@ func TestRepairReplaysAckedPrefix(t *testing.T) {
 	}
 	for _, fault := range faults {
 		for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval} {
-			for _, heal := range []bool{false, true} {
-				for _, ending := range []string{"append", "close"} {
-					name := fmt.Sprintf("%s/%s/heal=%v/%s", fault.name, policy, heal, ending)
-					t.Run(name, func(t *testing.T) {
-						fs := NewFaultFS()
-						opts := Options{FS: fs, Fsync: policy, FsyncInterval: time.Millisecond, SegmentBytes: fault.segBytes}
-						if heal {
-							opts.Heal = &HealOptions{Backoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond}
+			for _, ending := range []string{"append", "close"} {
+				// Every log runs the healer; heal=true keeps the cell names.
+				name := fmt.Sprintf("%s/%s/heal=true/%s", fault.name, policy, ending)
+				t.Run(name, func(t *testing.T) {
+					fs := NewFaultFS()
+					opts := Options{FS: fs, Fsync: policy, FsyncInterval: time.Millisecond, SegmentBytes: fault.segBytes, Heal: fastHeal}
+					if ending == "close" {
+						opts.Heal = &HealOptions{Backoff: time.Hour} // Close repairs
+					}
+					w, err := Open("/wal", opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var acked []stream.Edge
+					appendBatch := func(edges []stream.Edge) error {
+						_, err := w.Append(KindEdge, edges)
+						if err == nil {
+							acked = append(acked, edges...)
 						}
-						w, err := Open("/wal", opts)
-						if err != nil {
-							t.Fatal(err)
+						return err
+					}
+					if err := appendBatch(testEdges(1, 5)); err != nil {
+						t.Fatal(err)
+					}
+					// Nothing is left dirty, so the interval timer makes no
+					// fsync that could take the fault meant for the append.
+					if err := w.Sync(); err != nil {
+						t.Fatal(err)
+					}
+					fsyncErrs := w.Stats().FsyncErrs
+					fault.arm(fs)
+					failed := appendBatch(testEdges(2, fault.edges)) != nil
+					// Under FsyncInterval an fsync fault hits the timer's
+					// fsync, after the append was acknowledged.
+					deadline := time.Now().Add(5 * time.Second)
+					for !failed && w.Stats().FsyncErrs == fsyncErrs {
+						if time.Now().After(deadline) {
+							t.Fatal("the injected fault never fired")
 						}
-						var acked []stream.Edge
-						appendBatch := func(edges []stream.Edge) error {
-							_, err := w.Append(KindEdge, edges)
-							if err == nil {
-								acked = append(acked, edges...)
-							}
-							return err
+						time.Sleep(time.Millisecond)
+					}
+					fs.ClearFaults()
+					if ending == "append" {
+						waitHealthy(t, w, 5*time.Second)
+						if err := appendBatch(testEdges(3, 5)); err != nil {
+							t.Fatalf("append after the fault cleared: %v", err)
 						}
-						if err := appendBatch(testEdges(1, 5)); err != nil {
-							t.Fatal(err)
+					}
+					if err := w.Close(); err != nil {
+						t.Fatalf("Close after the fault cleared: %v", err)
+					}
+					fs.Crash(0)
+					fs.Restart()
+					got, _ := collectReplay(t, fs, "/wal", 0)
+					if len(got) != len(acked) {
+						t.Fatalf("replay holds %d edges, %d were acknowledged", len(got), len(acked))
+					}
+					for i := range got {
+						if got[i] != acked[i] {
+							t.Fatalf("edge %d: got %+v want %+v", i, got[i], acked[i])
 						}
-						// Nothing is left dirty, so the interval timer makes no
-						// fsync that could take the fault meant for the append.
-						if err := w.Sync(); err != nil {
-							t.Fatal(err)
-						}
-						fsyncErrs := w.Stats().FsyncErrs
-						fault.arm(fs)
-						failed := appendBatch(testEdges(2, fault.edges)) != nil
-						// Under FsyncInterval an fsync fault hits the timer's
-						// fsync, after the append was acknowledged.
-						deadline := time.Now().Add(5 * time.Second)
-						for !failed && w.Stats().FsyncErrs == fsyncErrs {
-							if time.Now().After(deadline) {
-								t.Fatal("the injected fault never fired")
-							}
-							time.Sleep(time.Millisecond)
-						}
-						fs.ClearFaults()
-						if ending == "append" {
-							if heal {
-								waitHealthy(t, w, 5*time.Second)
-							}
-							if err := appendBatch(testEdges(3, 5)); err != nil {
-								t.Fatalf("append after the fault cleared: %v", err)
-							}
-						}
-						if err := w.Close(); err != nil {
-							t.Fatalf("Close after the fault cleared: %v", err)
-						}
-						fs.Crash(0)
-						fs.Restart()
-						got, _ := collectReplay(t, fs, "/wal", 0)
-						if len(got) != len(acked) {
-							t.Fatalf("replay holds %d edges, %d were acknowledged", len(got), len(acked))
-						}
-						for i := range got {
-							if got[i] != acked[i] {
-								t.Fatalf("edge %d: got %+v want %+v", i, got[i], acked[i])
-							}
-						}
-					})
-				}
+					}
+				})
 			}
 		}
 	}
@@ -409,7 +419,7 @@ func TestRepairOnDurableClose(t *testing.T) {
 func TestFailedRotateLeavesNoSegment(t *testing.T) {
 	fs := NewFaultFS()
 	// One 5-edge append fills a segment; a 1-edge append still fits.
-	opts := Options{FS: fs, Fsync: FsyncAlways, SegmentBytes: segHeaderSize + recordsBytes(5) + recordsBytes(1)}
+	opts := Options{FS: fs, Fsync: FsyncAlways, SegmentBytes: segHeaderSize + recordsBytes(5) + recordsBytes(1), Heal: fastHeal}
 	w, err := Open("/wal", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -421,6 +431,7 @@ func TestFailedRotateLeavesNoSegment(t *testing.T) {
 	if _, err := w.Append(KindEdge, testEdges(2, 5)); err == nil {
 		t.Fatal("append whose rotation fails should error")
 	}
+	waitHealthy(t, w, 5*time.Second)
 	last, err := w.Append(KindEdge, testEdges(3, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -444,60 +455,53 @@ func TestFailedRotateLeavesNoSegment(t *testing.T) {
 // or below the snapshot, so the edges acknowledged after the restart
 // would be gone from the next recovery.
 func TestCheckpointAfterRepairKeepsLaterEdges(t *testing.T) {
-	for _, heal := range []bool{false, true} {
-		t.Run(fmt.Sprintf("heal=%v", heal), func(t *testing.T) {
-			fs := NewFaultFS()
-			opts := Options{FS: fs, Fsync: FsyncAlways}
-			if heal {
-				opts.Heal = &HealOptions{Backoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond}
-			}
-			w, err := Open("/wal", opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			store, err := core.NewSharded(recoveryCfg, recoveryShards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d := NewDurable(w, "/wal", KindEdge, store.Save)
-			apply := func(b []stream.Edge) { store.ProcessEdges(b) }
-			acked := testEdges(1, 5)
-			if err := d.Ingest(acked, apply); err != nil {
-				t.Fatal(err)
-			}
-			fs.FailSyncsN(0, 1, errors.New("injected fsync fault"))
-			if err := d.Ingest(testEdges(2, 5), apply); err == nil {
-				t.Fatal("ingest with a failing fsync should error")
-			}
-			if heal {
-				waitHealthy(t, w, 5*time.Second)
-			}
-			// Close checkpoints after the repair: the snapshot's sequence
-			// number counts the cut append.
-			if err := d.Close(); err != nil {
-				t.Fatal(err)
-			}
+	t.Run("heal=true", func(t *testing.T) {
+		fs := NewFaultFS()
+		opts := Options{FS: fs, Fsync: FsyncAlways, Heal: fastHeal}
+		w, err := Open("/wal", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, err := core.NewSharded(recoveryCfg, recoveryShards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := NewDurable(w, "/wal", KindEdge, store.Save)
+		apply := func(b []stream.Edge) { store.ProcessEdges(b) }
+		acked := testEdges(1, 5)
+		if err := d.Ingest(acked, apply); err != nil {
+			t.Fatal(err)
+		}
+		fs.FailSyncsN(0, 1, errors.New("injected fsync fault"))
+		if err := d.Ingest(testEdges(2, 5), apply); err == nil {
+			t.Fatal("ingest with a failing fsync should error")
+		}
+		waitHealthy(t, w, 5*time.Second)
+		// Close checkpoints after the repair: the snapshot's sequence
+		// number counts the cut append.
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			store, res := recoverStore(t, fs)
-			opts.NextSeq = res.LastSeq() + 1
-			if w, err = Open("/wal", opts); err != nil {
-				t.Fatal(err)
-			}
-			d = NewDurable(w, "/wal", KindEdge, store.Save)
-			later := testEdges(3, 5)
-			if err := d.Ingest(later, apply); err != nil {
-				t.Fatal(err)
-			}
-			acked = append(acked, later...)
-			fs.Crash(0)
-			w.Close() // stops the log's goroutines; the disk is gone
-			fs.Restart()
-			recovered, res := recoverStore(t, fs)
-			if !bytes.Equal(saveBytes(t, recovered), saveBytes(t, referenceStore(t, acked))) {
-				t.Fatalf("recovered store differs from one fed the %d acknowledged edges (recovery %+v)\n%s", len(acked), res, fs.Dump())
-			}
-		})
-	}
+		store, res := recoverStore(t, fs)
+		opts.NextSeq = res.LastSeq() + 1
+		if w, err = Open("/wal", opts); err != nil {
+			t.Fatal(err)
+		}
+		d = NewDurable(w, "/wal", KindEdge, store.Save)
+		later := testEdges(3, 5)
+		if err := d.Ingest(later, apply); err != nil {
+			t.Fatal(err)
+		}
+		acked = append(acked, later...)
+		fs.Crash(0)
+		w.Close() // stops the log's goroutines; the disk is gone
+		fs.Restart()
+		recovered, res := recoverStore(t, fs)
+		if !bytes.Equal(saveBytes(t, recovered), saveBytes(t, referenceStore(t, acked))) {
+			t.Fatalf("recovered store differs from one fed the %d acknowledged edges (recovery %+v)\n%s", len(acked), res, fs.Dump())
+		}
+	})
 }
 
 // repairFS wraps a FaultFS for the repair tests: it can fail the next
@@ -632,49 +636,39 @@ func TestRepairRetriesUnreadableSegment(t *testing.T) {
 		{"read", segHeaderSize + recordsBytes(5) + 10}, // inside the second record
 	}
 	for _, fault := range faults {
-		for _, heal := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/heal=%v", fault.name, heal), func(t *testing.T) {
-				fs := newRepairFS()
-				opts := Options{FS: fs, Fsync: FsyncAlways}
-				if heal {
-					opts.Heal = &HealOptions{Backoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond}
-				}
-				w, err := Open("/wal", opts)
-				if err != nil {
+		t.Run(fault.name+"/heal=true", func(t *testing.T) {
+			fs := newRepairFS()
+			w, err := Open("/wal", Options{FS: fs, Fsync: FsyncAlways, Heal: fastHeal})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var acked []stream.Edge
+			for seed := uint64(1); seed <= 2; seed++ {
+				edges := testEdges(seed, 5)
+				if _, err := w.Append(KindEdge, edges); err != nil {
 					t.Fatal(err)
 				}
-				var acked []stream.Edge
-				for seed := uint64(1); seed <= 2; seed++ {
-					edges := testEdges(seed, 5)
-					if _, err := w.Append(KindEdge, edges); err != nil {
-						t.Fatal(err)
-					}
-					acked = append(acked, edges...)
-				}
-				fs.failNextOpen(fault.readAfter)
-				fs.FailSyncsN(0, 1, errors.New("injected fsync fault"))
-				if _, err := w.Append(KindEdge, testEdges(3, 5)); err == nil {
-					t.Fatal("append with a failing fsync should error")
-				}
-				if heal {
-					waitHealthy(t, w, 5*time.Second)
-				} else if _, err := w.Append(KindEdge, testEdges(4, 5)); err == nil {
-					t.Fatal("append whose repair cannot read the segment should error")
-				}
-				later := testEdges(5, 5)
-				if _, err := w.Append(KindEdge, later); err != nil {
-					t.Fatalf("append once the segment reads again: %v", err)
-				}
-				acked = append(acked, later...)
-				if q := w.Stats().Quarantined; q != 0 {
-					t.Fatalf("Quarantined = %d after a failed %s, want 0", q, fault.name)
-				}
-				if err := w.Close(); err != nil {
-					t.Fatal(err)
-				}
-				checkReplay(t, fs.FaultFS, acked)
-			})
-		}
+				acked = append(acked, edges...)
+			}
+			fs.failNextOpen(fault.readAfter)
+			fs.FailSyncsN(0, 1, errors.New("injected fsync fault"))
+			if _, err := w.Append(KindEdge, testEdges(3, 5)); err == nil {
+				t.Fatal("append with a failing fsync should error")
+			}
+			waitHealthy(t, w, 5*time.Second)
+			later := testEdges(5, 5)
+			if _, err := w.Append(KindEdge, later); err != nil {
+				t.Fatalf("append once the segment reads again: %v", err)
+			}
+			acked = append(acked, later...)
+			if q := w.Stats().Quarantined; q != 0 {
+				t.Fatalf("Quarantined = %d after a failed %s, want 0", q, fault.name)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			checkReplay(t, fs.FaultFS, acked)
+		})
 	}
 }
 
@@ -685,64 +679,54 @@ func TestRepairRetriesUnreadableSegment(t *testing.T) {
 // replay exactly what was acknowledged outside the quarantined segment.
 func TestRepairQuarantineSurvivesFailedStart(t *testing.T) {
 	for _, segments := range []int{1, 2} {
-		for _, heal := range []bool{false, true} {
-			t.Run(fmt.Sprintf("segments=%d/heal=%v", segments, heal), func(t *testing.T) {
-				fs := NewFaultFS()
-				// One 5-edge append fills a segment.
-				opts := Options{FS: fs, Fsync: FsyncAlways, SegmentBytes: segHeaderSize + recordsBytes(5)}
-				if heal {
-					opts.Heal = &HealOptions{Backoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond}
-				}
-				w, err := Open("/wal", opts)
-				if err != nil {
+		t.Run(fmt.Sprintf("segments=%d/heal=true", segments), func(t *testing.T) {
+			fs := NewFaultFS()
+			// One 5-edge append fills a segment.
+			w, err := Open("/wal", Options{FS: fs, Fsync: FsyncAlways, SegmentBytes: segHeaderSize + recordsBytes(5), Heal: fastHeal})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var acked []stream.Edge
+			first := testEdges(1, 5)
+			if _, err := w.Append(KindEdge, first); err != nil {
+				t.Fatal(err)
+			}
+			if segments == 2 {
+				// Kept in the first segment. The append that rotates
+				// is shorter, so the second segment's acknowledged
+				// prefix ends before the first segment's does.
+				acked = append(acked, first...)
+				if _, err := w.Append(KindEdge, testEdges(2, 1)); err != nil {
 					t.Fatal(err)
 				}
-				var acked []stream.Edge
-				first := testEdges(1, 5)
-				if _, err := w.Append(KindEdge, first); err != nil {
-					t.Fatal(err)
-				}
-				if segments == 2 {
-					// Kept in the first segment. The append that rotates
-					// is shorter, so the second segment's acknowledged
-					// prefix ends before the first segment's does.
-					acked = append(acked, first...)
-					if _, err := w.Append(KindEdge, testEdges(2, 1)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				w.mu.Lock()
-				current := filepath.Join("/wal", w.segments[len(w.segments)-1].name)
-				w.mu.Unlock()
-				damageHeader(fs, current)
-				// The append's fsync fails, and so does the first
-				// repair's start of a fresh segment.
-				fs.FailSyncsN(0, 2, errors.New("injected fsync fault"))
-				if _, err := w.Append(KindEdge, testEdges(3, 5)); err == nil {
-					t.Fatal("append with a failing fsync should error")
-				}
-				if heal {
-					waitHealthy(t, w, 5*time.Second)
-				} else if _, err := w.Append(KindEdge, testEdges(4, 5)); err == nil {
-					t.Fatal("append whose repair cannot start a fresh segment should error")
-				}
-				later := testEdges(5, 5)
-				if _, err := w.Append(KindEdge, later); err != nil {
-					t.Fatalf("append after the quarantine: %v", err)
-				}
-				acked = append(acked, later...)
-				if q := w.Stats().Quarantined; q != 1 {
-					t.Fatalf("Quarantined = %d, want 1", q)
-				}
-				if err := w.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := fs.Stat(current + ".quarantined"); err != nil {
-					t.Fatalf("quarantined bytes not kept: %v\n%s", err, fs.Dump())
-				}
-				checkReplay(t, fs, acked)
-			})
-		}
+			}
+			w.mu.Lock()
+			current := filepath.Join("/wal", w.segments[len(w.segments)-1].name)
+			w.mu.Unlock()
+			damageHeader(fs, current)
+			// The append's fsync fails, and so does the first
+			// repair's start of a fresh segment.
+			fs.FailSyncsN(0, 2, errors.New("injected fsync fault"))
+			if _, err := w.Append(KindEdge, testEdges(3, 5)); err == nil {
+				t.Fatal("append with a failing fsync should error")
+			}
+			waitHealthy(t, w, 5*time.Second)
+			later := testEdges(5, 5)
+			if _, err := w.Append(KindEdge, later); err != nil {
+				t.Fatalf("append after the quarantine: %v", err)
+			}
+			acked = append(acked, later...)
+			if q := w.Stats().Quarantined; q != 1 {
+				t.Fatalf("Quarantined = %d, want 1", q)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fs.Stat(current + ".quarantined"); err != nil {
+				t.Fatalf("quarantined bytes not kept: %v\n%s", err, fs.Dump())
+			}
+			checkReplay(t, fs, acked)
+		})
 	}
 }
 
@@ -751,53 +735,39 @@ func TestRepairQuarantineSurvivesFailedStart(t *testing.T) {
 // log moves on to a fresh segment, or a power cut could bring the
 // unacknowledged records back.
 func TestRepairSealFsyncsCut(t *testing.T) {
-	for _, heal := range []bool{false, true} {
-		t.Run(fmt.Sprintf("heal=%v", heal), func(t *testing.T) {
-			fs := newRepairFS()
-			opts := Options{FS: fs, Fsync: FsyncAlways}
-			if heal {
-				opts.Heal = &HealOptions{Backoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond}
-			}
-			w, err := Open("/wal", opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			acked := testEdges(1, 5)
-			if _, err := w.Append(KindEdge, acked); err != nil {
-				t.Fatal(err)
-			}
-			rotations := w.Stats().Rotations
-			// The append's fsync fails, then the fsyncs of the first two
-			// repairs, which cut the segment in place; the third repair
-			// seals it.
-			fs.FailSyncsN(0, 3, errors.New("wedged segment"))
-			if _, err := w.Append(KindEdge, testEdges(2, 5)); err == nil {
-				t.Fatal("append with a failing fsync should error")
-			}
-			if heal {
-				waitHealthy(t, w, 5*time.Second)
-			} else {
-				for i := 0; i < healRotateAfter; i++ {
-					if _, err := w.Append(KindEdge, testEdges(3, 5)); err == nil {
-						t.Fatalf("append %d whose repair cannot fsync should error", i)
-					}
-				}
-			}
-			later := testEdges(4, 5)
-			if _, err := w.Append(KindEdge, later); err != nil {
-				t.Fatalf("append after the seal: %v", err)
-			}
-			acked = append(acked, later...)
-			if r := w.Stats().Rotations; r != rotations+1 {
-				t.Fatalf("Rotations = %d, want %d (the repair should have sealed the segment)", r, rotations+1)
-			}
-			if cuts := fs.unsyncedCuts(); len(cuts) > 0 {
-				t.Fatalf("truncation of %v never fsynced", cuts)
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			checkReplay(t, fs.FaultFS, acked)
-		})
-	}
+	t.Run("heal=true", func(t *testing.T) {
+		fs := newRepairFS()
+		w, err := Open("/wal", Options{FS: fs, Fsync: FsyncAlways, Heal: fastHeal})
+		if err != nil {
+			t.Fatal(err)
+		}
+		acked := testEdges(1, 5)
+		if _, err := w.Append(KindEdge, acked); err != nil {
+			t.Fatal(err)
+		}
+		rotations := w.Stats().Rotations
+		// The append's fsync fails, then the fsyncs of the first two
+		// repairs, which cut the segment in place; the third repair
+		// seals it.
+		fs.FailSyncsN(0, 3, errors.New("wedged segment"))
+		if _, err := w.Append(KindEdge, testEdges(2, 5)); err == nil {
+			t.Fatal("append with a failing fsync should error")
+		}
+		waitHealthy(t, w, 5*time.Second)
+		later := testEdges(4, 5)
+		if _, err := w.Append(KindEdge, later); err != nil {
+			t.Fatalf("append after the seal: %v", err)
+		}
+		acked = append(acked, later...)
+		if r := w.Stats().Rotations; r != rotations+1 {
+			t.Fatalf("Rotations = %d, want %d (the repair should have sealed the segment)", r, rotations+1)
+		}
+		if cuts := fs.unsyncedCuts(); len(cuts) > 0 {
+			t.Fatalf("truncation of %v never fsynced", cuts)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		checkReplay(t, fs.FaultFS, acked)
+	})
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"linkpred/internal/core"
 	"linkpred/internal/stream"
@@ -568,7 +569,7 @@ func TestDurableConcurrentIngest(t *testing.T) {
 func TestDurableHealth(t *testing.T) {
 	fs := NewFaultFS()
 	store, _ := core.NewSharded(recoveryCfg, recoveryShards)
-	w, err := Open("/wal", Options{FS: fs, Fsync: FsyncAlways})
+	w, err := Open("/wal", Options{FS: fs, Fsync: FsyncAlways, Heal: fastHeal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,6 +589,7 @@ func TestDurableHealth(t *testing.T) {
 		t.Fatalf("Healthy = %v %q after checkpoint failure", ok, reason)
 	}
 	fs.SetSyncError(nil)
+	waitHealthy(t, w, 5*time.Second)
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}

@@ -143,11 +143,10 @@ type Options struct {
 	// numbers stay consumed, and a snapshot may be stamped with them.
 	// Zero means 1.
 	NextSeq uint64
-	// Heal chooses where the repair after a failed write, flush, fsync
-	// or rotate runs. Non-nil: on a healer goroutine with jittered
-	// exponential backoff, while writes fail fast with ErrDegraded. Nil:
-	// inline, on the next Append, AppendFrame, Sync or FsyncInterval
-	// tick. See heal.go.
+	// Heal tunes the healer goroutine that repairs the log after a
+	// failed write, flush, fsync or rotate, with jittered exponential
+	// backoff, while writes fail fast with ErrDegraded. Nil means the
+	// defaults. See heal.go.
 	Heal *HealOptions
 }
 
@@ -164,6 +163,17 @@ func (o Options) withDefaults() Options {
 	if o.NextSeq == 0 {
 		o.NextSeq = 1
 	}
+	var heal HealOptions
+	if o.Heal != nil {
+		heal = *o.Heal
+	}
+	if heal.Backoff <= 0 {
+		heal.Backoff = 100 * time.Millisecond
+	}
+	if heal.MaxBackoff <= 0 {
+		heal.MaxBackoff = 5 * time.Second
+	}
+	o.Heal = &heal
 	return o
 }
 
@@ -181,7 +191,7 @@ type Stats struct {
 	LastSeq   uint64 `json:"last_seq"`
 
 	// Repair counters: attempts, completed repairs, quarantined
-	// segments and the time spent degraded, wherever the repair ran.
+	// segments and the time spent degraded.
 	HealAttempts int64   `json:"heal_attempts"`
 	Heals        int64   `json:"heals"`
 	Quarantined  int64   `json:"quarantined_segments"`
@@ -215,7 +225,7 @@ type WAL struct {
 	degSince    time.Time
 	degAttempts int64
 	nextProbe   time.Time
-	healWake    chan struct{} // healer goroutine, when opts.Heal != nil
+	healWake    chan struct{} // wakes the healer goroutine
 	stopHeal    chan struct{}
 	healDone    chan struct{}
 
@@ -280,7 +290,12 @@ func Open(dir string, opts Options) (*WAL, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: list %s: %w", dir, err)
 	}
-	w := &WAL{fsys: fsys, dir: dir, opts: opts, nextSeq: opts.NextSeq}
+	w := &WAL{
+		fsys: fsys, dir: dir, opts: opts, nextSeq: opts.NextSeq,
+		healWake: make(chan struct{}, 1),
+		stopHeal: make(chan struct{}),
+		healDone: make(chan struct{}),
+	}
 
 	// Drop trailing segments that died before their header was durable
 	// (crash during rotation): they hold no records.
@@ -342,12 +357,7 @@ func Open(dir string, opts Options) (*WAL, error) {
 		w.syncDone = make(chan struct{})
 		go w.syncLoop()
 	}
-	if opts.Heal != nil {
-		w.healWake = make(chan struct{}, 1)
-		w.stopHeal = make(chan struct{})
-		w.healDone = make(chan struct{})
-		go w.healLoop()
-	}
+	go w.healLoop()
 	return w, nil
 }
 
@@ -544,8 +554,8 @@ func (w *WAL) Sync() error {
 	return w.syncLocked()
 }
 
-// syncLoop is the FsyncInterval group-commit timer. Without a healer,
-// its tick also repairs a degraded log, as Sync does.
+// syncLoop is the FsyncInterval group-commit timer. It fsyncs a dirty
+// log only outside a degraded episode, which the healer ends.
 func (w *WAL) syncLoop() {
 	defer close(w.syncDone)
 	t := time.NewTicker(w.opts.FsyncInterval)
@@ -556,7 +566,7 @@ func (w *WAL) syncLoop() {
 			return
 		case <-t.C:
 			w.mu.Lock()
-			if !w.closed && (w.dirty || w.degraded) && w.readyLocked() == nil {
+			if !w.closed && w.dirty && !w.degraded {
 				w.syncLocked() // a failure opens a degraded episode
 			}
 			w.mu.Unlock()
@@ -620,8 +630,9 @@ func (w *WAL) Prune(seq uint64) (int, error) {
 	return removed, nil
 }
 
-// Close repairs a degraded log, then syncs and closes it, so nothing
-// past the acknowledged prefix becomes durable. Further appends fail.
+// Close stops the healer, repairs a degraded log, then syncs and
+// closes it, so nothing past the acknowledged prefix becomes durable.
+// Further appends fail.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	if w.closed {
@@ -629,17 +640,13 @@ func (w *WAL) Close() error {
 		return nil
 	}
 	w.closed = true
-	stop := w.stopSync
-	stopHeal := w.stopHeal
 	w.mu.Unlock()
-	if stop != nil {
-		close(stop)
+	if w.stopSync != nil {
+		close(w.stopSync)
 		<-w.syncDone
 	}
-	if stopHeal != nil {
-		close(stopHeal)
-		<-w.healDone
-	}
+	close(w.stopHeal)
+	<-w.healDone
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var err error

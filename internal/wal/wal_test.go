@@ -301,7 +301,7 @@ func TestParseFsyncPolicy(t *testing.T) {
 
 func TestHealthyReportsFsyncFailure(t *testing.T) {
 	fs := NewFaultFS()
-	w, err := Open("/wal", Options{FS: fs, Fsync: FsyncAlways})
+	w, err := Open("/wal", Options{FS: fs, Fsync: FsyncAlways, Heal: fastHeal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,6 +320,7 @@ func TestHealthyReportsFsyncFailure(t *testing.T) {
 		t.Fatalf("Healthy() = %v, %q after fsync failure", ok, reason)
 	}
 	fs.SetSyncError(nil)
+	waitHealthy(t, w, 5*time.Second)
 	if _, err := w.Append(KindEdge, edges); err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +530,7 @@ func TestLargeAppendSplitsRecords(t *testing.T) {
 
 func TestAppendRecoversAfterWriteFailure(t *testing.T) {
 	fs := NewFaultFS()
-	w, err := Open("/wal", Options{FS: fs, Fsync: FsyncAlways})
+	w, err := Open("/wal", Options{FS: fs, Fsync: FsyncAlways, Heal: fastHeal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,8 +549,9 @@ func TestAppendRecoversAfterWriteFailure(t *testing.T) {
 	}
 	fs.FailWritesAfter(-1)
 
-	// Once the disk works again the WAL must recover by itself: cut the
-	// partial record away and keep appending.
+	// Once the disk works again the healer must recover the WAL: cut the
+	// partial record away, and appends go on.
+	waitHealthy(t, w, 5*time.Second)
 	batch3 := testEdges(3, 20)
 	last, err := w.Append(KindEdge, batch3)
 	if err != nil {
