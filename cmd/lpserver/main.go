@@ -21,7 +21,9 @@
 // KindDelete records and replayed as deletions on recovery).
 // Checkpoints are self-describing: on restore (boot -checkpoint, WAL
 // snapshot, or POST /restore) the image's magic header selects the
-// store, whatever mode wrote it.
+// store, whatever mode wrote it. Log records are not: a boot refuses a
+// -wal-dir log the engine cannot replay (arcs into an undirected
+// engine, edges into a directed one, deletions outside dynamic mode).
 //
 // Endpoints (see internal/server):
 //
@@ -62,7 +64,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -189,39 +190,17 @@ func build(args []string, stdout io.Writer) (*app, error) {
 			opts.Durability.Close() // build failed after WAL open
 		}
 	}()
-	// The checkpointer must snapshot the predictor *currently served*
-	// (POST /restore may swap it), but the Server is built last: the
-	// snapshot closure routes through this holder once it is filled in.
-	var srvHolder atomic.Pointer[server.Server]
 	recovered := false
 	if *walDir != "" {
 		policy, err := wal.ParseFsyncPolicy(*walFsync)
 		if err != nil {
 			return nil, err
 		}
-		// Batched replay: the WAL reader coalesces consecutive same-kind
-		// records into large batches, each applied with one call.
-		res, err := wal.RecoverBatched(nil, *walDir, func(r io.Reader) error {
-			loaded, err := linkpred.LoadAnyEngine(r)
-			if err != nil {
-				return err
-			}
-			pred = loaded
-			return nil
-		}, func(kind wal.Kind, edges []stream.Edge) error {
-			if kind == wal.KindDelete {
-				del, ok := linkpred.DeleterOf(pred)
-				if !ok {
-					return fmt.Errorf("log holds delete records but mode %q cannot delete (use -mode=dynamic)", linkpred.ModeOf(pred))
-				}
-				del.DeleteEdges(edges)
-				return nil
-			}
-			pred.ObserveEdges(edges)
-			return nil
-		}, wal.BatchedReplayOptions{})
+		var res wal.RecoverResult
+		pred, opts.Durability, res, err = server.Boot(*walDir, pred,
+			wal.Options{Fsync: policy, Heal: &wal.HealOptions{Backoff: *healBack}})
 		if err != nil {
-			return nil, fmt.Errorf("wal recovery: %w", err)
+			return nil, err
 		}
 		recovered = res.SnapshotLoaded || res.Replay.Records > 0
 		if recovered {
@@ -231,22 +210,6 @@ func build(args []string, stdout io.Writer) (*app, error) {
 		if res.Replay.TruncatedBytes > 0 {
 			fmt.Fprintf(stdout, "wal: truncated %d bytes of torn/corrupt log tail\n", res.Replay.TruncatedBytes)
 		}
-		w, err := wal.Open(*walDir, wal.Options{Fsync: policy, NextSeq: res.LastSeq() + 1, Heal: &wal.HealOptions{Backoff: *healBack}})
-		if err != nil {
-			return nil, fmt.Errorf("open wal: %w", err)
-		}
-		// Directed engines log arcs, so a replayed record keeps its
-		// orientation.
-		kind := wal.KindEdge
-		if linkpred.DirectedEngine(pred) {
-			kind = wal.KindArc
-		}
-		opts.Durability = wal.NewDurable(w, *walDir, kind, func(wr io.Writer) error {
-			if s := srvHolder.Load(); s != nil {
-				return s.Engine().Save(wr)
-			}
-			return pred.Save(wr)
-		})
 		opts.Recovery = &res
 	}
 
@@ -306,7 +269,6 @@ func build(args []string, stdout io.Writer) (*app, error) {
 	fmt.Fprintf(stdout, "serving %s sketch k=%d\n", linkpred.ModeOf(pred), *k)
 	srv := server.NewWithOptions(pred, opts)
 	if opts.Durability != nil {
-		srvHolder.Store(srv)
 		opts.Durability.StartCheckpointer(*ckptEvery)
 	}
 	built = true

@@ -126,6 +126,45 @@ func TestWALRecoveryDirectedMode(t *testing.T) {
 	}
 }
 
+// TestWALRefusesOtherOrientation crashes a server before its first
+// checkpoint, so its state lives only in log records of its
+// orientation, and reboots the log in a mode of the other orientation.
+// Replaying arcs as undirected edges, or edges as arcs, would serve a
+// different graph and append records of the wrong kind to the log, so
+// the boot must fail and name the -mode flag.
+func TestWALRefusesOtherOrientation(t *testing.T) {
+	for _, tc := range []struct{ wrote, reboot, records string }{
+		{"directed", "concurrent", "directed arc"},
+		{"concurrent", "directed", "undirected edge"},
+	} {
+		t.Run(tc.wrote+"-log/"+tc.reboot, func(t *testing.T) {
+			dir := t.TempDir()
+			boot := func(mode string) (*app, error) {
+				var out strings.Builder
+				return build([]string{"-addr", ":0", "-k", "32", "-mode", mode,
+					"-wal-dir", dir, "-wal-fsync", "always"}, &out)
+			}
+			a, err := boot(tc.wrote)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(a.srv)
+			postBody(t, ts.URL+"/ingest", "1 10\n1 11\n1 12\n10 2\n11 2\n12 2\n", http.StatusOK)
+			ts.Close()
+			// Crash: no Close, no checkpoint.
+
+			a2, err := boot(tc.reboot)
+			if err == nil {
+				a2.durable.Close()
+				t.Fatalf("a %s server booted from a %s log", tc.reboot, tc.wrote)
+			}
+			if !strings.Contains(err.Error(), "log holds "+tc.records+" records") || !strings.Contains(err.Error(), "-mode") {
+				t.Errorf("boot error = %v; want it to name the %s records and -mode", err, tc.records)
+			}
+		})
+	}
+}
+
 // TestWALRecoveryWindowedMode crashes a -mode=windowed server and
 // reboots it from the WAL, asserting the timestamped replay rebuilds
 // the same window state.

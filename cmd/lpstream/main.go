@@ -53,6 +53,7 @@ import (
 
 	linkpred "linkpred"
 	"linkpred/internal/monitor"
+	"linkpred/internal/server"
 	"linkpred/internal/stream"
 	"linkpred/internal/wal"
 )
@@ -141,26 +142,6 @@ func run(args []string, stdout io.Writer, queries io.Reader) error {
 	if err != nil {
 		return err
 	}
-	// load replaces the flag-built empty engine with a -wal-dir
-	// snapshot's (the image's magic selects the store); the snapshot must
-	// match the flags, or the resumed ingest would diverge from the
-	// durable prefix.
-	observe := func(batch []linkpred.Edge) { eng.ObserveEdges(batch) }
-	load := func(r io.Reader) error {
-		loaded, lerr := linkpred.LoadAnyEngine(r)
-		if lerr != nil {
-			return lerr
-		}
-		if got := loaded.Config(); got.K != cfg.K || got.Seed != cfg.Seed || got.DistinctDegrees != cfg.DistinctDegrees || got.Tiers != cfg.Tiers {
-			return fmt.Errorf("snapshot was built with -k %d -seed %d -distinct-degrees=%v and a different -tiers ladder; rerun with the same flags",
-				got.K, got.Seed, got.DistinctDegrees)
-		}
-		if got := linkpred.ModeOf(loaded); got != mode {
-			return fmt.Errorf("snapshot was built in %s mode, this run is %s; rerun with the matching -directed/-parallel flags", got, mode)
-		}
-		eng = loaded
-		return nil
-	}
 	var mon *monitor.StreamMonitor
 	if *profile {
 		if mon, err = monitor.New(monitor.Config{Seed: *seed}); err != nil {
@@ -220,51 +201,38 @@ func run(args []string, stdout io.Writer, queries io.Reader) error {
 	// sequence number counts input edges, so the resume point is exact.
 	var durable *wal.Durable
 	var skip uint64
-	walKind := wal.KindEdge
-	if *directed {
-		walKind = wal.KindArc
-	}
 	if *walDir != "" {
 		policy, perr := wal.ParseFsyncPolicy(*walFsync)
 		if perr != nil {
 			return perr
 		}
-		// Batched replay: consecutive same-kind records are coalesced into
-		// large batches, each applied with one call.
-		res, rerr := wal.RecoverBatched(nil, *walDir, load, func(kind wal.Kind, b []stream.Edge) error {
-			if kind == wal.KindDelete {
-				del, ok := linkpred.DeleterOf(eng)
-				if !ok {
-					return fmt.Errorf("log holds delete records; rerun with the -deletes flag that wrote it")
-				}
-				del.DeleteEdges(b)
-				return nil
-			}
-			if kind != walKind {
-				return fmt.Errorf("log holds %s records; rerun with the matching -directed setting",
-					map[wal.Kind]string{wal.KindEdge: "undirected edge", wal.KindArc: "directed arc"}[kind])
-			}
-			observe(b)
-			return nil
-		}, wal.BatchedReplayOptions{})
-		if rerr != nil {
-			return fmt.Errorf("wal recovery: %w", rerr)
+		var res wal.RecoverResult
+		if eng, durable, res, err = server.Boot(*walDir, eng, wal.Options{Fsync: policy}); err != nil {
+			return err
+		}
+		// A snapshot replaces the flag-built engine (the image's magic
+		// selects the store); it must match the flags, or the resumed
+		// ingest would diverge from the durable prefix.
+		if got := eng.Config(); res.SnapshotLoaded && (got.K != cfg.K || got.Seed != cfg.Seed || got.DistinctDegrees != cfg.DistinctDegrees || got.Tiers != cfg.Tiers) {
+			err = fmt.Errorf("wal recovery: snapshot was built with -k %d -seed %d -distinct-degrees=%v and a different -tiers ladder; rerun with the same flags",
+				got.K, got.Seed, got.DistinctDegrees)
+		} else if got := linkpred.ModeOf(eng); got != mode {
+			err = fmt.Errorf("wal recovery: snapshot was built in %s mode, this run is %s; rerun with the matching -directed/-parallel flags", got, mode)
+		}
+		if err != nil {
+			durable.WAL().Close()
+			return err
 		}
 		skip = res.LastSeq()
 		if skip > 0 {
 			fmt.Fprintf(stdout, "resuming from %s: %d edges durable (snapshot seq %d, %d replayed), skipping them in the input\n",
 				*walDir, skip, res.SnapshotSeq, res.Replay.Edges)
 		}
-		w, werr := wal.Open(*walDir, wal.Options{Fsync: policy, NextSeq: skip + 1})
-		if werr != nil {
-			return fmt.Errorf("open wal: %w", werr)
-		}
-		durable = wal.NewDurable(w, *walDir, walKind, func(wr io.Writer) error { return eng.Save(wr) })
 	}
 
 	// Batched ingest pipeline: the reader fills -batch-edge buffers and
 	// handles the single-threaded bookkeeping (vertex universe, stream
-	// profile); the sketch work runs through observe — inline at
+	// profile); the sketch work runs through apply — inline at
 	// -parallel 1, fanned out to writer goroutines otherwise. Recycled
 	// buffers flow reader → workers → reader, so ingest allocates
 	// nothing per batch at steady state.
@@ -274,7 +242,9 @@ func run(args []string, stdout io.Writer, queries io.Reader) error {
 		work, free chan []stream.Edge
 		wg         sync.WaitGroup
 	)
+	apply := func(b []stream.Edge) { eng.ObserveEdges(b) }
 	if *parallel > 1 {
+		apply = func(b []stream.Edge) { work <- b }
 		work = make(chan []stream.Edge, *parallel)
 		free = make(chan []stream.Edge, 2**parallel)
 		for i := 0; i < cap(free); i++ {
@@ -285,7 +255,7 @@ func run(args []string, stdout io.Writer, queries io.Reader) error {
 			go func() {
 				defer wg.Done()
 				for b := range work {
-					observe(b)
+					eng.ObserveEdges(b)
 					free <- b[:cap(b)]
 				}
 			}()
@@ -316,23 +286,18 @@ func run(args []string, stdout io.Writer, queries io.Reader) error {
 			be = be[:copy(be, be[d:])]
 		}
 		if len(be) > 0 {
-			if durable != nil {
-				// Log before apply: an acknowledged batch is exactly one
-				// that recovery can reproduce.
-				if _, aerr := durable.WAL().Append(walKind, be); aerr != nil {
-					if *parallel > 1 {
-						close(work)
-						wg.Wait()
-					}
-					return fmt.Errorf("wal append: %w", aerr)
+			// Log before apply: an acknowledged batch is exactly one that
+			// recovery can reproduce.
+			if durable == nil {
+				apply(be)
+			} else if aerr := durable.Ingest(be, apply); aerr != nil {
+				if *parallel > 1 {
+					close(work)
+					wg.Wait()
 				}
+				return fmt.Errorf("wal append: %w", aerr)
 			}
 			edges += len(be)
-			if *parallel > 1 {
-				work <- be
-			} else {
-				observe(be)
-			}
 		} else if *parallel > 1 {
 			free <- rbuf
 		}
@@ -380,30 +345,27 @@ func run(args []string, stdout io.Writer, queries io.Reader) error {
 			dsrc = stream.NewTextReader(df)
 		}
 		requested, applied := 0, 0
+		retract := func(b []stream.Edge) { applied += del.DeleteEdges(b) }
 		dbuf := make([]stream.Edge, *batch)
 		for {
 			n, rerr := stream.ReadBatch(dsrc, dbuf)
 			if n > 0 {
 				be := dbuf[:n]
 				if skip > 0 {
-					d := len(be)
-					if uint64(d) > skip {
-						d = int(skip)
-					}
-					skip -= uint64(d)
+					d := min(uint64(len(be)), skip)
+					skip -= d
 					be = be[d:]
 				}
 				if len(be) > 0 {
-					if durable != nil {
-						// Log before apply, as KindDelete records in the same
-						// sequence space as the inserts.
-						if _, aerr := durable.WAL().Append(wal.KindDelete, be); aerr != nil {
-							df.Close()
-							return fmt.Errorf("wal append (delete): %w", aerr)
-						}
+					// Log before apply, as KindDelete records in the same
+					// sequence space as the inserts.
+					if durable == nil {
+						retract(be)
+					} else if aerr := durable.IngestRecord(wal.KindDelete, nil, be, retract); aerr != nil {
+						df.Close()
+						return fmt.Errorf("wal append (delete): %w", aerr)
 					}
 					requested += len(be)
-					applied += del.DeleteEdges(be)
 				}
 			}
 			if rerr != nil || n < *batch {

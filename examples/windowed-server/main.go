@@ -11,8 +11,10 @@
 // checkpoint image instead of a full log replay.
 //
 // This is the same machinery `lpserver -mode windowed -wal-dir ...`
-// runs in production; the example wires it by hand so each moving part
-// is visible.
+// runs in production: every boot goes through server.Boot, the one
+// recovery path lpserver and lpstream share, and the example drives the
+// HTTP surface, the crash and the restarts around it. It exits 1 if a
+// recovered /pair or /topk answer diverges.
 //
 // Run with: go run ./examples/windowed-server
 package main
@@ -55,34 +57,19 @@ func boot(dir string) (*node, error) {
 		return nil, err
 	}
 
-	// Recovery first: a snapshot (if any) replaces the empty engine —
-	// the image's magic header selects the store — and the log tail
-	// replays on top, timestamps intact, so window rotation state is
-	// rebuilt exactly.
-	res, err := wal.Recover(nil, dir, func(r io.Reader) error {
-		loaded, err := linkpred.LoadAnyEngine(r)
-		if err != nil {
-			return err
-		}
-		eng = loaded
-		return nil
-	}, func(rec wal.Record) error {
-		eng.ObserveEdges(rec.Edges)
-		return nil
-	})
+	// Recovery first, through the boot lpserver runs: a snapshot (if
+	// any) replaces the empty engine — the image's magic header selects
+	// the store — and the log tail replays on top, timestamps intact, so
+	// window rotation state is rebuilt exactly. The log then reopens to
+	// continue after the last recovered edge.
+	eng, durable, res, err := server.Boot(dir, eng, wal.Options{Fsync: wal.FsyncAlways})
 	if err != nil {
-		return nil, fmt.Errorf("wal recovery: %w", err)
+		return nil, err
 	}
 	if res.SnapshotLoaded || res.Replay.Records > 0 {
 		fmt.Printf("  recovered: snapshot seq %d + %d replayed edges -> %d vertices, %d edges\n",
 			res.SnapshotSeq, res.Replay.Edges, eng.NumVertices(), eng.NumEdges())
 	}
-
-	w, err := wal.Open(dir, wal.Options{Fsync: wal.FsyncAlways, NextSeq: res.LastSeq() + 1})
-	if err != nil {
-		return nil, err
-	}
-	durable := wal.NewDurable(w, dir, wal.KindEdge, eng.Save)
 	srv := server.NewWithOptions(eng, server.Options{Durability: durable, Recovery: &res})
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

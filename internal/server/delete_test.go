@@ -165,13 +165,10 @@ func newDynamicDurableServer(t *testing.T) (*httptest.Server, linkpred.Engine, *
 		t.Fatal(err)
 	}
 	fs := wal.NewFaultFS()
-	w, err := wal.Open("/wal", wal.Options{FS: fs, Fsync: wal.FsyncAlways, Heal: fastHeal})
+	_, d, _, err := Boot("/wal", eng, wal.Options{FS: fs, Fsync: wal.FsyncAlways, Heal: fastHeal})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := wal.NewDurable(w, "/wal", wal.KindEdge, func(wr io.Writer) error {
-		return eng.Save(wr)
-	})
 	ts := httptest.NewServer(NewWithOptions(eng, Options{Durability: d}))
 	t.Cleanup(ts.Close)
 	return ts, eng, d, fs

@@ -34,9 +34,9 @@ func waitHealthy(t *testing.T, d *wal.Durable) {
 
 // newDurableServer builds a server whose ingest path runs through a WAL
 // on a fault-injectable filesystem, returning the fs so tests can break
-// writes and syncs at will. Checkpoints save the engine the server
-// serves, which POST /restore may swap, as lpserver's do; the
-// httptest server's handler is the *Server.
+// writes and syncs at will. The log is booted as lpserver boots it, so
+// checkpoints save pred until POST /restore swaps in another engine;
+// the httptest server's handler is the *Server.
 func newDurableServer(t *testing.T) (*httptest.Server, *linkpred.Concurrent, *wal.Durable, *wal.FaultFS) {
 	t.Helper()
 	pred, err := linkpred.NewConcurrent(linkpred.Config{K: 64, Seed: 1}, 4)
@@ -44,16 +44,12 @@ func newDurableServer(t *testing.T) (*httptest.Server, *linkpred.Concurrent, *wa
 		t.Fatal(err)
 	}
 	fs := wal.NewFaultFS()
-	w, err := wal.Open("/wal", wal.Options{FS: fs, Fsync: wal.FsyncAlways, Heal: fastHeal})
+	_, d, _, err := Boot("/wal", pred, wal.Options{FS: fs, Fsync: wal.FsyncAlways, Heal: fastHeal})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var srv *Server
-	d := wal.NewDurable(w, "/wal", wal.KindEdge, func(wr io.Writer) error {
-		return srv.Engine().Save(wr)
-	})
 	t.Cleanup(func() { d.Close() })
-	srv = NewWithOptions(pred, Options{Durability: d})
+	srv := NewWithOptions(pred, Options{Durability: d})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return ts, pred, d, fs
@@ -91,10 +87,15 @@ func imageBytes(t *testing.T, eng linkpred.Engine) []byte {
 // TestRestoreSurvivesCrash: after a durable POST /restore, a crash
 // recovers the restored image plus the batches logged after it, byte for
 // byte what the server served, whether or not anything was ingested
-// between the last checkpoint and the restore.
+// between the last checkpoint and the restore, and whether or not a
+// checkpoint, which must save the restored engine, followed.
 func TestRestoreSurvivesCrash(t *testing.T) {
-	for _, between := range []bool{false, true} {
-		t.Run(fmt.Sprintf("ingest-between=%v", between), func(t *testing.T) {
+	for _, tc := range []struct {
+		between, ckptAfter bool
+		name               string
+	}{{false, false, ""}, {true, false, ""}, {true, true, ",checkpoint-after"}} {
+		between := tc.between
+		t.Run(fmt.Sprintf("ingest-between=%v%s", between, tc.name), func(t *testing.T) {
 			ts, _, d, fs := newDurableServer(t)
 			srv := ts.Config.Handler.(*Server)
 			ingest(t, ts, sharedFixture(), http.StatusOK)
@@ -111,6 +112,11 @@ func TestRestoreSurvivesCrash(t *testing.T) {
 			other.ObserveEdges([]linkpred.Edge{{U: 7, V: 8}, {U: 8, V: 9}, {U: 1, V: 9}})
 			restore(t, ts, other, http.StatusOK)
 			ingest(t, ts, "9 10\n", http.StatusOK)
+			if tc.ckptAfter {
+				if err := d.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
 			want := imageBytes(t, srv.Engine())
 
 			fs.Crash(fs.TotalWritten())

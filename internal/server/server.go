@@ -428,16 +428,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, cannotDelete, linkpred.ModeOf(eng))
 		return
 	}
-	insertKind := wal.KindEdge
-	if linkpred.DirectedEngine(eng) {
-		insertKind = wal.KindArc
-	}
+	engKind := insertKind(eng)
 	var next func() (wal.Kind, []byte, []stream.Edge, error)
 	var release func()
 	if strings.HasPrefix(r.Header.Get("Content-Type"), wal.FrameContentType) {
 		next, release = pooledFrames(r.Body)
 	} else {
-		kind := insertKind
+		kind := engKind
 		if isDelete {
 			kind = wal.KindDelete
 		}
@@ -474,7 +471,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			case !isDel && isDelete:
 				return http.StatusBadRequest, fmt.Errorf(
 					"DELETE /ingest accepts only delete frames (kind %d), got kind %d", wal.KindDelete, kind)
-			case !isDel && kind != insertKind:
+			case !isDel && kind != engKind:
 				return http.StatusBadRequest, fmt.Errorf("frame kind %d does not match the store's orientation", kind)
 			}
 			sawDelete = sawDelete || isDel

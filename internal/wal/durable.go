@@ -19,18 +19,21 @@ import (
 // side, so when it runs there is no in-flight batch: the store state
 // equals exactly the WAL prefix [1, LastSeq], which is the sequence
 // number the snapshot is stamped with. Concurrent ingests may append
-// and apply in different interleavings, but MinHash register updates
-// commute and degree counters are additive, so the quiesced state is
-// independent of that interleaving — identical to sequential ingest of
-// the log prefix.
+// and apply in different interleavings. On a uniform insert-only store
+// that does not matter: MinHash register updates commute and degree
+// counters are additive, so the quiesced state equals sequential ingest
+// of the log prefix. Stores whose folding depends on order (tiered
+// promotion, windowed rotation, dynamic insert/delete, triangle
+// tracking) can end up in a state that replay in log order does not
+// rebuild.
 type Durable struct {
 	w    *WAL
 	fsys FS
 	dir  string
 	kind Kind
 
-	mu       sync.RWMutex // read: ingest; write: checkpoint quiesce
-	snapshot func(io.Writer) error
+	mu       sync.RWMutex          // read: ingest; write: checkpoint and restore quiesce
+	snapshot func(io.Writer) error // guarded by mu; Restore replaces it
 
 	ckptMu      sync.Mutex
 	checkpoints int64
@@ -151,7 +154,7 @@ func (d *Durable) recordCheckpoint(err error) {
 // sequence number, even when nothing was logged since the last
 // checkpoint, and only once that snapshot is durable calls swap, which
 // must install the replacement as the store that later batches apply
-// to and that the checkpoint snapshot function saves. Recovery then
+// to. From then on checkpoints snapshot through save. Recovery then
 // starts from the replacement and replays only the batches logged after
 // it. On error swap is not called and nothing changed. A failure to
 // prune what the new snapshot covers is kept as a checkpoint error: the
@@ -164,6 +167,7 @@ func (d *Durable) Restore(save func(io.Writer) error, swap func()) error {
 		return err
 	}
 	swap()
+	d.snapshot = save
 	d.recordCheckpoint(d.pruneLocked(seq))
 	return nil
 }

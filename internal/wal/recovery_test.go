@@ -598,3 +598,42 @@ func TestDurableHealth(t *testing.T) {
 	}
 	d.Close()
 }
+
+// TestRestoreCheckpointsTheReplacement: once Restore has swapped in a
+// replacement store, later checkpoints must snapshot the replacement,
+// not the store the Durable was built on. Built on store A, restored
+// to image B, then fed one batch and checkpointed, the log must recover
+// B plus that batch.
+func TestRestoreCheckpointsTheReplacement(t *testing.T) {
+	fs := NewFaultFS()
+	a := referenceStore(t, testEdges(61, 100))
+	w, err := Open("/wal", Options{FS: fs, Fsync: FsyncAlways, Heal: fastHeal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDurable(w, "/wal", KindEdge, a.Save)
+	live := a
+	apply := func(b []stream.Edge) { live.ProcessEdges(b) }
+	if err := d.Ingest(testEdges(61, 100), apply); err != nil {
+		t.Fatal(err)
+	}
+	b := referenceStore(t, testEdges(62, 100))
+	if err := d.Restore(b.Save, func() { live = b }); err != nil {
+		t.Fatal(err)
+	}
+	batch := testEdges(63, 50)
+	if err := d.Ingest(batch, apply); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recovered, res := recoverStore(t, fs)
+	want := append(testEdges(62, 100), batch...)
+	if !bytes.Equal(saveBytes(t, recovered), saveBytes(t, referenceStore(t, want))) {
+		t.Fatalf("recovered store is not the restored image plus the later batch (recovery %+v)\n%s", res, fs.Dump())
+	}
+}
