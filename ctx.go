@@ -13,18 +13,18 @@ import (
 // abandoned request stops consuming query workers instead of running
 // to completion.
 //
-// Cancellation granularity follows the core contract:
+// Cancellation granularity follows the core contract (core/cancel.go):
 //
-//   - ScoreBatchCtx / TopKCtx cancel at shard granularity and return
-//     ctx.Err() once the deadline fires; partial scores are discarded.
+//   - ScoreBatchCtx / TopKCtx return ctx.Err() once the deadline fires,
+//     discarding partial scores. Sharded engines stop at shard
+//     granularity; single-writer engines check once, up front.
 //   - ObserveEdgesCtx cancels only BEFORE the batch is committed to
 //     the store. Once ingestion has started the batch always completes
 //     and nil is returned — a half-applied batch would desynchronize
 //     the store from a durability layer's acked WAL prefix.
 //
-// Stores without the cancellation capability degrade to one ctx check
-// up front followed by the plain call, so every engine mode satisfies
-// the interfaces and callers need no mode switch.
+// Every core store takes the done channel, so every engine mode
+// satisfies the interfaces and callers need no mode switch.
 
 // CtxQuerier is the capability of engines whose batched query paths
 // honor context cancellation and deadlines.
@@ -88,20 +88,14 @@ func ctxErrFrom(ctx context.Context, err error) error {
 	return err
 }
 
-// scoreBatchCoreCtx is scoreBatchCore with the request's done channel
-// threaded into stores that can honor it.
-func (f *facade[S]) scoreBatchCoreCtx(ctx context.Context, qm core.QueryMeasure, u uint64, candidates []uint64, out []float64) ([]float64, error) {
-	if cs, ok := any(f.store).(core.CancelBatchScorer); ok {
-		res, err := cs.ScoreBatchCancel(qm, u, candidates, out, ctx.Done())
-		if err != nil {
-			return nil, ctxErrFrom(ctx, err)
-		}
-		return res, nil
+// scoreBatchCtx scores through the store's batch path with the
+// request's done channel.
+func (f *facade[S]) scoreBatchCtx(ctx context.Context, qm core.QueryMeasure, u uint64, candidates []uint64, out []float64) ([]float64, error) {
+	res, err := f.store.ScoreBatch(qm, u, candidates, out, ctx.Done())
+	if err != nil {
+		return nil, ctxErrFrom(ctx, err)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return f.scoreBatchCore(qm, u, candidates, out)
+	return res, nil
 }
 
 // ScoreBatchCtx is ScoreBatch with deadline propagation: workers stop
@@ -111,7 +105,7 @@ func (f *facade[S]) ScoreBatchCtx(ctx context.Context, m Measure, u uint64, cand
 	if err != nil {
 		return nil, err
 	}
-	return f.scoreBatchCoreCtx(ctx, qm, u, candidates, nil)
+	return f.scoreBatchCtx(ctx, qm, u, candidates, nil)
 }
 
 // TopKCtx is TopK with deadline propagation through the batched
@@ -122,7 +116,7 @@ func (f *facade[S]) TopKCtx(ctx context.Context, m Measure, u uint64, candidates
 		return nil, err
 	}
 	return topKBatch(u, candidates, k, func(dedup []uint64, scores []float64) ([]float64, error) {
-		return f.scoreBatchCoreCtx(ctx, qm, u, dedup, scores)
+		return f.scoreBatchCtx(ctx, qm, u, dedup, scores)
 	})
 }
 
@@ -131,17 +125,7 @@ func (f *facade[S]) TopKCtx(ctx context.Context, m Measure, u uint64, candidates
 // and ctx.Err() is returned; once ingestion starts the batch completes
 // and nil is returned.
 func (f *facade[S]) ObserveEdgesCtx(ctx context.Context, edges []Edge) error {
-	if ci, ok := any(f.store).(core.CancelBatchIngester); ok {
-		if err := ci.IngestBatchCancel(edges, ctx.Done()); err != nil {
-			return ctxErrFrom(ctx, err)
-		}
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	f.ObserveEdges(edges)
-	return nil
+	return ctxErrFrom(ctx, f.store.IngestBatch(edges, ctx.Done()))
 }
 
 // ScoreBatchCtx scores a batch under one read lock acquisition,

@@ -87,7 +87,7 @@ func (f *facade[S]) ObserveEdge(e Edge) {
 // register updates are pointwise minima, which commute and are
 // idempotent).
 func (f *facade[S]) ObserveEdges(edges []Edge) {
-	f.store.IngestBatch(edges)
+	f.store.IngestBatch(edges, nil) // a nil done never cancels, so never fails
 }
 
 // Jaccard returns the estimated Jaccard coefficient of (u, v) in
@@ -148,30 +148,6 @@ func (f *facade[S]) Score(m Measure, u, v uint64) (float64, error) {
 	return f.store.Estimate(qm, u, v)
 }
 
-// scoreBatchCore scores candidates through the store's batched path
-// when it has one (core.BatchScorer), falling back to per-pair
-// Estimate calls otherwise. Both produce bit-identical scores on a
-// quiescent store; the batch path amortizes locks, the source's sketch
-// resolution, and the weighted measures' midpoint degree lookups over
-// the whole batch.
-func (f *facade[S]) scoreBatchCore(qm core.QueryMeasure, u uint64, candidates []uint64, out []float64) ([]float64, error) {
-	if bs, ok := any(f.store).(core.BatchScorer); ok {
-		return bs.ScoreBatch(qm, u, candidates, out)
-	}
-	if cap(out) < len(candidates) {
-		out = make([]float64, len(candidates))
-	}
-	out = out[:len(candidates)]
-	for i, v := range candidates {
-		s, err := f.store.Estimate(qm, u, v)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
 // ScoreBatch scores every candidate against u under the given measure
 // in one batched pass, returning scores aligned with candidates. It is
 // equivalent to calling Score per pair but computes shared work — the
@@ -185,7 +161,7 @@ func (f *facade[S]) ScoreBatch(m Measure, u uint64, candidates []uint64) ([]floa
 	if err != nil {
 		return nil, err
 	}
-	return f.scoreBatchCore(qm, u, candidates, nil)
+	return f.store.ScoreBatch(qm, u, candidates, nil, nil)
 }
 
 // TopK scores every candidate vertex against u under the given measure
@@ -203,7 +179,7 @@ func (f *facade[S]) TopK(m Measure, u uint64, candidates []uint64, k int) ([]Can
 		return nil, err
 	}
 	return topKBatch(u, candidates, k, func(dedup []uint64, scores []float64) ([]float64, error) {
-		return f.scoreBatchCore(qm, u, dedup, scores)
+		return f.store.ScoreBatch(qm, u, dedup, scores, nil)
 	})
 }
 

@@ -26,6 +26,7 @@ func parityEngines(t *testing.T) map[string]linkpred.Engine {
 		linkpred.ModeDirected,
 		linkpred.ModeConcurrentDirected,
 		linkpred.ModeWindowed,
+		linkpred.ModeDynamic,
 	} {
 		e, err := linkpred.NewEngine(linkpred.EngineSpec{
 			Mode:   mode,
@@ -147,17 +148,19 @@ func referenceTopK(src uint64, candidates []uint64, scores []float64, k int) []l
 
 // TestFacadeParityAcrossModes asserts the cross-mode agreements that
 // must hold exactly: the sharded facade reproduces the single-writer
-// facade bit-for-bit on the same stream (undirected and directed), and a
-// windowed store whose window never expired anything agrees with the
-// whole-stream Predictor on every measure (both use KMV distinct
-// degrees here, and a single live generation merges to the same
-// registers the plain store holds).
+// facade bit-for-bit on the same stream (undirected and directed), an
+// insert-only dynamic store reproduces it too (its recovery buffers'
+// heads are the plain registers), and a windowed store whose window
+// never expired anything agrees with the whole-stream Predictor on
+// every measure (both use KMV distinct degrees here, and a single live
+// generation merges to the same registers the plain store holds).
 func TestFacadeParityAcrossModes(t *testing.T) {
 	engines := parityEngines(t)
 
 	pairs := [][2]string{
 		{linkpred.ModeSingle, linkpred.ModeConcurrent},
 		{linkpred.ModeDirected, linkpred.ModeConcurrentDirected},
+		{linkpred.ModeSingle, linkpred.ModeDynamic},
 	}
 	for _, pr := range pairs {
 		a, b := engines[pr[0]], engines[pr[1]]
@@ -303,6 +306,7 @@ func TestFacadeParityTiered(t *testing.T) {
 		{linkpred.ModeSingle, linkpred.ModeConcurrent},
 		{linkpred.ModeDirected, linkpred.ModeConcurrentDirected},
 		{linkpred.ModeSingle, linkpred.ModeWindowed},
+		{linkpred.ModeSingle, linkpred.ModeDynamic},
 	}
 	for _, pr := range pairs {
 		a, b := engines[pr[0]], engines[pr[1]]

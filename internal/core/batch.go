@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -251,11 +250,11 @@ func (sc *batchScratch) prepare(edges []stream.Edge, k, nShards int, family *has
 	// Stage 2: hash the distinct vertices into the arena, in parallel
 	// when the batch is big enough to amortize the goroutine hand-off.
 	sc.hashes = grow(sc.hashes, nd*k)
-	parallelRange(nd, minHashChunk, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			family.HashAllTo(sc.distinct[i], sc.hashes[i*k:(i+1)*k])
-		}
-	})
+	if workers := workersFor(nd, minHashChunk); workers > 1 {
+		parallelRange(nd, workers, func(lo, hi int) { sc.hashRange(family, k, lo, hi) })
+	} else {
+		sc.hashRange(family, k, 0, nd)
+	}
 
 	// Stage 3a: counting-sort distinct vertices by destination shard.
 	// The shard assignment is precomputed so each vertex is hashed once
@@ -272,11 +271,23 @@ func (sc *batchScratch) prepare(edges []stream.Edge, k, nShards int, family *has
 	return n
 }
 
-// applyShardBatch applies shard's slice of the prepared batch sc under
-// the shard's write lock: stage 4 of the batch pipeline for one shard.
+// hashRange hashes the distinct vertices [lo, hi) into the arena.
+func (sc *batchScratch) hashRange(family *hashing.Family, k, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		family.HashAllTo(sc.distinct[i], sc.hashes[i*k:(i+1)*k])
+	}
+}
+
+// applyShardBatch applies shard's slice of the prepared batch sc, if it
+// has one, under the shard's write lock: stage 4 of the batch pipeline
+// for one shard.
 func (s *shardSet[T]) applyShardBatch(sc *batchScratch, shard int) {
+	lo, hi := sc.vertGroup.starts[shard], sc.vertGroup.starts[shard+1]
+	if lo == hi {
+		return
+	}
 	s.mus[shard].Lock()
-	s.shards[shard].applyBatch(sc, sc.vertGroup.starts[shard], sc.vertGroup.starts[shard+1])
+	s.shards[shard].applyBatch(sc, lo, hi)
 	s.refreshGauges(shard)
 	s.mus[shard].Unlock()
 }
@@ -298,19 +309,15 @@ func (s *shardSet[T]) prepare(sc *batchScratch, edges []stream.Edge) int {
 // Ingest and all estimators. On return the batch is fully applied and
 // the gauges refreshed.
 //
+// done (nil never cancels) is polled before the batch is prepared and
+// again before the first shard lock is taken. A fired done returns
+// ErrCanceled with nothing applied; once the apply has started the batch
+// always completes, because a half-applied batch would desynchronize the
+// store from the WAL's acked prefix.
+//
 // For meaningful amortization pass batches of a few hundred edges or
 // more; Ingest remains the better call for single edges.
-func (s *shardSet[T]) IngestBatch(edges []stream.Edge) {
-	s.IngestBatchCancel(edges, nil) // nil done: never cancels
-}
-
-// IngestBatchCancel is IngestBatch with pre-commit cancellation: done
-// is polled before the batch is prepared and again before the first
-// shard lock is taken. A fired done returns ErrCanceled with nothing
-// applied; once the apply has started the batch always completes,
-// because a half-applied batch would desynchronize the store from the
-// WAL's acked prefix.
-func (s *shardSet[T]) IngestBatchCancel(edges []stream.Edge, done <-chan struct{}) error {
+func (s *shardSet[T]) IngestBatch(edges []stream.Edge, done <-chan struct{}) error {
 	if len(edges) == 0 {
 		return nil
 	}
@@ -323,11 +330,13 @@ func (s *shardSet[T]) IngestBatchCancel(edges []stream.Edge, done <-chan struct{
 			batchPool.Put(sc)
 			return ErrCanceled
 		}
-		workers := runtime.GOMAXPROCS(0)
-		if len(sc.distinct) < minHashChunk {
-			workers = 1 // the hand-off would cost more than the apply
+		if workers := workersFor(len(sc.distinct), minHashChunk); workers > 1 {
+			forEachShardDone(len(s.shards), workers, nil, func(shard int) { s.applyShardBatch(sc, shard) })
+		} else {
+			for shard := range s.shards {
+				s.applyShardBatch(sc, shard)
+			}
 		}
-		forEachShardDone(len(s.shards), sc.vertGroup.starts, workers, nil, func(shard int) { s.applyShardBatch(sc, shard) })
 		s.edges.Add(int64(n))
 	}
 	batchPool.Put(sc)

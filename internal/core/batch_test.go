@@ -405,8 +405,10 @@ func TestProcessEdgeNoAllocSteadyState(t *testing.T) {
 }
 
 // TestShardedIngestBatchSmallRunsInline: a batch below minHashChunk
-// distinct vertices applies its shards on the calling goroutine, so it
-// allocates no more per call at GOMAXPROCS 2 than at GOMAXPROCS 1.
+// distinct vertices hashes and applies on the calling goroutine, so it
+// allocates no more per call at GOMAXPROCS 2 than at GOMAXPROCS 1, and
+// a warm one allocates nothing: an inline run puts no closure and no
+// flag on the heap.
 func TestShardedIngestBatchSmallRunsInline(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -416,8 +418,10 @@ func TestShardedIngestBatchSmallRunsInline(t *testing.T) {
 		t.Fatal(err)
 	}
 	edges := randomEdges(10000, 100, 20359) // under 200 distinct vertices
-	ingest := func() { s.IngestBatch(edges) }
+	ingest := func() { s.IngestBatch(edges, nil) }
 	if one, two := mallocsPerCall(1, ingest), mallocsPerCall(2, ingest); two != one {
 		t.Fatalf("100-edge IngestBatch: %d allocs per call at GOMAXPROCS 2, %d at GOMAXPROCS 1", two, one)
+	} else if one != 0 {
+		t.Fatalf("warm 100-edge IngestBatch: %d allocs per call, want 0", one)
 	}
 }

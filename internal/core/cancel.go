@@ -1,29 +1,27 @@
 package core
 
-import (
-	"errors"
+import "errors"
 
-	"linkpred/internal/stream"
-)
-
-// Cooperative cancellation for the batched hot paths (DESIGN.md §2.12).
-// The server's request deadlines surface here as a done channel — the
-// core package stays free of context plumbing, and a nil done
-// everywhere means "never cancelled" at zero cost.
+// Cooperative cancellation for the batched hot paths (DESIGN.md §2.12):
+// every Store's ScoreBatch and IngestBatch take a done channel. The
+// server's request deadlines surface here — the core package stays free
+// of context plumbing, and a nil done means "never cancelled" at zero
+// cost.
 //
 // Granularity is deliberate, not best-effort:
 //
-//   - Queries (ScoreBatchCancel) cancel at shard granularity: workers
-//     stop claiming shards once done fires, in-flight shards finish
-//     under their RLock, and the call reports ErrCanceled with the
+//   - The sharded stores' ScoreBatch cancels at shard granularity:
+//     workers stop claiming shards once done fires, in-flight shards
+//     finish under their RLock, and the call reports ErrCanceled with the
 //     output unspecified.
-//   - Ingest (IngestBatchCancel) cancels only BEFORE the batch is
+//   - The sharded stores' IngestBatch cancels only BEFORE the batch is
 //     applied. Once the first shard lock is taken it always completes:
 //     a half-applied batch would desynchronize the store from the WAL's
 //     acked prefix, which the durability layer's log-before-apply
 //     contract forbids.
+//   - The single-writer stores check done once, on entry, for both.
 
-// ErrCanceled is returned by the *Cancel variants when done fired
+// ErrCanceled is returned by ScoreBatch and IngestBatch when done fired
 // before the operation committed. For queries the output is
 // unspecified; for ingest, nothing was applied.
 var ErrCanceled = errors.New("core: operation canceled")
@@ -40,24 +38,3 @@ func canceled(done <-chan struct{}) bool {
 		return false
 	}
 }
-
-// CancelBatchScorer is the capability of stores whose batched query
-// path honors cooperative cancellation. Semantics match BatchScorer
-// with the granularity documented above.
-type CancelBatchScorer interface {
-	ScoreBatchCancel(m QueryMeasure, u uint64, candidates []uint64, out []float64, done <-chan struct{}) ([]float64, error)
-}
-
-// CancelBatchIngester is the capability of stores whose batched ingest
-// honors pre-commit cancellation: done fires before the batch is handed
-// off → ErrCanceled and nothing applied; after → the batch completes.
-type CancelBatchIngester interface {
-	IngestBatchCancel(edges []stream.Edge, done <-chan struct{}) error
-}
-
-var (
-	_ CancelBatchScorer   = (*Sharded)(nil)
-	_ CancelBatchScorer   = (*ShardedDirected)(nil)
-	_ CancelBatchIngester = (*Sharded)(nil)
-	_ CancelBatchIngester = (*ShardedDirected)(nil)
-)

@@ -179,22 +179,17 @@ func (s *DirectedStore) NumVertices() int { return len(s.vertices) }
 func (s *DirectedStore) NumArcs() int64 { return s.arcs }
 
 // OutDegree returns the out-degree estimate of u under the configured
-// DegreeMode.
+// DegreeMode: the degree of its source side.
 func (s *DirectedStore) OutDegree(u uint64) float64 {
-	st := s.vertices[u]
-	if st == nil {
-		return 0
-	}
-	return sideDegree(&s.out, st.outSlot, st.outArr)
+	_, _, d, _ := s.side(u, true, true)
+	return d
 }
 
-// InDegree returns the in-degree estimate of u.
+// InDegree returns the in-degree estimate of u: the degree of its
+// candidate side.
 func (s *DirectedStore) InDegree(u uint64) float64 {
-	st := s.vertices[u]
-	if st == nil {
-		return 0
-	}
-	return sideDegree(&s.in, st.inSlot, st.inArr)
+	_, _, d, _ := s.side(u, false, true)
+	return d
 }
 
 // sideDegree is the degree of one side (out or in) of a vertex: 0 for a
@@ -206,34 +201,26 @@ func sideDegree(b *regBank, slot int32, arrivals int64) float64 {
 	return b.degree(slot, arrivals)
 }
 
-// pairQuery is the directed side of the measure kernel (see
-// measure_kernel.go): register matches between u's out-sketch and v's
-// in-sketch, the two side degrees d_out(u) and d_in(v), and optionally
-// the matched argmin ids (the sampled two-path midpoints).
-func (s *DirectedStore) pairQuery(u, v uint64, collect bool, idBuf []uint64) (matches, effK int, du, dv float64, known bool, ids []uint64) {
-	su, sv := s.vertices[u], s.vertices[v]
-	if su == nil || sv == nil {
-		return 0, s.cfg.K, 0, 0, false, idBuf
-	}
-	// Degrees use each side's full span; the match comparison runs over
-	// the shared prefix.
-	du = sideDegree(&s.out, su.outSlot, su.outArr)
-	dv = sideDegree(&s.in, sv.inSlot, sv.inArr)
-	matches, effK, ids = matchPrefix(s.out.regs(su.outSlot), s.in.regs(sv.inSlot), s.out.argmins(su.outSlot), collect, idBuf)
-	return matches, effK, du, dv, true, ids
+// span is the side hook of single-writer queries (querybatch_single.go):
+// the bank spans behind side — u's out-sketch as a source, its in-sketch
+// as a candidate.
+func (s *DirectedStore) span(u uint64, src, deg bool, _, _ []uint64) ([]uint64, []uint64, float64, bool) {
+	return bankSpan(s.side(u, src, deg))
 }
 
-// midpointDegree weights directed midpoints by their estimated total
-// (in+out) degree (measure kernel hook).
-func (s *DirectedStore) midpointDegree(w uint64) float64 {
-	return s.OutDegree(w) + s.InDegree(w)
-}
+func (s *DirectedStore) bufWords() int { return 0 }
 
 // Estimate returns the estimate of any query measure for the candidate
 // arc u → v. Note the asymmetry: Estimate(m, u, v) scores u → v, not
 // v → u.
 func (s *DirectedStore) Estimate(m QueryMeasure, u, v uint64) (float64, error) {
-	return estimatePair(s, m, u, v)
+	return estimatePair(single[*DirectedStore]{s}, m, u, v)
+}
+
+// ScoreBatch is Store.ScoreBatch over the candidate arcs u → c; done is
+// checked once, on entry. Must not run concurrently with ProcessArc.
+func (s *DirectedStore) ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64, done <-chan struct{}) ([]float64, error) {
+	return single[*DirectedStore]{s}.scoreBatch(m, u, candidates, out, done)
 }
 
 // EstimateJaccard returns the MinHash estimate of
@@ -241,14 +228,14 @@ func (s *DirectedStore) Estimate(m QueryMeasure, u, v uint64) (float64, error) {
 // u → v. Note the asymmetry: EstimateJaccard(u, v) scores u → v, not
 // v → u.
 func (s *DirectedStore) EstimateJaccard(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryJaccard, u, v)
+	f, _ := s.Estimate(QueryJaccard, u, v)
 	return f
 }
 
 // EstimateCommonNeighbors returns the estimated number of directed
 // two-path midpoints |{w : u → w → v}|.
 func (s *DirectedStore) EstimateCommonNeighbors(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryCommonNeighbors, u, v)
+	f, _ := s.Estimate(QueryCommonNeighbors, u, v)
 	return f
 }
 
@@ -256,7 +243,7 @@ func (s *DirectedStore) EstimateCommonNeighbors(u, v uint64) float64 {
 // Σ_{w ∈ N_out(u) ∩ N_in(v)} 1/ln d(w), weighting midpoints by their
 // estimated total (in+out) degree.
 func (s *DirectedStore) EstimateAdamicAdar(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryAdamicAdar, u, v)
+	f, _ := s.Estimate(QueryAdamicAdar, u, v)
 	return f
 }
 
@@ -265,7 +252,7 @@ func (s *DirectedStore) EstimateAdamicAdar(u, v uint64) float64 {
 // Adamic–Adar construction with 1/d midpoint weights (total in+out
 // degree, clamped at 2 as everywhere else).
 func (s *DirectedStore) EstimateResourceAllocation(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryResourceAllocation, u, v)
+	f, _ := s.Estimate(QueryResourceAllocation, u, v)
 	return f
 }
 
@@ -273,7 +260,7 @@ func (s *DirectedStore) EstimateResourceAllocation(u, v uint64) float64 {
 // d_out(u)·d_in(v) — the propensity of u to emit arcs times the
 // propensity of v to receive them.
 func (s *DirectedStore) EstimatePreferentialAttachment(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryPreferentialAttachment, u, v)
+	f, _ := s.Estimate(QueryPreferentialAttachment, u, v)
 	return f
 }
 
@@ -281,7 +268,7 @@ func (s *DirectedStore) EstimatePreferentialAttachment(u, v uint64) float64 {
 // |N_out(u) ∩ N_in(v)| / sqrt(d_out(u)·d_in(v)). Pairs with an unknown
 // endpoint or a zero side-degree score 0.
 func (s *DirectedStore) EstimateCosine(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryCosine, u, v)
+	f, _ := s.Estimate(QueryCosine, u, v)
 	return f
 }
 

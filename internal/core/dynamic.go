@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"linkpred/internal/stream"
 )
@@ -268,7 +267,7 @@ func (st *dynVertexState) regID(i, depth int) uint64 {
 	return st.ents[i*depth].id
 }
 
-// fillRegs materialises st's register values into vals (length K).
+// fillRegs materialises st's register values into vals (st.k() words).
 func (s *DynamicStore) fillRegs(st *dynVertexState, vals []uint64) {
 	for i := range vals {
 		vals[i] = st.regVal(i, s.depth)
@@ -312,8 +311,10 @@ func (s *DynamicStore) ProcessEdges(edges []stream.Edge) {
 // Ingest folds one edge into the store (alias of ProcessEdge).
 func (s *DynamicStore) Ingest(e stream.Edge) { s.ProcessEdge(e) }
 
-// IngestBatch folds a batch of edges (alias of ProcessEdges).
-func (s *DynamicStore) IngestBatch(edges []stream.Edge) { s.ProcessEdges(edges) }
+// IngestBatch folds a batch of edges in order (see ingestEach).
+func (s *DynamicStore) IngestBatch(edges []stream.Edge, done <-chan struct{}) error {
+	return ingestEach(edges, done, s.ProcessEdge)
+}
 
 // insertNeighbor folds neighbor id with hash vector hashes into every
 // register of st (per-vertex count — the vertex's tier size on tiered
@@ -494,10 +495,6 @@ func (s *DynamicStore) Degree(u uint64) float64 {
 	return s.degree(st)
 }
 
-// dynValsPool recycles the register-value buffers the KMV degree path
-// materialises (the dynamic store has no flat bank span to borrow).
-var dynValsPool = sync.Pool{New: func() any { return new([]uint64) }}
-
 func (s *DynamicStore) degree(st *dynVertexState) float64 {
 	if st.arrivals <= 0 {
 		return 0
@@ -505,112 +502,51 @@ func (s *DynamicStore) degree(st *dynVertexState) float64 {
 	if s.cfg.Degrees == DegreeArrivals {
 		return float64(st.arrivals)
 	}
-	bufp := dynValsPool.Get().(*[]uint64)
+	bufp := spanPool.Get().(*[]uint64) // no bank span to borrow here
 	vals := grow(*bufp, st.k())
 	s.fillRegs(st, vals)
 	d := kmvDistinct(vals, st.arrivals)
 	*bufp = vals
-	dynValsPool.Put(bufp)
+	spanPool.Put(bufp)
 	return d
 }
 
-// pairQuery implements the measure kernel's store-specific step; see
-// pairScorer in measure_kernel.go.
-func (s *DynamicStore) pairQuery(u, v uint64, collect bool, idBuf []uint64) (matches, effK int, du, dv float64, known bool, ids []uint64) {
-	su, sv := s.vertices[u], s.vertices[v]
-	if su == nil || sv == nil {
-		return 0, s.cfg.K, 0, 0, false, idBuf
+// span is the side hook of single-writer queries (querybatch_single.go):
+// u's visible register values filled into vals, its argmin ids into ids
+// when asked for.
+func (s *DynamicStore) span(u uint64, _, deg bool, vals, ids []uint64) ([]uint64, []uint64, float64, bool) {
+	st := s.vertices[u]
+	if st == nil {
+		return nil, nil, 0, false
 	}
-	ids = idBuf
-	// Cross-tier pairs compare over the shared register prefix (min-k
-	// prefix property, see estimators.go).
-	effK = su.k()
-	if sv.k() < effK {
-		effK = sv.k()
-	}
-	for i := 0; i < effK; i++ {
-		uv := su.regVal(i, s.depth)
-		if uv == emptyRegister || uv != sv.regVal(i, s.depth) {
-			continue
-		}
-		matches++
-		if collect {
-			ids = append(ids, su.regID(i, s.depth))
+	vals = vals[:st.k()]
+	s.fillRegs(st, vals)
+	if ids != nil {
+		ids = ids[:st.k()]
+		for i := range ids {
+			ids[i] = st.regID(i, s.depth)
 		}
 	}
-	return matches, effK, s.degree(su), s.degree(sv), true, ids
+	var d float64
+	if deg {
+		d = s.degree(st)
+	}
+	return vals, ids, d, true
 }
 
-func (s *DynamicStore) midpointDegree(w uint64) float64 { return s.Degree(w) }
+func (s *DynamicStore) bufWords() int { return s.cfg.K }
 
 // Estimate returns the estimate of measure m for the pair (u, v); all
 // six measures score through the shared measure kernel.
 func (s *DynamicStore) Estimate(m QueryMeasure, u, v uint64) (float64, error) {
-	return estimatePair(s, m, u, v)
+	return estimatePair(single[*DynamicStore]{s}, m, u, v)
 }
 
-// ScoreBatch scores every candidate against u under measure m, writing
-// scores into out (grown as needed) aligned with candidates. Scores
-// are bit-identical to per-pair Estimate calls. Like the estimator
-// methods, it must not run concurrently with ProcessEdge or
-// DeleteEdge.
-func (s *DynamicStore) ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64) ([]float64, error) {
-	if !m.valid() {
-		return nil, fmt.Errorf("core: unknown query measure %v", m)
-	}
-	out = grow(out, len(candidates))
-	if len(candidates) == 0 {
-		return out, nil
-	}
-	su := s.vertices[u]
-	if su == nil {
-		clear(out)
-		return out, nil
-	}
-	srcDeg := s.degree(su)
-	sc := queryPool.Get().(*queryScratch)
-	k := su.k()
-	sc.srcVals = grow(sc.srcVals, k)
-	srcVals := sc.srcVals
-	s.fillRegs(su, srcVals)
-
-	if m.weighted() {
-		sc.srcIDs = grow(sc.srcIDs, k)
-		for i := 0; i < k; i++ {
-			sc.srcIDs[i] = su.regID(i, s.depth)
-		}
-		sc.regWeight = grow(sc.regWeight, k)
-		fillRegWeights(m, srcVals, sc.srcIDs, sc.regWeight, s)
-	}
-
-	parallelRange(len(candidates), minScoreChunk, func(lo, hi int) {
-		// Per-chunk register buffer from the shared scratch pool: chunks
-		// run on distinct workers, so each gets its own.
-		bufp := mergeBufPool.Get().(*[]uint64)
-		vals := *bufp
-		for ci := lo; ci < hi; ci++ {
-			sv := s.vertices[candidates[ci]]
-			if sv == nil {
-				out[ci] = 0
-				continue
-			}
-			var dv float64
-			if m != QueryJaccard {
-				dv = s.degree(sv)
-			}
-			var cand []uint64 // preferential attachment reads no registers
-			if m != QueryPreferentialAttachment {
-				vals = grow(vals, sv.k())
-				s.fillRegs(sv, vals)
-				cand = vals
-			}
-			out[ci] = scoreCandidate(m, srcVals, cand, sc.regWeight, srcDeg, dv)
-		}
-		*bufp = vals
-		mergeBufPool.Put(bufp)
-	})
-	queryPool.Put(sc)
-	return out, nil
+// ScoreBatch is Store.ScoreBatch; done is checked once, on entry. Like
+// the estimator methods, it must not run concurrently with ProcessEdge
+// or DeleteEdge.
+func (s *DynamicStore) ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64, done <-chan struct{}) ([]float64, error) {
+	return single[*DynamicStore]{s}.scoreBatch(m, u, candidates, out, done)
 }
 
 // MemoryBytes returns the store's estimated payload memory: the

@@ -7,25 +7,23 @@ import "math"
 // (a vertex never seen in the stream has an empty neighborhood, for
 // which every measure is 0).
 
-// pairQuery is SketchStore's side of the measure kernel (see
-// measure_kernel.go): matching registers between the two sketches, the
-// two degree estimates, and optionally the matched argmin ids.
-func (s *SketchStore) pairQuery(u, v uint64, collect bool, idBuf []uint64) (matches, effK int, du, dv float64, known bool, ids []uint64) {
-	su, sv := s.vertices[u], s.vertices[v]
-	if su == nil || sv == nil {
-		return 0, s.cfg.K, 0, 0, false, idBuf
-	}
-	matches, effK, ids = matchPrefix(s.bank.regs(su.slot), s.bank.regs(sv.slot), s.bank.argmins(su.slot), collect, idBuf)
-	return matches, effK, s.degree(su), s.degree(sv), true, ids
+// span is the side hook of single-writer queries (querybatch_single.go):
+// the bank spans behind side.
+func (s *SketchStore) span(u uint64, src, deg bool, _, _ []uint64) ([]uint64, []uint64, float64, bool) {
+	return bankSpan(s.side(u, src, deg))
 }
 
-// midpointDegree is the degree estimate used to weight common-neighbor
-// midpoints (measure kernel hook).
-func (s *SketchStore) midpointDegree(w uint64) float64 { return s.Degree(w) }
+func (s *SketchStore) bufWords() int { return 0 }
 
 // Estimate returns the estimate of any query measure for (u, v).
 func (s *SketchStore) Estimate(m QueryMeasure, u, v uint64) (float64, error) {
-	return estimatePair(s, m, u, v)
+	return estimatePair(single[*SketchStore]{s}, m, u, v)
+}
+
+// ScoreBatch is Store.ScoreBatch; done is checked once, on entry. Like
+// the estimator methods, it must not run concurrently with ProcessEdge.
+func (s *SketchStore) ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64, done <-chan struct{}) ([]float64, error) {
+	return single[*SketchStore]{s}.scoreBatch(m, u, candidates, out, done)
 }
 
 // EstimateJaccard returns the MinHash estimate of the Jaccard coefficient
@@ -33,7 +31,7 @@ func (s *SketchStore) Estimate(m QueryMeasure, u, v uint64) (float64, error) {
 // which the two sketches agree. The estimate is unbiased with
 // Var = J(1−J)/K; see theory.go for the (ε, δ) bound.
 func (s *SketchStore) EstimateJaccard(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryJaccard, u, v)
+	f, _ := s.Estimate(QueryJaccard, u, v)
 	return f
 }
 
@@ -41,7 +39,7 @@ func (s *SketchStore) EstimateJaccard(u, v uint64) float64 {
 // by combining the Jaccard estimate with the degree counters through the
 // identity |A∩B| = J/(1+J) · (|A| + |B|).
 func (s *SketchStore) EstimateCommonNeighbors(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryCommonNeighbors, u, v)
+	f, _ := s.Estimate(QueryCommonNeighbors, u, v)
 	return f
 }
 
@@ -112,7 +110,7 @@ func (s *SketchStore) EstimateCommonNeighborsViaUnion(u, v uint64) float64 {
 // intersection size ĈN gives the sum. Weights use the store's live
 // degree estimates, so they track the current stream.
 func (s *SketchStore) EstimateAdamicAdar(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryAdamicAdar, u, v)
+	f, _ := s.Estimate(QueryAdamicAdar, u, v)
 	return f
 }
 

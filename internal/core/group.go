@@ -7,12 +7,11 @@ import (
 )
 
 // Shared fan-out machinery for the batched ingest (batch.go) and the
-// batched query engine (querybatch.go): a reusable counting-sort
-// workspace for grouping work items by shard or owner, and two
-// GOMAXPROCS-bounded worker drivers. Everything here is
-// allocation-free in steady state — the grouping buffers live inside
-// pooled scratch structs, and the worker helpers spawn goroutines only
-// when the work is large enough to amortize them.
+// batched query paths (querybatch.go, querybatch_single.go): a reusable
+// counting-sort workspace for grouping work items by shard or owner, a
+// worker count, and two worker drivers. The grouping buffers live inside
+// pooled scratch structs, and work too small to split runs inline on the
+// calling goroutine, where it allocates nothing.
 
 // grouping is a reusable counting-sort workspace. After group(n,
 // nGroups, key), group g owns the item indices
@@ -46,14 +45,23 @@ func (g *grouping) group(n, nGroups int, key func(i int) int32) {
 	}
 }
 
-// forEachShardDone calls fn(shard) for every shard whose group is
-// non-empty under starts (a grouping.starts slice of length nShards+1).
-// Workers claim shard indices off an atomic cursor, so a straggler shard
-// never idles the rest of the pool. At most workers goroutines run,
-// capped by the shard count; with one, every shard runs on the calling
-// goroutine. fn is responsible for its own locking — each shard is
-// visited by exactly one worker, so per-shard locks never nest and the
-// fan-out is deadlock-free by construction.
+// workersFor is the worker count for a fan-out over n items: GOMAXPROCS,
+// capped so that each worker gets at least minChunk items (below that the
+// goroutine hand-off costs more than the work it parallelizes). At one
+// worker the caller runs the work inline and builds no closure for it: a
+// closure handed to forEachShardDone or parallelRange reaches the worker
+// goroutines, so it is heap-allocated where it is built, goroutines or
+// not.
+func workersFor(n, minChunk int) int {
+	return min(runtime.GOMAXPROCS(0), (n+minChunk-1)/minChunk)
+}
+
+// forEachShardDone calls fn(shard) for every shard on min(workers,
+// nShards) goroutines, which claim shard indices off an atomic cursor,
+// so a straggler shard never idles the rest of the pool. fn is
+// responsible for its own locking — each shard is visited by exactly one
+// worker, so per-shard locks never nest and the fan-out is deadlock-free
+// by construction.
 //
 // done (when non-nil) is polled before each shard is claimed, and a
 // fired done stops workers from claiming further shards. Shards already
@@ -62,47 +70,20 @@ func (g *grouping) group(n, nGroups int, key func(i int) int32) {
 // this returns. The return value reports whether every shard was
 // visited (false: the batch was cut short and its results are
 // incomplete).
-func forEachShardDone(nShards int, starts []int32, workers int, done <-chan struct{}, fn func(shard int)) bool {
-	if workers > nShards {
-		workers = nShards
-	}
-	var cut atomic.Bool
-	claim := func(s int) bool {
-		if done != nil {
-			select {
-			case <-done:
-				cut.Store(true)
-				return false
-			default:
-			}
-		}
-		if starts[s+1] > starts[s] {
-			fn(s)
-		}
-		return true
-	}
-	if workers <= 1 {
-		for s := 0; s < nShards; s++ {
-			if !claim(s) {
-				return false
-			}
-		}
-		return true
-	}
+func forEachShardDone(nShards, workers int, done <-chan struct{}, fn func(shard int)) bool {
 	var cursor atomic.Int32
+	var cut atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, nShards); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				s := int(cursor.Add(1)) - 1
-				if s >= nShards {
+			for s := int(cursor.Add(1)) - 1; s < nShards; s = int(cursor.Add(1)) - 1 {
+				if canceled(done) {
+					cut.Store(true)
 					return
 				}
-				if !claim(s) {
-					return
-				}
+				fn(s)
 			}
 		}()
 	}
@@ -110,15 +91,10 @@ func forEachShardDone(nShards int, starts []int32, workers int, done <-chan stru
 	return !cut.Load()
 }
 
-// parallelRange splits [0, n) into GOMAXPROCS-bounded contiguous chunks
+// parallelRange splits [0, n) into contiguous chunks, one per worker,
 // and runs fn on each. Chunks are disjoint, so fn needs no locking for
-// per-index state. Below minChunk items the call runs inline — the
-// goroutine hand-off would cost more than it parallelizes.
-func parallelRange(n, minChunk int, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if limit := (n + minChunk - 1) / minChunk; workers > limit {
-		workers = limit
-	}
+// per-index state. With one worker the call runs inline.
+func parallelRange(n, workers int, fn func(lo, hi int)) {
 	if workers <= 1 {
 		fn(0, n)
 		return

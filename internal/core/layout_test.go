@@ -21,11 +21,11 @@ import (
 
 type scoreStore interface {
 	Estimate(m QueryMeasure, u, v uint64) (float64, error)
-	ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64) ([]float64, error)
+	ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64, done <-chan struct{}) ([]float64, error)
 }
 
-// scalarStore is the subset every mode has; DirectedStore serves its
-// batch queries through ShardedDirected, so it only appears as a twin.
+// scalarStore is the subset a twin needs: only per-pair estimates are
+// asked of it.
 type scalarStore interface {
 	Estimate(m QueryMeasure, u, v uint64) (float64, error)
 }
@@ -79,7 +79,7 @@ func TestLayoutEquivalenceTable(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			for _, m := range allQueryMeasures {
 				for _, src := range sources {
-					batch, err := mode.store.ScoreBatch(m, src, cands, nil)
+					batch, err := mode.store.ScoreBatch(m, src, cands, nil, nil)
 					if err != nil {
 						t.Fatalf("m=%v: %v", m, err)
 					}
@@ -143,7 +143,7 @@ func TestPooledScratchScoreBatchRacesWriter(t *testing.T) {
 		var out []float64
 		for i := 0; i < 40; i++ {
 			m := allQueryMeasures[(seed+i)%len(allQueryMeasures)]
-			got, err := store.ScoreBatch(m, cands[(seed+i)%len(cands)], cands, out)
+			got, err := store.ScoreBatch(m, cands[(seed+i)%len(cands)], cands, out, nil)
 			if err != nil {
 				t.Error(err)
 				return

@@ -3,16 +3,18 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // The measure kernel: every sequential estimator and every batch path,
-// on every store, is the same three-step computation — (1) a store-
-// specific pair snapshot (register matches, the two endpoint degrees,
-// and optionally the matched argmin ids), (2) a midpoint weight sum for
-// the weighted measures, (3) a closed-form score from those numbers.
-// Steps 2 and 3 live here, once; each store contributes only step 1
-// (pairQuery) plus its notion of a midpoint's degree (midpointDegree).
+// on every store, is the same three-step computation — (1) a pair
+// snapshot (register matches, the two endpoint degrees, and optionally
+// the matched argmin ids), (2) a midpoint weight sum for the weighted
+// measures, (3) a closed-form score from those numbers. Steps 2 and 3
+// live here, once. Step 1 is assembled from the stores' sides — each
+// endpoint resolved to its register span, argmin ids and degree — in two
+// places: the shard set (shardset.go, querybatch.go), under its locks,
+// and the single-writer assembler (querybatch_single.go) for the other
+// four stores. Both also supply the midpoint degree (midpointDegree).
 //
 // Adding a measure therefore means: a QueryMeasure constant plus cases
 // in valid()/weighted()/String(), a weight in midpointWeight (if it is
@@ -67,8 +69,8 @@ func (m QueryMeasure) weighted() bool {
 	return m == QueryAdamicAdar || m == QueryResourceAllocation
 }
 
-// pairScorer is the per-store query kernel: one pair snapshot plus the
-// store's midpoint-degree notion. Implemented by all five stores;
+// pairScorer is the pair snapshot plus the midpoint-degree notion,
+// implemented by the shard set and by the single-writer assembler;
 // estimatePair turns it into the full six-measure estimator set.
 //
 // pairQuery returns the number of matching registers between the two
@@ -83,18 +85,13 @@ func (m QueryMeasure) weighted() bool {
 // When collect is set, the argmin ids of matching registers are
 // appended to idBuf (returned as ids, so callers can reuse a buffer's
 // capacity; the buffer is returned even when known is false).
-// Thread-safe stores take their locks inside pairQuery and release
-// them before returning, so midpointDegree calls never nest inside
-// the pair's critical section.
+// The shard set takes its locks inside pairQuery and releases them
+// before returning, so midpointDegree calls never nest inside the
+// pair's critical section.
 type pairScorer interface {
 	pairQuery(u, v uint64, collect bool, idBuf []uint64) (matches, effK int, du, dv float64, known bool, ids []uint64)
 	midpointDegree(w uint64) float64
-	Config() Config
 }
-
-// matchedIDPool recycles the matched-argmin buffers of the weighted
-// estimators so the query hot path is allocation-free in steady state.
-var matchedIDPool = sync.Pool{New: func() any { return new([]uint64) }}
 
 // midpointWeight is the per-common-neighbor weight of the weighted
 // matched-register measures, under the store's degree estimate for the
@@ -117,9 +114,9 @@ func midpointWeight(m QueryMeasure, d float64) float64 {
 // uniform stores, min(k_u, k_v) on tiered ones), matches the number of
 // matching registers, weightSum the midpoint weight sum (ignored by
 // unweighted measures), du/dv the endpoint degrees. This is the single
-// place the measure formulas live; the sequential estimators and all
-// four batch paths end here, which is what makes them bit-identical to
-// each other.
+// place the measure formulas live; the sequential estimators and both
+// batch paths end here, which is what makes them bit-identical to each
+// other.
 func scoreFromSnapshot(m QueryMeasure, kf float64, matches int, weightSum, du, dv float64) float64 {
 	switch m {
 	case QueryJaccard:
@@ -160,7 +157,7 @@ func estimatePair(s pairScorer, m QueryMeasure, u, v uint64) (float64, error) {
 		}
 		return scoreFromSnapshot(m, float64(effK), matches, 0, du, dv), nil
 	}
-	bufp := matchedIDPool.Get().(*[]uint64)
+	bufp := spanPool.Get().(*[]uint64) // the matched argmins
 	matches, effK, du, dv, known, ids := s.pairQuery(u, v, true, (*bufp)[:0])
 	// Midpoint degrees are read after pairQuery has released any pair
 	// locks (one shard lock at a time on the sharded stores — see the
@@ -170,7 +167,7 @@ func estimatePair(s pairScorer, m QueryMeasure, u, v uint64) (float64, error) {
 		weightSum += midpointWeight(m, s.midpointDegree(w))
 	}
 	*bufp = ids[:0] // keep any growth for the next query
-	matchedIDPool.Put(bufp)
+	spanPool.Put(bufp)
 	if !known {
 		return 0, nil
 	}
@@ -216,29 +213,25 @@ func matchPrefix(uVals, vVals, uIDs []uint64, collect bool, ids []uint64) (match
 	return matches, len(uVals), ids
 }
 
-// matchRegisters counts matching non-empty registers between a pinned
-// source register vector and one candidate's, accumulating the
-// precomputed per-register weights for weighted measures. The shared
-// inner loop of all four batch paths, dispatching to the branch-free
-// kernels of kernel.go (vectorized on amd64 for the unweighted count).
-func matchRegisters(m QueryMeasure, src, cand []uint64, regWeight []float64) (matches int, weightSum float64) {
-	if m.weighted() {
-		return matchWeightedRegs(src, cand, regWeight)
-	}
-	return matchCount(src, cand), 0
-}
-
-// scoreCandidate is how every batch path scores one candidate against
+// scoreCandidate is how both batch paths score one candidate against
 // its pinned source: src and srcDeg are the source's span and degree,
 // cand and candDeg the candidate's, regWeight the source's per-register
 // weights (weighted measures only). The effective k is the shorter span
-// (min-k prefix property). Preferential attachment is the degree
-// product alone and reads no registers, so callers may pass a nil cand
-// for it.
+// (min-k prefix property). The register compare is the shared inner
+// loop of both batch paths: the branch-free kernels of kernel.go
+// (vectorized on amd64 for the unweighted count). Preferential
+// attachment is the degree product alone and reads no registers, so
+// callers may pass a nil cand for it.
 func scoreCandidate(m QueryMeasure, src, cand []uint64, regWeight []float64, srcDeg, candDeg float64) float64 {
-	if m == QueryPreferentialAttachment {
+	var matches int
+	var weightSum float64
+	switch {
+	case m == QueryPreferentialAttachment:
 		return srcDeg * candDeg
+	case m.weighted():
+		matches, weightSum = matchWeightedRegs(src, cand, regWeight)
+	default:
+		matches = matchCount(src, cand)
 	}
-	matches, weightSum := matchRegisters(m, src, cand, regWeight)
 	return scoreFromSnapshot(m, float64(min(len(src), len(cand))), matches, weightSum, srcDeg, candDeg)
 }

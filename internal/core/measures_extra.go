@@ -17,7 +17,7 @@ package core
 // Degrees are clamped at 2 for the same reason as Adamic–Adar weights
 // (a true common neighbor always has degree >= 2).
 func (s *SketchStore) EstimateResourceAllocation(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryResourceAllocation, u, v)
+	f, _ := s.Estimate(QueryResourceAllocation, u, v)
 	return f
 }
 
@@ -25,7 +25,7 @@ func (s *SketchStore) EstimateResourceAllocation(u, v uint64) float64 {
 // degree estimates — exact in DegreeArrivals mode on duplicate-free
 // streams.
 func (s *SketchStore) EstimatePreferentialAttachment(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryPreferentialAttachment, u, v)
+	f, _ := s.Estimate(QueryPreferentialAttachment, u, v)
 	return f
 }
 
@@ -34,6 +34,6 @@ func (s *SketchStore) EstimatePreferentialAttachment(u, v uint64) float64 {
 // estimate and the degree counters. Pairs involving unknown or isolated
 // vertices score 0.
 func (s *SketchStore) EstimateCosine(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryCosine, u, v)
+	f, _ := s.Estimate(QueryCosine, u, v)
 	return f
 }

@@ -132,7 +132,7 @@ func loadShards[T any](rd *binReader, nShards int, f *storeFormat,
 	if parallelPersist(nShards) {
 		if offs, ok := shardOffsets(rd, nShards, f); ok {
 			errs := make([]error, nShards)
-			parallelRange(nShards, 1, func(lo, hi int) {
+			parallelRange(nShards, workersFor(nShards, 1), func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					sec := rd.section(offs[i], offs[i+1]-offs[i])
 					sec.shard, sec.nShards = i, nShards

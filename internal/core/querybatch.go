@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"linkpred/internal/rng"
@@ -56,10 +55,14 @@ import (
 const minScoreChunk = 256
 
 // queryScratch holds every reusable buffer of one in-flight batched
-// query. Store-agnostic, like batchScratch, so one pool serves the
-// sharded, directed, plain, and windowed stores.
+// query. Store-agnostic, like batchScratch, so one pool serves the shard
+// set and the single-writer assembler (querybatch_single.go), which
+// uses only the source buffers and the weights.
 type queryScratch struct {
-	// Pinned source snapshot (stage 1) and per-register weights (stage 2).
+	// Pinned source snapshot (stage 1) and per-register weights (stage
+	// 2). The shard set copies the source's bank spans into srcVals and
+	// srcIDs; the single-writer stores that build their spans (Windowed,
+	// DynamicStore) fill them there.
 	srcVals   []uint64
 	srcIDs    []uint64
 	regWeight []float64
@@ -154,14 +157,6 @@ func (sc *queryScratch) groupByShard(nShards int) {
 	sc.group.group(nd, nShards, func(i int) int32 { return sc.candShard[i] })
 }
 
-// fanOut writes each caller position's score from its distinct
-// candidate's slot.
-func (sc *queryScratch) fanOut(out []float64) {
-	for i := range out {
-		out[i] = sc.scores[sc.candIdx[i]]
-	}
-}
-
 // ScoreBatch scores every candidate against u under measure m — every
 // candidate arc u → c on directed stores — writing the scores into out
 // (grown as needed) aligned with candidates, and returns it. Duplicate
@@ -176,16 +171,12 @@ func (sc *queryScratch) fanOut(out []float64) {
 // each shard's candidates directly from its register bank under one
 // RLock per shard per batch. Per-query lock cost is O(shards + K), not
 // O(candidates).
-func (s *shardSet[T]) ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64) ([]float64, error) {
-	return s.ScoreBatchCancel(m, u, candidates, out, nil)
-}
-
-// ScoreBatchCancel is ScoreBatch with cooperative cancellation: done
-// (non-nil) is polled before the batch starts and before each shard is
-// claimed, so an expired request stops consuming query workers at shard
-// granularity. A fired done returns ErrCanceled; out's contents are
-// then unspecified.
-func (s *shardSet[T]) ScoreBatchCancel(m QueryMeasure, u uint64, candidates []uint64, out []float64, done <-chan struct{}) ([]float64, error) {
+//
+// done (nil never cancels) is polled before the batch starts and before
+// each shard is claimed, so an expired request stops consuming query
+// workers at shard granularity. A fired done returns ErrCanceled; out's
+// contents are then unspecified.
+func (s *shardSet[T]) ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64, done <-chan struct{}) ([]float64, error) {
 	if !m.valid() {
 		return nil, fmt.Errorf("core: unknown query measure %v", m)
 	}
@@ -203,14 +194,9 @@ func (s *shardSet[T]) ScoreBatchCancel(m QueryMeasure, u uint64, candidates []ui
 	// count — Config.K, or its tier size on tiered stores.
 	a := s.shardOf(u)
 	s.mus[a].RLock()
-	srcBank, srcSlot, srcDeg, srcKnown := s.shards[a].side(u, true, true)
-	if srcKnown {
-		srcRegs := srcBank.regs(srcSlot)
-		sc.srcVals = grow(sc.srcVals, len(srcRegs))
-		sc.srcIDs = grow(sc.srcIDs, len(srcRegs))
-		copy(sc.srcVals, srcRegs)
-		copy(sc.srcIDs, srcBank.argmins(srcSlot))
-	}
+	srcVals, srcIDs, srcDeg, srcKnown := bankSpan(s.shards[a].side(u, true, true))
+	sc.srcVals = append(sc.srcVals[:0], srcVals...)
+	sc.srcIDs = append(sc.srcIDs[:0], srcIDs...)
 	s.mus[a].RUnlock()
 	if !srcKnown {
 		// Every measure scores 0 against an unknown source (for
@@ -234,71 +220,88 @@ func (s *shardSet[T]) ScoreBatchCancel(m QueryMeasure, u uint64, candidates []ui
 	nShards := len(s.shards)
 	sc.groupByShard(nShards)
 
-	// Stage 4: score each shard's candidates in place, directly from the
-	// shard's register bank (its in-side bank on directed stores), under
-	// one RLock per shard. Each candidate belongs to exactly one shard, so
-	// workers write disjoint score slots. scoreCandidate is the same
-	// kernel the sequential estimators end in, which is what keeps the
-	// two paths bit-identical. Two passes per shard, both under the same
-	// RLock (so slots stay valid — the bank cannot grow/move while it is
-	// held): the first resolves every candidate's slot and walks one word
-	// per cache line of its register span, which overlaps the span
-	// fetches across candidates (the match kernel's loads are consumed
-	// serially, so letting it demand-miss per candidate wastes the memory
-	// parallelism the independent lookups have); the second scores
-	// against now-warm lines. Degrees come from the bank's per-slot cache
-	// in the first pass, so the degree term costs one load per candidate;
-	// preferential attachment is the degree product alone and touches no
-	// registers at all.
+	// Stage 4: score each shard's candidates in place (scoreShard). A
+	// batch too small to split runs on the calling goroutine.
 	sc.slots = grow(sc.slots, nd)
 	sc.degs = grow(sc.degs, nd)
 	sc.scores = grow(sc.scores, nd)
-	workers := runtime.GOMAXPROCS(0)
-	if nd < minScoreChunk {
-		workers = 1 // the hand-off would cost more than the scoring
+	complete := true
+	if workers := workersFor(nd, minScoreChunk); workers > 1 {
+		complete = forEachShardDone(nShards, workers, done, func(shard int) { s.scoreShard(sc, m, srcDeg, shard) })
+	} else {
+		for shard := range nShards {
+			if canceled(done) {
+				complete = false
+				break
+			}
+			s.scoreShard(sc, m, srcDeg, shard)
+		}
 	}
-	complete := forEachShardDone(nShards, sc.group.starts, workers, done, func(shard int) {
-		st := s.shards[shard]
-		s.mus[shard].RLock()
-		lo, hi := sc.group.starts[shard], sc.group.starts[shard+1]
-		var bank *regBank // the candidate side's bank, one per shard
-		var warm uint64
-		for gi := lo; gi < hi; gi++ {
-			c := sc.group.order[gi]
-			b, slot, d, ok := st.side(sc.distinct[c], false, m != QueryJaccard)
-			if !ok {
-				sc.slots[c] = -1
-				continue
-			}
-			bank = b
-			sc.slots[c] = slot
-			sc.degs[c] = d
-			if m != QueryPreferentialAttachment {
-				regs := b.regs(slot)
-				for j := 0; j < len(regs); j += 8 {
-					warm += regs[j]
-				}
-			}
-		}
-		prefetchSink.Store(warm)
-		for gi := lo; gi < hi; gi++ {
-			c := sc.group.order[gi]
-			slot := sc.slots[c]
-			if slot < 0 {
-				sc.scores[c] = 0
-				continue
-			}
-			sc.scores[c] = scoreCandidate(m, sc.srcVals, bank.regs(slot), sc.regWeight, srcDeg, sc.degs[c])
-		}
-		s.mus[shard].RUnlock()
-	})
 	if !complete {
 		queryPool.Put(sc) // workers joined: scratch is safe to recycle
 		return out, ErrCanceled
 	}
 
 	// Stage 5: fan scores back out to the caller's candidate order.
-	sc.fanOut(out)
+	for i := range out {
+		out[i] = sc.scores[sc.candIdx[i]]
+	}
 	queryPool.Put(sc)
 	return out, nil
+}
+
+// scoreShard is stage 4 for one shard: it scores the shard's distinct
+// candidates directly from the shard's register bank (its in-side bank
+// on directed stores) against the pinned source, under one RLock. Each
+// candidate belongs to exactly one shard, so workers write disjoint
+// score slots. scoreCandidate is the same kernel the sequential
+// estimators end in, which is what keeps the two paths bit-identical.
+//
+// Two passes, both under the same RLock (so slots stay valid — the bank
+// cannot grow or move while it is held): the first resolves every
+// candidate's slot and walks one word per cache line of its register
+// span, which overlaps the span fetches across candidates (the match
+// kernel's loads are consumed serially, so letting it demand-miss per
+// candidate wastes the memory parallelism the independent lookups
+// have); the second scores against now-warm lines. Degrees come from
+// the bank's per-slot cache in the first pass, so the degree term costs
+// one load per candidate; preferential attachment is the degree product
+// alone and touches no registers at all.
+func (s *shardSet[T]) scoreShard(sc *queryScratch, m QueryMeasure, srcDeg float64, shard int) {
+	lo, hi := sc.group.starts[shard], sc.group.starts[shard+1]
+	if lo == hi {
+		return
+	}
+	st := s.shards[shard]
+	s.mus[shard].RLock()
+	var bank *regBank // the candidate side's bank, one per shard
+	var warm uint64
+	for gi := lo; gi < hi; gi++ {
+		c := sc.group.order[gi]
+		b, slot, d, ok := st.side(sc.distinct[c], false, m != QueryJaccard)
+		if !ok {
+			sc.slots[c] = -1
+			continue
+		}
+		bank = b
+		sc.slots[c] = slot
+		sc.degs[c] = d
+		if m != QueryPreferentialAttachment {
+			regs := b.regs(slot)
+			for j := 0; j < len(regs); j += 8 {
+				warm += regs[j]
+			}
+		}
+	}
+	prefetchSink.Store(warm)
+	for gi := lo; gi < hi; gi++ {
+		c := sc.group.order[gi]
+		slot := sc.slots[c]
+		if slot < 0 {
+			sc.scores[c] = 0
+			continue
+		}
+		sc.scores[c] = scoreCandidate(m, sc.srcVals, bank.regs(slot), sc.regWeight, srcDeg, sc.degs[c])
+	}
+	s.mus[shard].RUnlock()
 }

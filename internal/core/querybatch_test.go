@@ -86,7 +86,7 @@ func TestShardedScoreBatchMatchesSequential(t *testing.T) {
 		s.ProcessEdges(edges)
 		for _, src := range []uint64{edges[0].U, 3, 999 /* unknown */} {
 			for _, m := range allQueryMeasures {
-				got, err := s.ScoreBatch(m, src, cands, nil)
+				got, err := s.ScoreBatch(m, src, cands, nil, nil)
 				if err != nil {
 					t.Fatalf("degrees=%v ScoreBatch(%v): %v", degrees, m, err)
 				}
@@ -124,7 +124,9 @@ func mallocsPerCall(procs int, fn func()) uint64 {
 
 // TestShardedScoreBatchSmallRunsInline: a batch below minScoreChunk
 // distinct candidates scores its shards on the calling goroutine, so it
-// allocates no more per call at GOMAXPROCS 2 than at GOMAXPROCS 1.
+// allocates no more per call at GOMAXPROCS 2 than at GOMAXPROCS 1 — and,
+// with a caller-supplied out, nothing at all: an inline run puts no
+// closure and no flag on the heap.
 func TestShardedScoreBatchSmallRunsInline(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -141,12 +143,59 @@ func TestShardedScoreBatchSmallRunsInline(t *testing.T) {
 	}
 	out := make([]float64, len(cands))
 	score := func() {
-		if _, err := s.ScoreBatch(QueryJaccard, edges[0].U, cands, out); err != nil {
+		if _, err := s.ScoreBatch(QueryJaccard, edges[0].U, cands, out, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if one, two := mallocsPerCall(1, score), mallocsPerCall(2, score); two != one {
 		t.Fatalf("16-candidate ScoreBatch: %d allocs per call at GOMAXPROCS 2, %d at GOMAXPROCS 1", two, one)
+	} else if one != 0 {
+		t.Fatalf("16-candidate ScoreBatch into a supplied out: %d allocs per call, want 0", one)
+	}
+}
+
+// TestScoreBatchMatchesEstimateFanOut runs every store's batch path on
+// more distinct candidates than one worker takes, at GOMAXPROCS 2, so
+// the shard set's shard fan-out and the single-writer assembler's
+// chunked fan-out both start workers; the scores must still equal
+// per-pair Estimate, bit for bit.
+func TestScoreBatchMatchesEstimateFanOut(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	x := rng.NewXoshiro256(5)
+	edges := make([]stream.Edge, 20000)
+	for i := range edges {
+		edges[i] = stream.Edge{U: uint64(x.Intn(3000)), V: uint64(x.Intn(3000)), T: int64(i)}
+	}
+	cands := make([]uint64, 4*minScoreChunk)
+	for i := range cands {
+		cands[i] = uint64(i)
+	}
+	cfg := Config{K: 32, Seed: 3, Degrees: DegreeDistinctKMV}
+	for _, tc := range []struct {
+		name  string
+		store Store
+	}{
+		{"sharded", must(NewSharded(cfg, 8))},
+		{"sharded-directed", must(NewShardedDirected(cfg, 8))},
+		{"single", must(NewSketchStore(cfg))},
+		{"directed", must(NewDirectedStore(cfg))},
+		{"windowed", must(NewWindowed(cfg, 1<<40, 4))},
+		{"dynamic", must(NewDynamicStore(cfg, 0))},
+	} {
+		if err := tc.store.IngestBatch(edges, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range allQueryMeasures {
+			got, err := tc.store.ScoreBatch(m, 7, cands, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range cands {
+				if want, _ := tc.store.Estimate(m, 7, v); !sameFloat(got[i], want) {
+					t.Fatalf("%s %v v=%d: batch %v, Estimate %v", tc.name, m, v, got[i], want)
+				}
+			}
+		}
 	}
 }
 
@@ -155,7 +204,7 @@ func TestShardedScoreBatchRejectsBadMeasure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ScoreBatch(QueryMeasure(99), 1, []uint64{2}, nil); err == nil {
+	if _, err := s.ScoreBatch(QueryMeasure(99), 1, []uint64{2}, nil, nil); err == nil {
 		t.Fatal("want error for invalid measure")
 	}
 }
@@ -172,7 +221,7 @@ func TestShardedDirectedScoreBatchMatchesSequential(t *testing.T) {
 		}
 		for _, src := range []uint64{edges[0].U, 3, 999} {
 			for _, m := range allQueryMeasures {
-				got, err := s.ScoreBatch(m, src, cands, nil)
+				got, err := s.ScoreBatch(m, src, cands, nil, nil)
 				if err != nil {
 					t.Fatalf("degrees=%v ScoreBatch(%v): %v", degrees, m, err)
 				}
@@ -199,7 +248,7 @@ func TestSketchStoreScoreBatchMatchesSequential(t *testing.T) {
 		}
 		for _, src := range []uint64{edges[0].U, 3, 999} {
 			for _, m := range allQueryMeasures {
-				got, err := s.ScoreBatch(m, src, cands, nil)
+				got, err := s.ScoreBatch(m, src, cands, nil, nil)
 				if err != nil {
 					t.Fatalf("degrees=%v ScoreBatch(%v): %v", degrees, m, err)
 				}
@@ -225,7 +274,7 @@ func TestWindowedScoreBatchMatchesSequential(t *testing.T) {
 	}
 	for _, src := range []uint64{edges[len(edges)-1].U, 3, 999} {
 		for _, m := range allQueryMeasures {
-			got, err := w.ScoreBatch(m, src, cands, nil)
+			got, err := w.ScoreBatch(m, src, cands, nil, nil)
 			if err != nil {
 				t.Fatalf("ScoreBatch(%v): %v", m, err)
 			}
@@ -275,7 +324,7 @@ func TestShardedScoreBatchRace(t *testing.T) {
 					defer wg.Done()
 					for i := 0; i < 50; i++ {
 						m := tc.measures[i%len(tc.measures)]
-						got, err := s.ScoreBatch(m, cands[i%len(cands)], cands, nil)
+						got, err := s.ScoreBatch(m, cands[i%len(cands)], cands, nil, nil)
 						if err != nil {
 							t.Error(err)
 							return
@@ -289,6 +338,47 @@ func TestShardedScoreBatchRace(t *testing.T) {
 			}
 			wg.Wait()
 		})
+	}
+}
+
+// TestShardedScoreBatchFanOutRace races batches big enough to start the
+// shard fan-out's workers (1,024 distinct candidates at GOMAXPROCS 2)
+// against batched writers, on both shard-set stores; run with -race.
+// Only memory safety and result shape are asserted.
+func TestShardedScoreBatchFanOutRace(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	edges, _ := batchEdges(41, 4000)
+	cands := make([]uint64, 4*minScoreChunk)
+	for i := range cands {
+		cands[i] = uint64(i)
+	}
+	cfg := Config{K: 16, Seed: 2, Degrees: DegreeDistinctKMV}
+	for _, s := range []Store{must(NewSharded(cfg, 8)), must(NewShardedDirected(cfg, 8))} {
+		if err := s.IngestBatch(edges[:1000], nil); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for lo := 1000; lo < len(edges); lo += 128 {
+				if err := s.IngestBatch(edges[lo:min(lo+128, len(edges))], nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 24; i++ {
+				got, err := s.ScoreBatch(allQueryMeasures[i%len(allQueryMeasures)], cands[i], cands, nil, nil)
+				if err != nil || len(got) != len(cands) {
+					t.Errorf("ScoreBatch: %d scores for %d candidates, err %v", len(got), len(cands), err)
+					return
+				}
+			}
+		}()
+		wg.Wait()
 	}
 }
 

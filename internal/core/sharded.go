@@ -50,7 +50,7 @@ func (s *Sharded) ProcessEdge(e stream.Edge) { s.Ingest(e) }
 
 // ProcessEdges folds a batch of edges (alias of IngestBatch). Safe for
 // concurrent use.
-func (s *Sharded) ProcessEdges(edges []stream.Edge) { s.IngestBatch(edges) }
+func (s *Sharded) ProcessEdges(edges []stream.Edge) { s.IngestBatch(edges, nil) }
 
 // foldHalf folds neighbor nbr, whose precomputed hash vector is h, into
 // owner's sketch (shard-set hook; an undirected vertex has one sketch,

@@ -171,7 +171,7 @@ func BenchmarkShardedScoreBatch(b *testing.B) {
 		b.Run(m.String(), func(b *testing.B) {
 			var out []float64
 			for i := 0; i < b.N; i++ {
-				out, err = s.ScoreBatch(m, u, cands, out)
+				out, err = s.ScoreBatch(m, u, cands, out, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -41,7 +41,7 @@ func (s *ShardedDirected) ProcessArc(e stream.Edge) { s.Ingest(e) }
 
 // ProcessArcs folds a batch of arcs (alias of IngestBatch). Safe for
 // concurrent use.
-func (s *ShardedDirected) ProcessArcs(arcs []stream.Edge) { s.IngestBatch(arcs) }
+func (s *ShardedDirected) ProcessArcs(arcs []stream.Edge) { s.IngestBatch(arcs, nil) }
 
 // OutDegree returns the out-degree estimate of u. Safe for concurrent
 // use.

@@ -74,6 +74,15 @@ type shardStore interface {
 	side(u uint64, src, deg bool) (b *regBank, slot int32, d float64, ok bool)
 }
 
+// bankSpan turns a side hook's result into u's register and argmin
+// spans in the bank.
+func bankSpan(b *regBank, slot int32, d float64, ok bool) ([]uint64, []uint64, float64, bool) {
+	if !ok {
+		return nil, nil, 0, false
+	}
+	return b.regs(slot), b.argmins(slot), d, true
+}
+
 // shardKind is what a shard set needs to know about its store type
 // beyond the hooks: how to build and decode one shard, whether batch
 // half-edges carry out/in sides, and the container framing.
@@ -266,23 +275,18 @@ func (s *shardSet[T]) pairQuery(u, v uint64, collect bool, idBuf []uint64) (matc
 		}
 		s.mus[lo].RUnlock()
 	}()
-	ub, us, du, okU := s.shards[a].side(u, true, true)
-	if !okU {
-		return 0, s.cfg.K, 0, 0, false, idBuf // hand idBuf back so callers keep its capacity
+	uv, uIDs, du, okU := bankSpan(s.shards[a].side(u, true, true))
+	vv, _, dv, okV := bankSpan(s.shards[b].side(v, false, true))
+	if !okU || !okV {
+		return 0, 0, 0, 0, false, idBuf // hand idBuf back so callers keep its capacity
 	}
-	vb, vs, dv, okV := s.shards[b].side(v, false, true)
-	if !okV {
-		return 0, s.cfg.K, 0, 0, false, idBuf
-	}
-	matches, effK, ids = matchPrefix(ub.regs(us), vb.regs(vs), ub.argmins(us), collect, idBuf)
+	matches, effK, ids = matchPrefix(uv, vv, uIDs, collect, idBuf)
 	return matches, effK, du, dv, true, ids
 }
 
-// midpointDegree is the degree estimate used to weight common-neighbor
-// midpoints (measure kernel hook): Degree, which is the total in+out
-// degree on directed stores. Lookups happen after pairQuery has
-// released the pair locks — one shard lock at a time — see the
-// locking note at the top of this file.
+// midpointDegree weights common-neighbor midpoints by Degree (measure
+// kernel hook), one shard lock at a time, after pairQuery has released
+// the pair's locks (see the locking note at the top of this file).
 func (s *shardSet[T]) midpointDegree(w uint64) float64 { return s.Degree(w) }
 
 // Estimate returns the estimate of any query measure for (u, v) — the

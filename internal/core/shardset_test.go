@@ -29,34 +29,38 @@ func TestShardCountBound(t *testing.T) {
 }
 
 // TestCancellationContract pins the cooperative-cancellation contract of
-// cancel.go on both shard-set instantiations: a done that fired before
-// an ingest call leaves the store untouched; a fired done cancels
-// ScoreBatchCancel, and a nil done makes it ScoreBatch, bit for bit.
+// cancel.go on all six stores: a done that fired before an ingest call
+// leaves the store untouched; a fired done cancels ScoreBatch, and with
+// a nil done ScoreBatch equals per-pair Estimate, bit for bit.
 func TestCancellationContract(t *testing.T) {
 	cfg := Config{K: 32, Seed: 17}
-	t.Run("sharded", func(t *testing.T) {
-		checkCancellation(t, func() *shardSet[*SketchStore] {
-			return &must(NewSharded(cfg, 4)).shardSet
-		})
-	})
-	t.Run("sharded-directed", func(t *testing.T) {
-		checkCancellation(t, func() *shardSet[*DirectedStore] {
-			return &must(NewShardedDirected(cfg, 4)).shardSet
-		})
-	})
+	for _, tc := range []struct {
+		name  string
+		store Store
+	}{
+		{"sharded", must(NewSharded(cfg, 4))},
+		{"sharded-directed", must(NewShardedDirected(cfg, 4))},
+		{"single", must(NewSketchStore(cfg))},
+		{"directed", must(NewDirectedStore(cfg))},
+		{"windowed", must(NewWindowed(cfg, 1<<40, 4))},
+		{"dynamic", must(NewDynamicStore(cfg, 0))},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkCancellation(t, tc.store) })
+	}
 }
 
-func checkCancellation[T shardStore](t *testing.T, newSet func() *shardSet[T]) {
+func checkCancellation(t *testing.T, s Store) {
 	edges, cands := batchEdges(23, 3000)
 	first, second := edges[:1000], edges[1000:2000]
 	fired := make(chan struct{})
 	close(fired)
 
-	s := newSet()
-	s.IngestBatch(first)
+	if err := s.IngestBatch(first, nil); err != nil {
+		t.Fatal(err)
+	}
 	edgesBefore, imgBefore := s.NumEdges(), saveBytes(t, s.Save)
 
-	if err := s.IngestBatchCancel(second, fired); !errors.Is(err, ErrCanceled) {
+	if err := s.IngestBatch(second, fired); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("ingest with a fired done: err = %v, want ErrCanceled", err)
 	}
 	if s.NumEdges() != edgesBefore || !bytes.Equal(saveBytes(t, s.Save), imgBefore) {
@@ -64,20 +68,20 @@ func checkCancellation[T shardStore](t *testing.T, newSet func() *shardSet[T]) {
 	}
 
 	for m := QueryJaccard; m <= QueryCosine; m++ {
-		if _, err := s.ScoreBatchCancel(m, 7, cands, nil, fired); !errors.Is(err, ErrCanceled) {
-			t.Fatalf("%v: ScoreBatchCancel with a fired done: err = %v, want ErrCanceled", m, err)
+		if _, err := s.ScoreBatch(m, 7, cands, nil, fired); !errors.Is(err, ErrCanceled) {
+			t.Fatalf("%v: ScoreBatch with a fired done: err = %v, want ErrCanceled", m, err)
 		}
-		got, err := s.ScoreBatchCancel(m, 7, cands, nil, nil)
+		got, err := s.ScoreBatch(m, 7, cands, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := s.ScoreBatch(m, 7, cands, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if !sameFloat(got[i], want[i]) {
-				t.Fatalf("%v candidate %d: ScoreBatchCancel(nil done) = %v, ScoreBatch = %v", m, cands[i], got[i], want[i])
+		for i, v := range cands {
+			want, err := s.Estimate(m, 7, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameFloat(got[i], want) {
+				t.Fatalf("%v candidate %d: ScoreBatch(nil done) = %v, Estimate = %v", m, v, got[i], want)
 			}
 		}
 	}

@@ -22,9 +22,15 @@ import (
 //
 // Thread-safety is the store's own contract, not the interface's: the
 // sharded stores are safe for concurrent use, the single-writer stores
-// (SketchStore, DirectedStore, Windowed, DynamicStore) are not. Callers that need a
-// uniform concurrency story wrap single-writer stores in a lock (see
-// the root package's Synchronized).
+// (SketchStore, DirectedStore, Windowed, DynamicStore) are not. Callers
+// that need a uniform concurrency story wrap single-writer stores in a
+// lock (see the root package's Synchronized).
+//
+// The two batch methods take a done channel for cooperative
+// cancellation (cancel.go); nil never cancels. Queries come from each
+// store's side hook, assembled in two places: the shard set for the
+// sharded stores, the single-writer assembler (querybatch_single.go)
+// for the other four.
 type Store interface {
 	// Config returns the store's (per-shard / per-generation)
 	// configuration.
@@ -37,14 +43,23 @@ type Store interface {
 	// IngestBatch folds a batch of edges (arcs, on directed stores), with
 	// the same result as Ingest on each. The sharded stores amortize
 	// hashing and locking over the batch (see batch.go); the
-	// single-writer stores fold edge by edge.
-	IngestBatch(edges []stream.Edge)
+	// single-writer stores fold edge by edge. If done has fired before
+	// the batch is applied, it returns ErrCanceled and applies nothing;
+	// that is its only error.
+	IngestBatch(edges []stream.Edge, done <-chan struct{}) error
 
 	// Estimate returns the estimate of measure m for the pair (u, v) —
 	// the candidate arc u → v on directed stores. Unknown vertices have
 	// empty neighborhoods, for which every measure is 0. The only error
 	// is an invalid measure.
 	Estimate(m QueryMeasure, u, v uint64) (float64, error)
+
+	// ScoreBatch scores every candidate against u under measure m —
+	// every candidate arc u → c on directed stores — into out (grown as
+	// needed), aligned with candidates. Scores are bit-identical to
+	// per-pair Estimate calls on a quiescent store. Errors are an
+	// invalid measure and ErrCanceled, after which out is unspecified.
+	ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64, done <-chan struct{}) ([]float64, error)
 
 	// Degree returns the degree estimate of u under the store's degree
 	// mode (total in+out degree on directed stores; windowed KMV
@@ -80,15 +95,6 @@ type Store interface {
 	Save(w io.Writer) error
 }
 
-// BatchScorer is the capability of stores with a batched
-// one-source/many-candidates query path (see querybatch.go). out is
-// grown as needed and returned aligned with candidates; scores are
-// bit-identical to per-pair Estimate calls on a quiescent store.
-// Stores without it are scored pair-by-pair.
-type BatchScorer interface {
-	ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64) ([]float64, error)
-}
-
 // Windower is the capability of time-windowed stores.
 type Windower interface {
 	// Window returns the covered span of stream time.
@@ -114,12 +120,6 @@ var (
 	_ Store = (*Windowed)(nil)
 	_ Store = (*DynamicStore)(nil)
 
-	_ BatchScorer = (*SketchStore)(nil)
-	_ BatchScorer = (*Sharded)(nil)
-	_ BatchScorer = (*ShardedDirected)(nil)
-	_ BatchScorer = (*Windowed)(nil)
-	_ BatchScorer = (*DynamicStore)(nil)
-
 	_ Windower      = (*Windowed)(nil)
 	_ DirectedViews = (*DirectedStore)(nil)
 	_ DirectedViews = (*ShardedDirected)(nil)
@@ -131,21 +131,33 @@ var (
 // vocabulary differs (ProcessEdge vs ProcessArc, NumEdges vs NumArcs).
 // They are thin aliases, not new behavior.
 
+// ingestEach is IngestBatch on a single-writer store, which has no lock
+// to amortize: done is checked once, on entry, and the batch then folds
+// edge by edge through fold.
+func ingestEach(edges []stream.Edge, done <-chan struct{}, fold func(stream.Edge)) error {
+	if canceled(done) {
+		return ErrCanceled
+	}
+	for _, e := range edges {
+		fold(e)
+	}
+	return nil
+}
+
 // Ingest folds one edge into the store (alias of ProcessEdge).
 func (s *SketchStore) Ingest(e stream.Edge) { s.ProcessEdge(e) }
 
-// IngestBatch folds a batch of edges (alias of ProcessEdges).
-func (s *SketchStore) IngestBatch(edges []stream.Edge) { s.ProcessEdges(edges) }
+// IngestBatch folds a batch of edges in order (see ingestEach).
+func (s *SketchStore) IngestBatch(edges []stream.Edge, done <-chan struct{}) error {
+	return ingestEach(edges, done, s.ProcessEdge)
+}
 
 // Ingest folds one arc into the store (alias of ProcessArc).
 func (s *DirectedStore) Ingest(e stream.Edge) { s.ProcessArc(e) }
 
-// IngestBatch folds a batch of arcs, one ProcessArc per element (the
-// single-writer directed store has no lock to amortize).
-func (s *DirectedStore) IngestBatch(arcs []stream.Edge) {
-	for _, e := range arcs {
-		s.ProcessArc(e)
-	}
+// IngestBatch folds a batch of arcs in order (see ingestEach).
+func (s *DirectedStore) IngestBatch(arcs []stream.Edge, done <-chan struct{}) error {
+	return ingestEach(arcs, done, s.ProcessArc)
 }
 
 // Degree returns the total (in+out) degree estimate of u — the
@@ -161,12 +173,9 @@ func (s *DirectedStore) NumEdges() int64 { return s.NumArcs() }
 // Ingest folds one edge into the window (alias of ProcessEdge).
 func (w *Windowed) Ingest(e stream.Edge) { w.ProcessEdge(e) }
 
-// IngestBatch folds a batch of edges, one ProcessEdge per element (the
-// single-writer windowed store has no lock to amortize).
-func (w *Windowed) IngestBatch(edges []stream.Edge) {
-	for _, e := range edges {
-		w.ProcessEdge(e)
-	}
+// IngestBatch folds a batch of edges in order (see ingestEach).
+func (w *Windowed) IngestBatch(edges []stream.Edge, done <-chan struct{}) error {
+	return ingestEach(edges, done, w.ProcessEdge)
 }
 
 // NumVertices returns the number of distinct vertices currently live in

@@ -138,7 +138,7 @@ func TestTieredPromotionAndPrefix(t *testing.T) {
 
 	// And cross-tier pairs must therefore score identically to a pair of
 	// tier-0 sketches: effK is the shared prefix length.
-	matches, effK, _, _, known, _ := tiered.pairQuery(hub, 1, false, nil)
+	matches, effK, _, _, known, _ := single[*SketchStore]{tiered}.pairQuery(hub, 1, false, nil)
 	if !known || effK != prefix {
 		t.Fatalf("cross-tier pairQuery: effK = %d known=%v, want prefix %d", effK, known, prefix)
 	}

@@ -41,9 +41,9 @@ import (
 // stream resumes after a long idle period (or jumps from T=0 to
 // epoch-seconds timestamps).
 type Windowed struct {
-	cfg  Config
-	span int64 // per-generation span = window / gens
-	gens []*SketchStore
+	cfg     Config
+	genSpan int64 // per-generation span = window / gens
+	gens    []*SketchStore
 
 	cur      int   // index of the youngest generation
 	curEnd   int64 // exclusive end timestamp of the youngest generation
@@ -72,7 +72,7 @@ func NewWindowed(cfg Config, window int64, gens int) (*Windowed, error) {
 	if span < 1 {
 		return nil, fmt.Errorf("core: window %d too small for %d generations", window, gens)
 	}
-	w := &Windowed{cfg: cfg, span: span, gens: make([]*SketchStore, gens)}
+	w := &Windowed{cfg: cfg, genSpan: span, gens: make([]*SketchStore, gens)}
 	for i := range w.gens {
 		store, err := NewSketchStore(cfg)
 		if err != nil {
@@ -87,7 +87,7 @@ func NewWindowed(cfg Config, window int64, gens int) (*Windowed, error) {
 func (w *Windowed) Config() Config { return w.cfg }
 
 // Window returns the total window span covered (span × generations).
-func (w *Windowed) Window() int64 { return w.span * int64(len(w.gens)) }
+func (w *Windowed) Window() int64 { return w.genSpan * int64(len(w.gens)) }
 
 // Rotations returns how many generation rotations have occurred.
 func (w *Windowed) Rotations() int64 { return w.rotation }
@@ -102,7 +102,7 @@ func (w *Windowed) ProcessEdge(e stream.Edge) {
 	}
 	if !w.started {
 		w.started = true
-		w.curEnd = e.T + w.span
+		w.curEnd = e.T + w.genSpan
 	}
 	if e.T >= w.curEnd {
 		w.advanceTo(e.T)
@@ -118,7 +118,7 @@ func (w *Windowed) ProcessEdge(e stream.Edge) {
 // at most len(gens) per edge.
 func (w *Windowed) advanceTo(t int64) {
 	g := int64(len(w.gens))
-	steps := (t-w.curEnd)/w.span + 1
+	steps := (t-w.curEnd)/w.genSpan + 1
 	resets := steps
 	if resets > g {
 		resets = g
@@ -133,7 +133,7 @@ func (w *Windowed) advanceTo(t int64) {
 		}
 		w.gens[idx] = fresh
 	}
-	w.curEnd += steps * w.span
+	w.curEnd += steps * w.genSpan
 	w.rotation += resets
 }
 
@@ -145,7 +145,7 @@ func (w *Windowed) advanceTo(t int64) {
 // Callers must have advanced the window so that t < curEnd.
 func (w *Windowed) genFor(t int64) int {
 	g := int64(len(w.gens))
-	back := (w.curEnd - 1 - t) / w.span
+	back := (w.curEnd - 1 - t) / w.genSpan
 	if back >= g {
 		back = g - 1 // pre-window → oldest live generation
 	}
@@ -163,21 +163,19 @@ func (w *Windowed) Process(src stream.Source) (int64, error) {
 	return n, err
 }
 
-// merged returns the union sketch of u across live generations: the
-// per-register minimum (with its argmin id), plus the summed arrival
-// count. ok is false if u appears in no generation. On tiered stores the
-// union is valid only over the prefix every contributing generation
-// covers — a register beyond some generation's span is missing that
-// generation's minima — so the returned spans shrink to the smallest
-// contributing span (min-k prefix property; uniform stores always
-// return full-K spans).
-func (w *Windowed) merged(u uint64) (vals, ids []uint64, arrivals int64, ok bool) {
-	vals = make([]uint64, w.cfg.K)
-	ids = make([]uint64, w.cfg.K)
+// mergedInto merges u's registers across live generations: vals (K
+// words) receives the per-register minimum and, when ids is non-nil, ids
+// its argmin id. It returns the summed arrival count and eff, the valid
+// span: on tiered stores the union is valid only over the prefix every
+// contributing generation covers — a register beyond some generation's
+// span is missing that generation's minima — so eff is the smallest
+// contributing span (min-k prefix property; K on uniform stores). ok is
+// false if u appears in no generation.
+func (w *Windowed) mergedInto(u uint64, vals, ids []uint64) (eff int, arrivals int64, ok bool) {
 	for i := range vals {
 		vals[i] = emptyRegister
 	}
-	eff := w.cfg.K
+	eff = len(vals)
 	for _, g := range w.gens {
 		st := g.vertices[u]
 		if st == nil {
@@ -185,20 +183,39 @@ func (w *Windowed) merged(u uint64) (vals, ids []uint64, arrivals int64, ok bool
 		}
 		ok = true
 		arrivals += st.arrivals
-		gv := g.bank.regs(st.slot)
-		gi := g.bank.argmins(st.slot)
-		if len(gv) < eff {
-			eff = len(gv)
-		}
+		gv, gi := g.registers(st)
+		eff = min(eff, len(gv))
 		for i, v := range gv {
 			if v < vals[i] {
 				vals[i] = v
-				ids[i] = gi[i]
+				if ids != nil {
+					ids[i] = gi[i]
+				}
 			}
 		}
 	}
-	return vals[:eff], ids[:eff], arrivals, ok
+	return eff, arrivals, ok
 }
+
+// span is the side hook of single-writer queries (querybatch_single.go):
+// u's union sketch over the window, merged into the given buffers, with
+// its KMV distinct degree.
+func (w *Windowed) span(u uint64, _, deg bool, vals, ids []uint64) ([]uint64, []uint64, float64, bool) {
+	eff, arrivals, ok := w.mergedInto(u, vals, ids)
+	if !ok {
+		return nil, nil, 0, false
+	}
+	if ids != nil {
+		ids = ids[:eff]
+	}
+	var d float64
+	if deg {
+		d = kmvDistinct(vals[:eff], arrivals)
+	}
+	return vals[:eff], ids, d, true
+}
+
+func (w *Windowed) bufWords() int { return w.cfg.K }
 
 // Reserve pre-sizes the live generations for n expected vertices
 // (sizing hint; generations created by later rotations start fresh).
@@ -229,11 +246,12 @@ func (w *Windowed) TierOccupancy() []int {
 
 // Degree returns the KMV distinct-degree estimate of u over the window.
 func (w *Windowed) Degree(u uint64) float64 {
-	vals, _, arrivals, ok := w.merged(u)
-	if !ok {
-		return 0
-	}
-	return kmvDistinct(vals, arrivals)
+	bufp := spanPool.Get().(*[]uint64)
+	vals := grow(*bufp, w.cfg.K)
+	_, _, d, _ := w.span(u, false, true, vals, nil)
+	*bufp = vals
+	spanPool.Put(bufp)
+	return d
 }
 
 // Knows reports whether u appears anywhere in the window.
@@ -246,51 +264,38 @@ func (w *Windowed) Knows(u uint64) bool {
 	return false
 }
 
-// pairQuery is the windowed side of the measure kernel (see
-// measure_kernel.go): it merges both endpoints across live generations
-// and returns the register matches, the windowed (KMV distinct)
-// degrees, and optionally the matched argmin ids.
-func (w *Windowed) pairQuery(u, v uint64, collect bool, idBuf []uint64) (matches, effK int, du, dv float64, known bool, ids []uint64) {
-	uv, uids, uarr, okU := w.merged(u)
-	vv, _, varr, okV := w.merged(v)
-	if !okU || !okV {
-		return 0, w.cfg.K, 0, 0, false, idBuf
-	}
-	// Degrees use each endpoint's full merged span; the match comparison
-	// runs over the shared prefix (min-k prefix property).
-	du = kmvDistinct(uv, uarr)
-	dv = kmvDistinct(vv, varr)
-	matches, effK, ids = matchPrefix(uv, vv, uids, collect, idBuf)
-	return matches, effK, du, dv, true, ids
-}
-
-// midpointDegree weights common-neighbor midpoints by their windowed
-// degree (measure kernel hook).
-func (w *Windowed) midpointDegree(u uint64) float64 { return w.Degree(u) }
-
 // Estimate returns the estimate of any query measure for (u, v) over
 // the window.
 func (w *Windowed) Estimate(m QueryMeasure, u, v uint64) (float64, error) {
-	return estimatePair(w, m, u, v)
+	return estimatePair(single[*Windowed]{w}, m, u, v)
+}
+
+// ScoreBatch scores every candidate against u over the current window,
+// writing scores into out aligned with candidates; scores are
+// bit-identical to Estimate, but the source and each midpoint are merged
+// once per batch instead of once per pair. done (nil never cancels) is
+// checked once, on entry. Must not run concurrently with ProcessEdge.
+func (w *Windowed) ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64, done <-chan struct{}) ([]float64, error) {
+	return single[*Windowed]{w}.scoreBatch(m, u, candidates, out, done)
 }
 
 // EstimateJaccard estimates the Jaccard coefficient of (u, v) over the
 // window.
 func (w *Windowed) EstimateJaccard(u, v uint64) float64 {
-	f, _ := estimatePair(w, QueryJaccard, u, v)
+	f, _ := w.Estimate(QueryJaccard, u, v)
 	return f
 }
 
 // EstimateCommonNeighbors estimates |N(u) ∩ N(v)| over the window.
 func (w *Windowed) EstimateCommonNeighbors(u, v uint64) float64 {
-	f, _ := estimatePair(w, QueryCommonNeighbors, u, v)
+	f, _ := w.Estimate(QueryCommonNeighbors, u, v)
 	return f
 }
 
 // EstimateAdamicAdar estimates the Adamic–Adar index over the window
 // with the matched-register estimator, weighting by windowed degrees.
 func (w *Windowed) EstimateAdamicAdar(u, v uint64) float64 {
-	f, _ := estimatePair(w, QueryAdamicAdar, u, v)
+	f, _ := w.Estimate(QueryAdamicAdar, u, v)
 	return f
 }
 
@@ -299,7 +304,7 @@ func (w *Windowed) EstimateAdamicAdar(u, v uint64) float64 {
 // midpoints by 1/d(w) under the windowed (KMV distinct) degrees, clamped
 // at 2 as in the plain store.
 func (w *Windowed) EstimateResourceAllocation(u, v uint64) float64 {
-	f, _ := estimatePair(w, QueryResourceAllocation, u, v)
+	f, _ := w.Estimate(QueryResourceAllocation, u, v)
 	return f
 }
 
@@ -307,7 +312,7 @@ func (w *Windowed) EstimateResourceAllocation(u, v uint64) float64 {
 // degree estimates (always KMV distinct counts over the merged
 // generations).
 func (w *Windowed) EstimatePreferentialAttachment(u, v uint64) float64 {
-	f, _ := estimatePair(w, QueryPreferentialAttachment, u, v)
+	f, _ := w.Estimate(QueryPreferentialAttachment, u, v)
 	return f
 }
 
@@ -315,7 +320,7 @@ func (w *Windowed) EstimatePreferentialAttachment(u, v uint64) float64 {
 // |N(u)∩N(v)| / sqrt(d(u)·d(v)) over the window. Pairs involving
 // vertices absent from every live generation score 0.
 func (w *Windowed) EstimateCosine(u, v uint64) float64 {
-	f, _ := estimatePair(w, QueryCosine, u, v)
+	f, _ := w.Estimate(QueryCosine, u, v)
 	return f
 }
 

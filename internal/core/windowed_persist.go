@@ -23,7 +23,7 @@ func (s *Windowed) Save(w io.Writer) error {
 	bw := newBinWriter(w)
 	bw.str(windowedMagic)
 	bw.u32(windowedVersion)
-	bw.u64(uint64(s.span))
+	bw.u64(uint64(s.genSpan))
 	bw.u32(uint32(len(s.gens)))
 	bw.u32(uint32(s.cur))
 	bw.u64(uint64(s.curEnd))
@@ -93,7 +93,7 @@ func loadWindowed(rd *binReader) (*Windowed, error) {
 	}
 	return &Windowed{
 		cfg:      gens[0].cfg,
-		span:     span,
+		genSpan:  span,
 		gens:     gens,
 		cur:      int(cur),
 		curEnd:   int64(binary.LittleEndian.Uint64(hdr[20:28])),

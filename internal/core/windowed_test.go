@@ -376,3 +376,34 @@ func TestWindowedLateEdgePlacement(t *testing.T) {
 		t.Error("edge at T=530 should still be live at T=620 (window 100)")
 	}
 }
+
+// TestWindowedQueriesDoNotAllocate: a windowed degree read merges the
+// generations into a pooled buffer, so after a warm-up call neither
+// Degree nor a weighted Estimate (one degree read per matched midpoint)
+// allocates.
+func TestWindowedQueriesDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	edges, cands := batchEdges(17, 2000)
+	w := must(NewWindowed(Config{K: 32, Seed: 21, Degrees: DegreeDistinctKMV}, 500, 4))
+	for _, e := range edges {
+		w.ProcessEdge(e) // timestamps 0..1999: several generations live
+	}
+	u, v := edges[len(edges)-1].U, uint64(0)
+	for _, c := range cands {
+		if c != u && w.EstimateJaccard(u, c) > 0 {
+			v = c
+			break
+		}
+	}
+	if w.EstimateJaccard(u, v) == 0 {
+		t.Fatal("no candidate shares a register with the source; the weighted case would be vacuous")
+	}
+	if n := testing.AllocsPerRun(100, func() { w.Degree(u) }); n != 0 {
+		t.Errorf("Windowed.Degree: %v allocs per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { w.Estimate(QueryAdamicAdar, u, v) }); n != 0 {
+		t.Errorf("Windowed.Estimate(adamic-adar): %v allocs per call, want 0", n)
+	}
+}
