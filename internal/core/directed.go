@@ -136,9 +136,17 @@ func (s *DirectedStore) Process(src stream.Source) (int64, error) {
 func (s *DirectedStore) state(u uint64) *dirVertexState {
 	st := s.vertices[u]
 	if st == nil {
-		st = &dirVertexState{outSlot: s.out.alloc(), inSlot: s.in.alloc()}
-		s.vertices[u] = st
+		st = s.newState(u, 0, 0)
 	}
+	return st
+}
+
+// newState creates the state of u, a vertex the store does not hold,
+// with its out- and in-side slots in tiers out and in (see
+// SketchStore.newState).
+func (s *DirectedStore) newState(u uint64, out, in int) *dirVertexState {
+	st := &dirVertexState{outSlot: s.out.allocAt(out), inSlot: s.in.allocAt(in)}
+	s.vertices[u] = st
 	return st
 }
 

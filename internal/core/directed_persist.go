@@ -40,7 +40,7 @@ func (s *DirectedStore) Save(w io.Writer) error {
 // like LoadSketchStore: bounded counts, validated enum bytes, and
 // errors naming the image byte offset of the fault.
 func LoadDirected(r io.Reader) (*DirectedStore, error) {
-	return loadDirected(newBinReader(r))
+	return load(r, loadDirected)
 }
 
 func loadDirected(rd *binReader) (*DirectedStore, error) {
@@ -71,15 +71,11 @@ func loadDirected(rd *binReader) (*DirectedStore, error) {
 		if err != nil {
 			return nil, rd.fail(fmt.Sprintf("vertex %d in-arrivals", id), err)
 		}
-		st := s.state(id)
-		st.outArr, st.inArr = int64(outArr), int64(inArr)
 		// Each side's tier is a pure function of its persisted arrival
-		// counter, so promotion lands the vertex exactly where it was at
-		// save time and the spans below match the record's widths.
-		if s.tiers != nil {
-			s.promoteOutIfDue(st)
-			s.promoteInIfDue(st)
-		}
+		// counter, so the vertex takes its slots straight where they were
+		// at save time and the spans below match the record's widths.
+		st := s.newState(id, tierFor(s.tiers, int64(outArr)), tierFor(s.tiers, int64(inArr)))
+		st.outArr, st.inArr = int64(outArr), int64(inArr)
 		// Format predates the banks; fill the vertex's spans in place.
 		if err := rd.span(&s.out, st.outSlot, id); err != nil {
 			return nil, err

@@ -58,7 +58,7 @@ func (s *DynamicStore) Save(w io.Writer) error {
 // ascending (hash, id) order with nonzero refs, and errors name the
 // byte offset where decoding failed.
 func LoadDynamicStore(r io.Reader) (*DynamicStore, error) {
-	return loadDynamicStore(newBinReader(r))
+	return load(r, loadDynamicStore)
 }
 
 func loadDynamicStore(rd *binReader) (*DynamicStore, error) {

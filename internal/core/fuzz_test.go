@@ -154,3 +154,28 @@ func loadAnyBounded(t *testing.T, r io.Reader, n int) (Store, error) {
 	}
 	return s, err
 }
+
+// TestTornWideRecordAllocatesOneTier: a torn directed record on the
+// widest tier ladder, whose counters put both sides in the top tier,
+// is rejected after allocating one span per side, not one in every
+// tier it would have been promoted through (96 MiB for its 104 bytes),
+// from either reader shape.
+func TestTornWideRecordAllocatesOneTier(t *testing.T) {
+	wide := Config{K: maxPersistK, Seed: 3, Degrees: DegreeDistinctKMV, Tiers: [MaxTiers]Tier{
+		{K: maxPersistK - 2}, {K: maxPersistK - 1, PromoteAt: 1}, {K: maxPersistK, PromoteAt: 2}}}
+	var img bytes.Buffer
+	bw := newBinWriter(&img)
+	lpsdFormat.writeHeader(bw, storeHeader{cfg: wide, count: 1})
+	bw.u64(7) // id
+	bw.u64(5) // out-arrivals
+	bw.u64(5) // in-arrivals; the spans never come
+	if err := bw.flush(); err != nil {
+		t.Fatal(err)
+	}
+	n := img.Len()
+	for _, r := range []io.Reader{bytes.NewReader(img.Bytes()), struct{ io.Reader }{bytes.NewReader(img.Bytes())}} {
+		if _, err := loadAnyBounded(t, r, n); err == nil {
+			t.Fatalf("a %d-byte torn image loaded from a %T", n, r)
+		}
+	}
+}

@@ -17,11 +17,14 @@ import (
 // mode wrote it. The stream binary format (LPS1, internal/stream) is deliberately
 // rejected here: it is a stream of edges, not a store image. So are
 // bytes after the image, which Save never writes.
-func LoadAny(r io.Reader) (Store, error) {
-	// Peek, don't consume: each loader re-verifies its own magic. One
-	// binReader serves the loader too, so a random-access input (see
-	// randomAccess) is still decoded in place.
-	rd := newBinReader(r)
+//
+// A random-access input (see randomAccess) is decoded in place. A
+// checked input (see checkedInput), such as a WAL snapshot's payload,
+// must match its checksum before LoadAny returns a store.
+func LoadAny(r io.Reader) (Store, error) { return load(r, loadAny) }
+
+func loadAny(rd *binReader) (Store, error) {
+	// Peek, don't consume: each loader re-verifies its own magic.
 	magic, err := rd.br.Peek(4)
 	if err != nil {
 		if err == io.EOF {

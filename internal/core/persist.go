@@ -256,7 +256,7 @@ func (s *SketchStore) Save(w io.Writer) error {
 // re-wrapped, so the sharded formats can concatenate several images in
 // one stream.
 func LoadSketchStore(r io.Reader) (*SketchStore, error) {
-	return loadSketchStore(newBinReader(r))
+	return load(r, loadSketchStore)
 }
 
 func loadSketchStore(rd *binReader) (*SketchStore, error) {
@@ -282,19 +282,17 @@ func loadSketchStore(rd *binReader) (*SketchStore, error) {
 		if err != nil {
 			return nil, rd.fail(fmt.Sprintf("vertex %d arrivals", id), err)
 		}
-		st := s.state(id)
+		// Promotion is a pure function of the arrival count, so the
+		// loaded vertex takes its slot straight in the tier it occupied
+		// at save time, and its spans below have exactly the record's
+		// width.
+		st := s.newState(id, tierFor(s.tiers, int64(arrivals)))
 		st.arrivals = int64(arrivals)
 		vertexTri, err := rd.u64()
 		if err != nil {
 			return nil, rd.fail(fmt.Sprintf("vertex %d triangles", id), err)
 		}
 		st.triangles = math.Float64frombits(vertexTri)
-		// Promotion is a pure function of the arrival count, so the
-		// loaded vertex lands in the same tier it occupied at save time
-		// and its spans below have exactly the record's width.
-		if s.tiers != nil {
-			s.promoteIfDue(st)
-		}
 		// The on-disk format predates the register banks; conversion on
 		// load is just filling the vertex's bank spans in place.
 		if err := rd.span(&s.bank, st.slot, id); err != nil {

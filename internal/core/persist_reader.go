@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"io/fs"
 	"math"
 
 	"linkpred/internal/hashing"
@@ -36,62 +38,138 @@ const maxPersistK = 1 << 20
 // offset of the next unread byte, counted from where decoding started
 // (for a container format such as the sharded image, that is the start
 // of the *container*, so offsets in errors locate the fault within the
-// whole file).
+// whole file), and the CRC-32C of every byte consumed so far.
 //
 // When the input allows random access (see randomAccess), the reader
 // also keeps it as src: image byte off is src byte base+off, and the
-// input ends at image offset size. Loaders use that to look ahead
-// without consuming (peekAt), to size a store before decoding it, and
-// to decode the shards of a container in place, each from its own
-// section.
+// input ends at image offset size. Every read is then a positional one,
+// through a section of the input, so the image is decoded where it lies
+// and never copied whole. Loaders use that to size a store before
+// decoding it (storeFormat.layout) and to decode the shards of a
+// container in place, each from its own section.
 type binReader struct {
 	br  *bufio.Reader
 	off int64
+	crc uint32 // of the bytes consumed, continued from the input's seed
 	buf []byte // u64s staging buffer, reused across calls
 
 	src        io.ReaderAt // nil for a stream
 	base, size int64
+	scan       *binReader // the layout pass's reader, reused (scanner)
+
+	// lay, when set, is the layout of the image the reader starts at,
+	// measured when loadShards cut the reader's section.
+	lay *imageLayout
 
 	// shard and nShards are set while a container's shard image is
 	// decoded: every vertex in it must hash there (shardFor).
 	shard, nShards int
 }
 
-// randomAccess is an input the loaders can read in place: the
-// *bytes.Reader wal.LoadNewestSnapshot hands over, a *strings.Reader or
-// an *io.SectionReader. The image runs from its current position to
-// Size.
+// randomAccess is an input the loaders can read in place: a
+// *bytes.Reader, a *strings.Reader or an *io.SectionReader, the snapshot
+// payload wal.LoadNewestSnapshot hands over, or a regular *os.File. The
+// image runs from its current position to its end, which Size reports,
+// or for a file Stat.
 type randomAccess interface {
-	io.ReadSeeker
+	io.Seeker
 	io.ReaderAt
-	Size() int64
 }
+
+// checkedInput is an input stored with a CRC-32C of itself: the
+// snapshot payload wal.LoadNewestSnapshot hands over, whose file ends in
+// the checksum of everything before it. The decoder continues CRCSeed,
+// the checksum of what precedes the input, over every byte it consumes,
+// and a loader hands the sum and the count to Verify before it returns
+// a store (binReader.verify), so no store is built from bytes the
+// checksum did not cover.
+type checkedInput interface {
+	CRCSeed() uint32
+	Verify(crc uint32, n int64) error
+}
+
+// sectionChunk is the most a section reads from its input at once.
+const sectionChunk = 32 << 10
 
 // newBinReader wraps r. An existing *bufio.Reader is used as-is:
 // wrapping again would read ahead past the current image and corrupt
 // any data that follows it in the same stream (the sharded formats
 // concatenate several store images back to back).
 func newBinReader(r io.Reader) *binReader {
-	rd := &binReader{}
-	if ra, ok := r.(randomAccess); ok {
-		if pos, err := ra.Seek(0, io.SeekCurrent); err == nil {
-			rd.src, rd.base, rd.size = ra, pos, ra.Size()-pos
+	var rd *binReader
+	if src, pos, size, ok := inPlace(r); ok {
+		rd = (&binReader{src: src, base: pos}).section(0, size-pos)
+	} else {
+		br, ok := r.(*bufio.Reader)
+		if !ok {
+			br = bufio.NewReader(r)
 		}
+		rd = &binReader{br: br}
 	}
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReader(r)
+	if c, ok := r.(checkedInput); ok {
+		rd.crc = c.CRCSeed()
 	}
-	rd.br = br
 	return rd
 }
 
+// inPlace reports whether r is random-access and, if so, where its
+// unread bytes lie: from pos to size.
+func inPlace(r io.Reader) (src io.ReaderAt, pos, size int64, ok bool) {
+	ra, ok := r.(randomAccess)
+	if !ok {
+		return nil, 0, 0, false
+	}
+	switch in := r.(type) {
+	case interface{ Size() int64 }:
+		size = in.Size()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		fi, err := in.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return nil, 0, 0, false
+		}
+		size = fi.Size()
+	default:
+		return nil, 0, 0, false
+	}
+	pos, err := ra.Seek(0, io.SeekCurrent)
+	if err != nil || pos > size {
+		return nil, 0, 0, false
+	}
+	return ra, pos, size, true
+}
+
+// verify hands a checked input the checksum of the bytes decoded from
+// it; any other input needs none.
+func (b *binReader) verify(r io.Reader) error {
+	if c, ok := r.(checkedInput); ok {
+		return c.Verify(b.crc, b.off)
+	}
+	return nil
+}
+
+// load decodes one image from r with decode, and verifies a checked
+// input before the store is returned.
+func load[T any](r io.Reader, decode func(*binReader) (T, error)) (T, error) {
+	rd := newBinReader(r)
+	s, err := decode(rd)
+	if err == nil {
+		err = rd.verify(r)
+	}
+	if err != nil {
+		var none T
+		return none, err
+	}
+	return s, nil
+}
+
 // section returns a reader over image bytes [off, off+n) of a
-// random-access input. Its offsets stay image-relative, so errors from
-// a shard decoded on its own still locate the fault in the container.
+// random-access input, which reads up to sectionChunk bytes at a time.
+// Its offsets stay image-relative, so errors from a shard decoded on its
+// own still locate the fault in the container; its checksum starts
+// afresh.
 func (b *binReader) section(off, n int64) *binReader {
 	return &binReader{
-		br:   bufio.NewReader(io.NewSectionReader(b.src, b.base+off, n)),
+		br:   bufio.NewReaderSize(io.NewSectionReader(b.src, b.base+off, n), int(min(n, sectionChunk))),
 		off:  off,
 		src:  b.src,
 		base: b.base,
@@ -99,15 +177,17 @@ func (b *binReader) section(off, n int64) *binReader {
 	}
 }
 
-// peekAt fills p with the image bytes at image offset off without
-// consuming anything. It reports false on a stream and when the input
-// ends first.
-func (b *binReader) peekAt(p []byte, off int64) bool {
-	if b.src == nil || off < 0 || off > b.size-int64(len(p)) {
-		return false
+// scanner returns a reader over image bytes [off, size) for the layout
+// pass. Layouts are measured one at a time, so one buffer serves them
+// all.
+func (b *binReader) scanner(off int64) *binReader {
+	if b.scan == nil {
+		b.scan = b.section(off, b.size-off)
+	} else {
+		b.scan.br.Reset(io.NewSectionReader(b.src, b.base+off, b.size-off))
+		b.scan.off = off
 	}
-	_, err := b.src.ReadAt(p, b.base+off)
-	return err == nil
+	return b.scan
 }
 
 // backable returns how many of count records, each at least minRec
@@ -180,9 +260,19 @@ func (b *binReader) corrupt(format string, args ...interface{}) error {
 	return fmt.Errorf("core: corrupt image at byte %d: %s", b.off, fmt.Sprintf(format, args...))
 }
 
+// read consumes len(p) bytes into p and hashes them.
 func (b *binReader) read(p []byte) error {
 	n, err := io.ReadFull(b.br, p)
 	b.off += int64(n)
+	b.crc = crc32.Update(b.crc, castagnoli, p[:n])
+	return err
+}
+
+// skip passes over the next n bytes without hashing them: the layout
+// pass sizes records with it, and nothing it skips is decoded.
+func (b *binReader) skip(n int) error {
+	d, err := b.br.Discard(n)
+	b.off += int64(d)
 	return err
 }
 

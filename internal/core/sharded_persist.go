@@ -89,7 +89,7 @@ func (s *shardSet[T]) load(rd *binReader, kind *shardKind[T]) error {
 
 // LoadSharded restores a store saved by (*Sharded).Save. The restored
 // store answers every query identically and accepts further ingest.
-func LoadSharded(r io.Reader) (*Sharded, error) { return loadSharded(newBinReader(r)) }
+func LoadSharded(r io.Reader) (*Sharded, error) { return load(r, loadSharded) }
 
 func loadSharded(rd *binReader) (*Sharded, error) {
 	s := new(Sharded)
@@ -102,7 +102,7 @@ func loadSharded(rd *binReader) (*Sharded, error) {
 // LoadShardedDirected restores a store saved by
 // (*ShardedDirected).Save, with the guarantees of LoadSharded.
 func LoadShardedDirected(r io.Reader) (*ShardedDirected, error) {
-	return loadShardedDirected(newBinReader(r))
+	return load(r, loadShardedDirected)
 }
 
 func loadShardedDirected(rd *binReader) (*ShardedDirected, error) {

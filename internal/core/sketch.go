@@ -103,7 +103,8 @@ type regBank struct {
 // init prepares an empty bank for cfg: one arena per tier width (a
 // single K-wide arena on uniform stores), with the KMV degree cache
 // maintained iff cfg counts distinct degrees. New slots allocate in
-// tier 0; promote moves them up.
+// tier 0 and promote moves them up; a loader allocates each straight in
+// the tier its record was saved from.
 func (b *regBank) init(cfg Config, trackIDs bool) {
 	b.trackIDs = trackIDs
 	b.trackKMV = cfg.Degrees == DegreeDistinctKMV
@@ -118,13 +119,10 @@ func (b *regBank) init(cfg Config, trackIDs bool) {
 	}
 }
 
-// alloc claims a slot in tier 0, extending the arena by one k-span
-// (values initialised to emptyRegister, ids zeroed). Amortized O(k).
-func (b *regBank) alloc() int32 { return b.allocAt(0) }
-
 // allocAt claims a slot in tier t, reusing a promotion-vacated slot if
 // one is free (its span is re-initialised — reused capacity HAS held
-// data) and extending the arena otherwise.
+// data) and extending the arena by one k-span otherwise (values
+// initialised to emptyRegister, ids zeroed). Amortized O(k).
 func (b *regBank) allocAt(t int) int32 {
 	tr := &b.tiers[t]
 	var idx int32

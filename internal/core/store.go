@@ -355,10 +355,9 @@ func (s *SketchStore) Process(src stream.Source) (int64, error) {
 	return n, err
 }
 
-// promoteIfDue advances st to the tier its arrival count has earned,
-// one rung at a time (a single edge can cross several thresholds when a
-// loader replays an aggregated count). Depends only on st's own monotone
-// counter, so it commutes with everything other vertices do.
+// promoteIfDue advances st, one rung at a time, to the tier its arrival
+// count has earned. Depends only on st's own monotone counter, so it
+// commutes with everything other vertices do.
 func (s *SketchStore) promoteIfDue(st *vertexState) {
 	t := int(st.slot >> tierShift)
 	for t+1 < len(s.tiers) && st.arrivals >= s.tiers[t+1].PromoteAt {
@@ -374,12 +373,20 @@ func (s *SketchStore) promoteIfDue(st *vertexState) {
 func (s *SketchStore) state(u uint64) *vertexState {
 	st := s.vertices[u]
 	if st == nil {
-		st = &vertexState{slot: s.bank.alloc()}
-		if s.cfg.EnableBiased {
-			st.biased = newBiasedSketch(s.cfg.K)
-		}
-		s.vertices[u] = st
+		st = s.newState(u, 0)
 	}
+	return st
+}
+
+// newState creates the state of u, a vertex the store does not hold,
+// with its slot in tier t: tier 0 for a vertex the stream just met, and
+// for a loaded one the tier its arrival count has earned.
+func (s *SketchStore) newState(u uint64, t int) *vertexState {
+	st := &vertexState{slot: s.bank.allocAt(t)}
+	if s.cfg.EnableBiased {
+		st.biased = newBiasedSketch(s.cfg.K)
+	}
+	s.vertices[u] = st
 	return st
 }
 

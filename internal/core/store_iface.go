@@ -180,13 +180,21 @@ func (w *Windowed) IngestBatch(edges []stream.Edge, done <-chan struct{}) error 
 
 // NumVertices returns the number of distinct vertices currently live in
 // the window: the size of the union of the generations' vertex sets (a
-// vertex present in several generations counts once).
+// vertex present in several generations counts once). Each vertex is
+// counted in the first generation that holds it, so a /stats scrape
+// allocates nothing and rotation keeps no count to maintain.
 func (w *Windowed) NumVertices() int {
-	seen := make(map[uint64]struct{})
-	for _, g := range w.gens {
+	n := 0
+	for i, g := range w.gens {
+	vertices:
 		for u := range g.vertices {
-			seen[u] = struct{}{}
+			for _, earlier := range w.gens[:i] {
+				if _, ok := earlier.vertices[u]; ok {
+					continue vertices
+				}
+			}
+			n++
 		}
 	}
-	return len(seen)
+	return n
 }

@@ -43,7 +43,7 @@ func (s *Windowed) Save(w io.Writer) error {
 
 // LoadWindowed restores a store saved by (*Windowed).Save. Corrupt
 // images are rejected with errors naming the byte offset of the fault.
-func LoadWindowed(r io.Reader) (*Windowed, error) { return loadWindowed(newBinReader(r)) }
+func LoadWindowed(r io.Reader) (*Windowed, error) { return load(r, loadWindowed) }
 
 func loadWindowed(rd *binReader) (*Windowed, error) {
 	if err := rd.magic(windowedMagic); err != nil {

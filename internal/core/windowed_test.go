@@ -407,3 +407,37 @@ func TestWindowedQueriesDoNotAllocate(t *testing.T) {
 		t.Errorf("Windowed.Estimate(adamic-adar): %v allocs per call, want 0", n)
 	}
 }
+
+// TestWindowedNumVerticesCountsTheUnion: NumVertices equals the size of
+// the union of the live generations' vertex sets, checked against a map
+// built over them, as the window rotates and late and pre-window edges
+// land in older generations; and a scrape allocates nothing.
+func TestWindowedNumVerticesCountsTheUnion(t *testing.T) {
+	union := func(w *Windowed) int {
+		seen := map[uint64]bool{}
+		for _, g := range w.gens {
+			for u := range g.vertices {
+				seen[u] = true
+			}
+		}
+		return len(seen)
+	}
+	w := must(NewWindowed(Config{K: 8, Seed: 5}, 100, 4))
+	r := rng.NewXoshiro256(41)
+	for i := 0; i < 3000; i++ {
+		ts := int64(i / 4)
+		if i%7 == 0 {
+			ts -= int64(r.Intn(150)) // late, sometimes before the window
+		}
+		w.ProcessEdge(stream.Edge{U: uint64(r.Intn(60)), V: uint64(r.Intn(60)), T: ts})
+		if got, want := w.NumVertices(), union(w); got != want {
+			t.Fatalf("after edge %d (T=%d): NumVertices %d, union of the generations %d", i, ts, got, want)
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	if n := testing.AllocsPerRun(20, func() { w.NumVertices() }); n != 0 {
+		t.Errorf("Windowed.NumVertices: %v allocs per call, want 0", n)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	iofs "io/fs"
 	"path/filepath"
 	"sort"
@@ -293,16 +292,22 @@ func (fs *FaultFS) OpenAppend(name string) (File, error) {
 	return &faultFile{fs: fs, name: name}, nil
 }
 
-// Open implements FS.
-func (fs *FaultFS) Open(name string) (io.ReadCloser, error) {
+// Open implements FS. The reader serves a copy of the file's contents
+// as they are at Open.
+func (fs *FaultFS) Open(name string) (ReadAtCloser, error) {
 	data, err := fs.ReadFile(name)
 	if err != nil {
 		return nil, err
 	}
-	return io.NopCloser(bytes.NewReader(data)), nil
+	return memReader{bytes.NewReader(data)}, nil
 }
 
-// ReadFile implements FS.
+// memReader is a FaultFS file opened for reading.
+type memReader struct{ *bytes.Reader }
+
+func (memReader) Close() error { return nil }
+
+// ReadFile returns the full contents of name.
 func (fs *FaultFS) ReadFile(name string) ([]byte, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()

@@ -33,6 +33,13 @@ type File interface {
 	Close() error
 }
 
+// ReadAtCloser is a file opened for reading: in order, or at any offset.
+// Snapshots are read in place (LoadNewestSnapshot), never whole.
+type ReadAtCloser interface {
+	io.ReadCloser
+	io.ReaderAt
+}
+
 // FS abstracts the filesystem operations used by the WAL, snapshots,
 // and recovery. OSFS is the production implementation; FaultFS is the
 // in-memory fault-injection implementation used by the crash-recovery
@@ -43,9 +50,7 @@ type FS interface {
 	// OpenAppend opens an existing file for appending.
 	OpenAppend(name string) (File, error)
 	// Open opens name for reading.
-	Open(name string) (io.ReadCloser, error)
-	// ReadFile returns the full contents of name.
-	ReadFile(name string) ([]byte, error)
+	Open(name string) (ReadAtCloser, error)
 	// ReadDir returns the file names in dir, sorted ascending.
 	ReadDir(dir string) ([]string, error)
 	// Stat returns the size of name in bytes.
@@ -72,9 +77,7 @@ func (OSFS) OpenAppend(name string) (File, error) {
 	return os.OpenFile(name, os.O_WRONLY|os.O_APPEND, 0o644)
 }
 
-func (OSFS) Open(name string) (io.ReadCloser, error) { return os.Open(name) }
-
-func (OSFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
+func (OSFS) Open(name string) (ReadAtCloser, error) { return os.Open(name) }
 
 func (OSFS) ReadDir(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)

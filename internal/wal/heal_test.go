@@ -528,7 +528,7 @@ func (r *repairFS) failNextOpen(readAfter int64) {
 	r.openFault, r.readAfter = true, readAfter
 }
 
-func (r *repairFS) Open(name string) (io.ReadCloser, error) {
+func (r *repairFS) Open(name string) (ReadAtCloser, error) {
 	r.mu.Lock()
 	fault, after := r.openFault, r.readAfter
 	r.openFault = false
@@ -544,10 +544,25 @@ func (r *repairFS) Open(name string) (io.ReadCloser, error) {
 	if err != nil {
 		return nil, err
 	}
-	return struct {
-		io.Reader
-		io.Closer
-	}{io.MultiReader(io.LimitReader(rc, after), iotest.ErrReader(errIO)), rc}, nil
+	return failingFile{rc, io.MultiReader(io.LimitReader(rc, after), iotest.ErrReader(errIO)), after, errIO}, nil
+}
+
+// failingFile is an open file whose reads fail from byte after on.
+type failingFile struct {
+	ReadAtCloser
+	r     io.Reader
+	after int64
+	err   error
+}
+
+func (f failingFile) Read(p []byte) (int, error) { return f.r.Read(p) }
+
+func (f failingFile) ReadAt(p []byte, off int64) (int, error) {
+	if off+int64(len(p)) <= f.after {
+		return f.ReadAtCloser.ReadAt(p, off)
+	}
+	n, _ := f.ReadAtCloser.ReadAt(p[:max(f.after-off, 0)], off)
+	return n, f.err
 }
 
 func (r *repairFS) Truncate(name string, size int64) error {
